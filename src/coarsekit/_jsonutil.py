@@ -7,6 +7,8 @@ for them), containers emitted in deterministic order.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -44,15 +46,11 @@ def format_cell(value) -> str:
 
 
 def csv_text(header, rows) -> str:
-    # csv.writer varies line endings per platform; fix "\n" for determinism.
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header, rows):
-    text = csv_text(header, rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    return text
+    """CSV text with LF line endings on every platform.  Each cell goes
+    through format_cell; cells holding a comma or a quote (tuple point
+    labels) are quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_cell(c) for c in row] for row in rows)
+    return buf.getvalue()

@@ -10,13 +10,11 @@ a resource cap is hit.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from dataclasses import dataclass, field
 
-from ._jsonutil import SCHEMA, canonical_json
+from ._jsonutil import SCHEMA, canonical_json, csv_text
 from .covers import (
     ball_cover,
     brick_cover_zl,
@@ -72,7 +70,6 @@ class RunConfig:
     csv_path: str = None
     norm_csv: str = None
     ball_cap: int = None
-    seed: int = 0
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -129,17 +126,6 @@ def _write_json(path, obj):
         fh.write(canonical_json(obj) + "\n")
 
 
-def _quoted_csv(header, rows):
-    """csv-module writer for tables whose cells may contain commas
-    (tuple point labels); quoting keeps them parseable and deterministic."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 # -- ball ----------------------------------------------------------------------
 
 
@@ -152,7 +138,7 @@ def cmd_ball(config: RunConfig):
         table = word_norm_table(spec, config.radius, cap=config.ball_cap)
         rows = sorted(((point_label(e), n) for e, n in table.items()), key=lambda r: (r[1], r[0]))
         with open(config.norm_csv, "w", newline="") as fh:
-            fh.write(_quoted_csv(("element", "norm"), rows))
+            fh.write(csv_text(("element", "norm"), rows))
     if config.out is not None:
         _write_json(config.out, space_json)
         _emit(
@@ -164,7 +150,6 @@ def cmd_ball(config: RunConfig):
                 "points": len(space),
                 "diameter": space.diameter(),
                 "out": config.out,
-                "seed": config.seed,
             }
         )
     else:
@@ -247,7 +232,6 @@ def cmd_cover(config: RunConfig):
         "group": config.group,
         "radius": config.radius,
         "lambda": config.lam,
-        "seed": config.seed,
         "stats": stats,
     }
     if config.out is not None:
@@ -293,7 +277,6 @@ def cmd_certify_a(config: RunConfig):
             "command": "certify-a",
             "group": config.group,
             "radius": config.radius,
-            "seed": config.seed,
         }
     )
     if config.out is not None:
@@ -313,25 +296,15 @@ def cmd_embed(config: RunConfig):
         family, space.center, config.budget,
         safe_margin=config.extras.get("safe_margin"),
     )
-    margins = space.margins()
-    safe = [i for i in range(len(space)) if margins[i] >= result.safe_margin]
-    buckets = {}
-    for a in range(len(safe)):
-        for b in range(a + 1, len(safe)):
-            i, j = safe[a], safe[b]
-            t = int(space.d[i, j])
-            gap = result.vectors[space.points[i]].sub(result.vectors[space.points[j]]).norm()
-            lo, hi = buckets.get(t, (INF, -INF))
-            buckets[t] = (min(lo, gap), max(hi, gap))
     bucket_rows = [
         {
-            "distance": t,
-            "min": buckets[t][0],
-            "max": buckets[t][1],
+            "distance": int(t),
+            "min": low,
+            "max": high,
             "rho_lower": result.rho_lower(t),
             "rho_upper": result.rho_upper(t),
         }
-        for t in sorted(buckets)
+        for t, (low, high) in sorted(result.displacement.items())
     ]
     out = result.to_json()
     out.update(
@@ -340,7 +313,6 @@ def cmd_embed(config: RunConfig):
             "command": "embed",
             "group": config.group,
             "radius": config.radius,
-            "seed": config.seed,
             "buckets": bucket_rows,
         }
     )
@@ -360,7 +332,7 @@ def _emit_profile(config: RunConfig, profile):
         with open(config.csv_path, "w", newline="") as fh:
             fh.write(text)
     if config.out is not None:
-        _write_json(config.out, {"schema": SCHEMA, "seed": config.seed, **profile.to_json()})
+        _write_json(config.out, {"schema": SCHEMA, **profile.to_json()})
     return 0
 
 
@@ -393,15 +365,13 @@ def cmd_distortion(config: RunConfig):
     )
     slope = log_log_slope(pairs)
     if config.csv_path is not None:
-        rows = [(i, a) for i, a in pairs]
         with open(config.csv_path, "w", newline="") as fh:
-            fh.write(_quoted_csv(("inner_norm", "ambient_norm"), rows))
+            fh.write(csv_text(("inner_norm", "ambient_norm"), pairs))
     out = {
         "schema": SCHEMA,
         "command": "distortion",
         "group": config.group,
         "radius": config.radius,
-        "seed": config.seed,
         "pairs": len(pairs),
         "max_inner_norm": max(i for i, _ in pairs),
         "slope": slope,
@@ -420,7 +390,6 @@ def _common(sub, *, radius=True, out=True):
     if radius:
         sub.add_argument("--radius", required=True, type=int)
     sub.add_argument("--ball-cap", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=0)
     if out:
         sub.add_argument("--out", default=None)
 
@@ -502,7 +471,6 @@ def _config_from_args(args) -> RunConfig:
         csv_path=getattr(args, "csv_path", None),
         norm_csv=getattr(args, "norm_csv", None),
         ball_cap=getattr(args, "ball_cap", None),
-        seed=getattr(args, "seed", 0),
         extras=extras,
     )
 

@@ -21,7 +21,7 @@ from ..errors import (
     PreconditionFailed,
     TooLarge,
 )
-from ..metric import INF, FiniteMetricSpace, SparseVector, point_label, set_distance, _tolerance
+from ..metric import INF, FiniteMetricSpace, point_label, set_distance, _tolerance
 
 
 class Cover:
@@ -284,10 +284,6 @@ class PartitionOfUnity:
         self.labels = list(labels)
         self.matrix = matrix
 
-    def vector_at(self, point) -> SparseVector:
-        col = self.matrix[:, self.space.index(point)]
-        return SparseVector({self.labels[i]: v for i, v in enumerate(col) if v > 0}, p=1)
-
 
 def partition_of_unity(cover: Cover):
     """Distance-to-complement weights plus the measured Lipschitz constant.
@@ -401,6 +397,19 @@ def audit_irreducible(cover: Cover):
 
 
 # -- lattice constructions -----------------------------------------------------
+
+
+def _dedupe_nested(groups):
+    """Sorted (key, frozenset) pairs of groups, skipping every set nested
+    inside another; on small windows many shifted families coincide."""
+    picked = []
+    for key in sorted(groups):
+        members = frozenset(groups[key])
+        if any(members <= other for _, other in picked):
+            continue
+        picked = [(k, m) for k, m in picked if not m <= members]
+        picked.append((key, members))
+    return picked
 
 
 def _lattice_coords(space):

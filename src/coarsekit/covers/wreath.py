@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..errors import AuditFailed, PreconditionFailed
 from ..groups import GroupSpec, ball_elements, ball_space, wreath_spec
-from .base import Cover, brick_cover_zl, interval_cover_z
+from .base import Cover, _dedupe_nested, brick_cover_zl, interval_cover_z
 from .extension import extension_cover, wreath_kernel_cover
 
 
@@ -49,13 +49,7 @@ def wreath_lamp_bricks(inside_window, positions, lam) -> Cover:
         for j in range(l + 1):
             key = (j,) + tuple((x + 2 * j * lam) // side for x in vec)
             groups.setdefault(key, []).append(w)
-    picked = []
-    for key in sorted(groups):
-        members = frozenset(groups[key])
-        if any(members <= other for _, other in picked):
-            continue
-        picked = [(k, m) for k, m in picked if not m <= members]
-        picked.append((key, members))
+    picked = _dedupe_nested(groups)
     sets = [sorted(m, key=lambda w: inside_window.index(w)) for _, m in picked]
     labels = [f"brick{k[0]}:{','.join(map(str, k[1:]))}" for k, _ in picked]
     cover = Cover(inside_window, sets, labels, meta={"method": "lamp_bricks", "lam": lam, "side": side})

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonutil import csv_text, write_csv
-from .covers.base import Cover, ball_cover, brick_cover_zl
+from ._jsonutil import csv_text
+from .covers.base import Cover, _dedupe_nested, ball_cover, brick_cover_zl
 from .covers.extension import extension_cover
 from .covers.wreath import eval_polynomial, wreath_cover
 from .errors import AuditFailed, Infeasible, PreconditionFailed, TooLarge, WindowTooSmall
@@ -161,17 +161,6 @@ def _cover_is_valid(cover, lam, D):
         return cover.find_uncovered_subset(lam) is None
     except TooLarge:
         return False
-
-
-def _dedupe_nested(groups):
-    picked = []
-    for key in sorted(groups):
-        members = frozenset(groups[key])
-        if any(members <= other for _, other in picked):
-            continue
-        picked = [(k, m) for k, m in picked if not m <= members]
-        picked.append((key, members))
-    return picked
 
 
 def _chain_cover(space, lam, D):
@@ -346,10 +335,8 @@ class DimensionProfile:
             for r in ordered
         ]
 
-    def to_csv(self, path=None):
-        if path is None:
-            return csv_text(CSV_HEADER, self.csv_rows())
-        return write_csv(path, CSV_HEADER, self.csv_rows())
+    def to_csv(self):
+        return csv_text(CSV_HEADER, self.csv_rows())
 
     def to_json(self):
         return {

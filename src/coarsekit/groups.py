@@ -208,9 +208,6 @@ class WreathElement:
     def support(self):
         return tuple(k for k, _ in self.config)
 
-    def lamp_at(self, position, lamp_unit):
-        return dict(self.config).get(position, lamp_unit)
-
 
 def wreath_element(config_dict, head, lamp_unit) -> WreathElement:
     cleaned = {k: v for k, v in config_dict.items() if v != lamp_unit}

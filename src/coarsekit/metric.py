@@ -1,4 +1,4 @@
-"""Finite metric spaces and sparse l_p vectors.
+"""Finite metric spaces and l_p distances.
 
 Everything downstream runs on a :class:`FiniteMetricSpace`: a finite point
 list with an exact pairwise distance matrix.  Word metrics are stored as
@@ -204,7 +204,7 @@ def inner_neighborhood(space, A, r):
     return [p for p, k in zip(space.points, keep) if k]
 
 
-# -- sparse l_p vectors ------------------------------------------------------
+# -- l_p distances -----------------------------------------------------------
 
 
 def _norm_p(p):
@@ -216,65 +216,13 @@ def _norm_p(p):
     return p
 
 
-class SparseVector:
-    """Finitely supported function to the reals, tagged with its p."""
-
-    __slots__ = ("entries", "p")
-
-    def __init__(self, entries, p):
-        self.p = _norm_p(p)
-        self.entries = {k: float(v) for k, v in entries.items() if v != 0}
-
-    def norm(self):
-        values = np.array(list(self.entries.values()))
-        if values.size == 0:
-            return 0.0
-        if self.p == INF:
-            return float(np.abs(values).max())
-        return float((np.abs(values) ** self.p).sum() ** (1.0 / self.p))
-
-    def sub(self, other):
-        keys = set(self.entries) | set(other.entries)
-        return SparseVector(
-            {k: self.entries.get(k, 0.0) - other.entries.get(k, 0.0) for k in keys}, self.p
-        )
-
-    def add(self, other):
-        keys = set(self.entries) | set(other.entries)
-        return SparseVector(
-            {k: self.entries.get(k, 0.0) + other.entries.get(k, 0.0) for k in keys}, self.p
-        )
-
-    def scale(self, c):
-        return SparseVector({k: c * v for k, v in self.entries.items()}, self.p)
-
-    def power(self, exponent, new_p):
-        """Coordinatewise |v|^exponent (sign kept for odd use is not needed:
-        property-A vectors are nonnegative)."""
-        return SparseVector({k: v**exponent for k, v in self.entries.items()}, new_p)
-
-    def support(self):
-        return set(self.entries)
-
-    def is_nonnegative(self):
-        return all(v >= 0 for v in self.entries.values())
-
-    def to_json(self):
-        return {
-            "p": "inf" if self.p == INF else self.p,
-            "entries": {point_label(k): v for k, v in sorted(self.entries.items(), key=lambda kv: point_label(kv[0]))},
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(dict(obj["entries"]), obj["p"])
-
-
-def lp_distance(u: SparseVector, v: SparseVector, p=None) -> float:
-    if p is None:
-        if u.p != v.p:
-            raise PreconditionFailed("mixed p without an explicit override", p=(u.p, v.p))
-        p = u.p
-    diff = u.sub(v)
-    diff.p = _norm_p(p)
-    return diff.norm()
+def lp_distance(u, v, p):
+    """||u - v||_p over the last axis: a number for two vectors, one
+    distance per row for two stacks of rows.  Pass v = 0 for the norm."""
+    p = _norm_p(p)
+    diff = np.subtract(u, v, dtype=float)
+    np.abs(diff, out=diff)
+    if p == INF:
+        return diff.max(axis=-1, initial=0.0)
+    diff **= p
+    return diff.sum(axis=-1) ** (1.0 / p)

@@ -21,18 +21,23 @@ from .errors import (
     PreconditionFailed,
     SubsequenceUnavailable,
 )
-from .metric import INF, FiniteMetricSpace, SparseVector, lp_distance, point_label, _tolerance
+from .metric import INF, FiniteMetricSpace, lp_distance, point_label, _tolerance
 
 CERT_TOL = 1e-9
 PAIR_CAP = 20_000_000
+# Pair scans gather at most this many row entries per side at once.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class PropertyAFamily:
     """For each level n, a unit nonnegative l_p vector a^n_z per point z.
 
-    Construction invariants are re-checked on every instantiation: unit
-    norm within 1e-9, nonnegative entries, and support inside the closed
-    ball of the declared radius around the owning point.
+    ``levels[n]`` is one float array of shape (points, points): row i is
+    a^n_z for z = ``space.points[i]``, and column j is the coordinate
+    carried by ``space.points[j]``.  Construction invariants are re-checked
+    on every instantiation: unit norm within 1e-9, nonnegative entries,
+    and support inside the closed ball of the declared radius around the
+    owning point.
     """
 
     def __init__(self, space, p, levels, support_radius, bound_fn=None, meta=None):
@@ -51,24 +56,35 @@ class PropertyAFamily:
         return None if self._bound_fn is None else self._bound_fn(n, K)
 
     def _audit(self):
-        tol = _tolerance(self.space.d)
-        for n, vectors in self.levels.items():
+        d = self.space.d
+        tol = _tolerance(d)
+        for n, rows in self.levels.items():
             radius = self.support_radius[n]
-            for z in self.space.points:
-                vec = vectors[z]
-                if abs(vec.norm() - 1.0) > CERT_TOL:
-                    raise AuditFailed("family vector is not unit", level=n, point=point_label(z))
-                if not vec.is_nonnegative():
-                    raise AuditFailed("family vector has a negative entry", level=n, point=point_label(z))
-                for x in vec.support():
-                    if self.space.dist(z, x) > radius + tol:
-                        raise AuditFailed(
-                            "support leaves the declared ball",
-                            level=n,
-                            point=point_label(z),
-                            offender=point_label(x),
-                            radius=radius,
-                        )
+            not_unit = np.abs(lp_distance(rows, 0.0, self.p) - 1.0) > CERT_TOL
+            negative = ~(rows >= 0).all(axis=1)
+            outside = (rows != 0) & (d > radius + tol)
+            bad = not_unit | negative | outside.any(axis=1)
+            if not bad.any():
+                continue
+            zi = int(np.argmax(bad))
+            z = point_label(self.space.points[zi])
+            if not_unit[zi]:
+                raise AuditFailed("family vector is not unit", level=n, point=z)
+            if negative[zi]:
+                raise AuditFailed("family vector has a negative entry", level=n, point=z)
+            raise AuditFailed(
+                "support leaves the declared ball",
+                level=n,
+                point=z,
+                offender=point_label(self.space.points[int(np.argmax(outside[zi]))]),
+                radius=radius,
+            )
+
+
+def _normalize(rows, p):
+    """Scale every row of rows to unit l_p norm, in place."""
+    rows *= (1.0 / lp_distance(rows, 0.0, p))[:, None]
+    return rows
 
 
 def _private_injection(cover):
@@ -103,19 +119,14 @@ def family_from_covers(covers, p) -> PropertyAFamily:
         if lam < n + 1:
             raise LebesgueTooSmall("cover surrogate below n+1", level=n, measured=lam)
         injection = _private_injection(cover)
-        anchors = [injection[label] for label in cover.labels]
+        anchors = space.indices([injection[label] for label in cover.labels])
         comp = cover.complement_distances()
         # a member equal to the whole window has infinite depth; any shared
         # finite stand-in keeps the coordinate 1-Lipschitz
         comp = np.where(np.isinf(comp), float(space.diameter() + 1), comp)
-        vectors = {}
-        for zi, z in enumerate(space.points):
-            entries = {
-                anchors[j]: comp[j, zi] for j in range(len(cover.labels)) if comp[j, zi] > 0
-            }
-            vec = SparseVector(entries, p)
-            vectors[z] = vec.scale(1.0 / vec.norm())
-        levels[n] = vectors
+        rows = np.zeros((len(space), len(space)))
+        rows[:, anchors] = comp.T
+        levels[n] = _normalize(rows, p)
         radii[n] = cover.max_diameter()
         mults[n] = cover.multiplicity()
 
@@ -143,17 +154,8 @@ def a_infinity_family(space, schedule, p=INF) -> PropertyAFamily:
     for n in schedule:
         if n < 1:
             raise PreconditionFailed("tent levels start at 1", level=n)
-        vectors = {}
-        for zi, z in enumerate(space.points):
-            row = space.d[zi].astype(float)
-            vals = 1.0 - row / n
-            keep = vals > 0
-            entries = {space.points[i]: vals[i] for i in np.flatnonzero(keep)}
-            vec = SparseVector(entries, p)
-            if p != INF:
-                vec = vec.scale(1.0 / vec.norm())
-            vectors[z] = vec
-        levels[int(n)] = vectors
+        rows = np.maximum(1.0 - space.d / n, 0.0)
+        levels[int(n)] = rows if p == INF else _normalize(rows, p)
     bound = (lambda n, K: K / n) if p == INF else None
     return PropertyAFamily(
         space,
@@ -168,27 +170,54 @@ def a_infinity_family(space, schedule, p=INF) -> PropertyAFamily:
 # -- exponent conversions -----------------------------------------------------
 
 
-def power_conversion_gap(u: SparseVector, v: SparseVector, p, m):
-    """(lhs, rhs) of ||u^{p/m} - v^{p/m}||_m^m <= ||u - v||_p^p."""
+def power_conversion_gap(u, v, p, m):
+    """(lhs, rhs) of ||u^{p/m} - v^{p/m}||_m^m <= ||u - v||_p^p, per row."""
     e = p / m
-    lhs = lp_distance(u.power(e, m), v.power(e, m), m) ** m
+    lhs = lp_distance(u**e, v**e, m) ** m
     rhs = lp_distance(u, v, p) ** p
     return lhs, rhs
 
 
-def holder_conversion_gap(u: SparseVector, v: SparseVector, p):
-    """(lhs, rhs) of ||u^p - v^p||_1 <= 2^{1/q} p ||u - v||_p, 1/p + 1/q = 1."""
+def holder_conversion_gap(u, v, p):
+    """(lhs, rhs) of ||u^p - v^p||_1 <= 2^{1/q} p ||u - v||_p, 1/p + 1/q = 1, per row."""
     q = p / (p - 1.0)
-    lhs = lp_distance(u.power(p, 1), v.power(p, 1), 1)
+    lhs = lp_distance(u**p, v**p, 1)
     rhs = 2.0 ** (1.0 / q) * p * lp_distance(u, v, p)
     return lhs, rhs
 
 
+def _chunks(idx, width):
+    """Consecutive runs of the index pairs idx, sized so that gathering
+    their rows holds at most _CHUNK_ELEMENTS entries per side."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, width))
+    for start in range(0, len(idx), step):
+        yield idx[start : start + step]
+
+
 def _audit_pairs(space, limit=400):
-    n = len(space.points)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = np.column_stack(np.triu_indices(len(space.points), k=1))
     stride = max(1, len(pairs) // limit)
     return pairs[::stride]
+
+
+def _audit_conversion(family, gap, message):
+    """Check gap(a_z, a_w) -> (lhs, rhs) on the strided pair sample of every level."""
+    pts = family.space.points
+    pairs = _audit_pairs(family.space)
+    for n, rows in family.levels.items():
+        for chunk in _chunks(pairs, rows.shape[1]):
+            lhs, rhs = gap(rows[chunk[:, 0]], rows[chunk[:, 1]])
+            bad = np.flatnonzero(lhs > rhs + CERT_TOL)
+            if bad.size:
+                k = bad[0]
+                i, j = chunk[k]
+                raise AuditFailed(
+                    message,
+                    level=n,
+                    pair=(point_label(pts[i]), point_label(pts[j])),
+                    lhs=float(lhs[k]),
+                    rhs=float(rhs[k]),
+                )
 
 
 def convert_up(family: PropertyAFamily, m) -> PropertyAFamily:
@@ -197,23 +226,10 @@ def convert_up(family: PropertyAFamily, m) -> PropertyAFamily:
     if p == INF or m < p:
         raise PreconditionFailed("conversion raises a finite exponent", p=p, m=m)
     e = p / m
-    levels = {
-        n: {z: vec.power(e, m) for z, vec in vectors.items()}
-        for n, vectors in family.levels.items()
-    }
-    pairs = _audit_pairs(family.space)
-    pts = family.space.points
-    for n in family.levels:
-        for i, j in pairs:
-            lhs, rhs = power_conversion_gap(family.levels[n][pts[i]], family.levels[n][pts[j]], p, m)
-            if lhs > rhs + CERT_TOL:
-                raise AuditFailed(
-                    "power conversion inequality failed",
-                    level=n,
-                    pair=(point_label(pts[i]), point_label(pts[j])),
-                    lhs=lhs,
-                    rhs=rhs,
-                )
+    levels = {n: rows**e for n, rows in family.levels.items()}
+    _audit_conversion(
+        family, lambda u, v: power_conversion_gap(u, v, p, m), "power conversion inequality failed"
+    )
     old = family.variation_bound
     bound = None if family._bound_fn is None else (lambda n, K: old(n, K) ** e)
     return PropertyAFamily(
@@ -232,23 +248,10 @@ def convert_down_to_1(family: PropertyAFamily) -> PropertyAFamily:
     if p == INF or p < 2 or int(p) != p:
         raise PreconditionFailed("downward conversion needs an integer exponent >= 2", p=p)
     q = p / (p - 1.0)
-    levels = {
-        n: {z: vec.power(p, 1) for z, vec in vectors.items()}
-        for n, vectors in family.levels.items()
-    }
-    pairs = _audit_pairs(family.space)
-    pts = family.space.points
-    for n in family.levels:
-        for i, j in pairs:
-            lhs, rhs = holder_conversion_gap(family.levels[n][pts[i]], family.levels[n][pts[j]], p)
-            if lhs > rhs + CERT_TOL:
-                raise AuditFailed(
-                    "Hoelder conversion inequality failed",
-                    level=n,
-                    pair=(point_label(pts[i]), point_label(pts[j])),
-                    lhs=lhs,
-                    rhs=rhs,
-                )
+    levels = {n: rows**p for n, rows in family.levels.items()}
+    _audit_conversion(
+        family, lambda u, v: holder_conversion_gap(u, v, p), "Hoelder conversion inequality failed"
+    )
     old = family.variation_bound
     bound = None if family._bound_fn is None else (lambda n, K: 2.0 ** (1.0 / q) * p * old(n, K))
     return PropertyAFamily(
@@ -272,13 +275,18 @@ def _pairs_within(space, K, cap=PAIR_CAP):
     return idx[::stride], stride
 
 
-def _sup_over_pairs(vectors, points, idx):
-    sup = 0.0
-    for i, j in idx:
-        dist = lp_distance(vectors[points[i]], vectors[points[j]])
-        if dist > sup:
-            sup = dist
-    return sup
+def _pair_distances(rows, idx, p):
+    """||rows[i] - rows[j]||_p for every index pair (i, j) of idx, in order."""
+    out = np.empty(len(idx))
+    start = 0
+    for chunk in _chunks(idx, rows.shape[1]):
+        out[start : start + len(chunk)] = lp_distance(rows[chunk[:, 0]], rows[chunk[:, 1]], p)
+        start += len(chunk)
+    return out
+
+
+def _sup_over_pairs(rows, idx, p):
+    return float(_pair_distances(rows, idx, p).max(initial=0.0))
 
 
 @dataclass
@@ -343,7 +351,7 @@ def variation_report(family: PropertyAFamily, Ks) -> VariationReport:
     for K in Ks:
         idx, stride = _pairs_within(space, K)
         strides[K] = stride
-        measured[K] = {n: _sup_over_pairs(family.levels[n], space.points, idx) for n in levels}
+        measured[K] = {n: _sup_over_pairs(family.levels[n], idx, family.p) for n in levels}
         level_bounds = {n: family.variation_bound(n, K) for n in levels}
         if all(b is not None for b in level_bounds.values()):
             bounds[K] = level_bounds
@@ -380,14 +388,24 @@ def certificate(family: PropertyAFamily, report: VariationReport) -> dict:
 
 @dataclass
 class EmbeddingResult:
+    """A coarse embedding into l_p and the record of its band audit.
+
+    ``vectors`` is one array with a row per point of ``space``: the
+    column-stacked differences a^n_z - a^n_{z0} over the selected levels,
+    so the base point z0 maps to the zero row.  ``displacement`` maps each
+    distance between safe points to the (min, max) displacement the audit
+    measured there.
+    """
+
     space: FiniteMetricSpace
     base_point: object
     p: float
     selected: list          # per slot: {"slot": k, "level": n, "variation": sup}
     support_radii: list     # monotonized R over selected slots
-    vectors: dict           # point -> SparseVector over (point, level) coordinates
+    vectors: np.ndarray
     safe_margin: float
     audit: dict
+    displacement: dict = field(default_factory=dict, init=False)
 
     def S(self, t):
         return sum(1 for r in self.support_radii if r <= t)
@@ -437,7 +455,7 @@ def coarse_embedding(family: PropertyAFamily, base_point, budget, *, safe_margin
         best = INF
         for pos in range(cursor, len(levels)):
             n = levels[pos]
-            sup = _sup_over_pairs(family.levels[n], space.points, idx)
+            sup = _sup_over_pairs(family.levels[n], idx, p)
             best = min(best, sup**p)
             if sup**p < threshold:
                 found = (pos, n, sup)
@@ -457,19 +475,9 @@ def coarse_embedding(family: PropertyAFamily, base_point, budget, *, safe_margin
         running = max(running, family.support_radius[entry["level"]])
         radii.append(running)
 
-    base_vecs = {e["level"]: family.levels[e["level"]][base_point] for e in selected}
-    vectors = {}
-    for z in space.points:
-        entries = {}
-        for e in selected:
-            n = e["level"]
-            az, a0 = family.levels[n][z], base_vecs[n]
-            for x in az.support() | a0.support():
-                val = az.entries.get(x, 0.0) - a0.entries.get(x, 0.0)
-                if val != 0.0:
-                    entries[(x, n)] = val
-        vectors[z] = SparseVector(entries, p)
-    if vectors[base_point].norm() != 0.0:
+    base = space.index(base_point)
+    vectors = np.hstack([family.levels[e["level"]] - family.levels[e["level"]][base] for e in selected])
+    if vectors[base].any():
         raise AuditFailed("base point does not map to zero")
 
     result = EmbeddingResult(
@@ -483,32 +491,35 @@ def coarse_embedding(family: PropertyAFamily, base_point, budget, *, safe_margin
         audit={},
     )
 
-    margins = space.margins()
-    safe = np.flatnonzero(margins >= result.safe_margin)
-    checked = 0
-    worst_upper = worst_lower = 0.0
-    for a in range(len(safe)):
-        for b in range(a + 1, len(safe)):
-            zi, wi = int(safe[a]), int(safe[b])
-            t = float(space.d[zi, wi])
-            dist = lp_distance(vectors[space.points[zi]], vectors[space.points[wi]])
-            lo, hi = result.rho_lower(t), result.rho_upper(t)
-            if dist > hi + CERT_TOL or dist < lo - CERT_TOL:
-                raise AuditFailed(
-                    "embedding displacement left the certified band",
-                    pair=(point_label(space.points[zi]), point_label(space.points[wi])),
-                    distance=t,
-                    displacement=dist,
-                    band=(lo, hi),
-                )
-            checked += 1
-            worst_upper = max(worst_upper, dist - hi)
-            worst_lower = max(worst_lower, lo - dist)
+    safe = np.flatnonzero(space.margins() >= result.safe_margin)
+    a, b = np.triu_indices(len(safe), k=1)
+    pairs = np.column_stack((safe[a], safe[b]))
+    dists, which = np.unique(space.d[pairs[:, 0], pairs[:, 1]], return_inverse=True)
+    dists = dists.tolist()
+    lo = np.array([result.rho_lower(t) for t in dists])[which]
+    hi = np.array([result.rho_upper(t) for t in dists])[which]
+    disp = _pair_distances(vectors, pairs, p)
+    bad = np.flatnonzero((disp > hi + CERT_TOL) | (disp < lo - CERT_TOL))
+    if bad.size:
+        first = bad[0]
+        zi, wi = pairs[first]
+        raise AuditFailed(
+            "embedding displacement left the certified band",
+            pair=(point_label(space.points[zi]), point_label(space.points[wi])),
+            distance=float(dists[which[first]]),
+            displacement=float(disp[first]),
+            band=(float(lo[first]), float(hi[first])),
+        )
+    least = np.full(len(dists), INF)
+    most = np.full(len(dists), -INF)
+    np.minimum.at(least, which, disp)
+    np.maximum.at(most, which, disp)
+    result.displacement = dict(zip(dists, zip(least.tolist(), most.tolist())))
     result.audit = {
         "pass": True,
-        "pairs_checked": checked,
+        "pairs_checked": len(pairs),
         "safe_points": int(len(safe)),
-        "max_upper_slack": worst_upper,
-        "max_lower_slack": worst_lower,
+        "max_upper_slack": float((disp - hi).max(initial=0.0)),
+        "max_lower_slack": float((lo - disp).max(initial=0.0)),
     }
     return result

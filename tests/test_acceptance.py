@@ -38,7 +38,7 @@ from coarsekit.groups import (
     word_norm_table,
     zn_spec,
 )
-from coarsekit.metric import FiniteMetricSpace, SparseVector
+from coarsekit.metric import FiniteMetricSpace, lp_distance
 from coarsekit.property_a import (
     a_infinity_family,
     coarse_embedding,
@@ -165,14 +165,13 @@ def test_05_tent_variation_bound():
 
 
 def random_sparse_unit(rng, p):
-    entries = {}
+    vec = np.zeros(8)
     for c in range(8):
         if rng.random() < 0.5:
-            entries[c] = rng.random()
-    if not entries:
-        entries[rng.randrange(8)] = 1.0
-    vec = SparseVector(entries, p)
-    return vec.scale(1.0 / vec.norm())
+            vec[c] = rng.random()
+    if not vec.any():
+        vec[rng.randrange(8)] = 1.0
+    return vec * (1.0 / lp_distance(vec, 0.0, p))
 
 
 def test_06_conversion_inequalities_bulk():
@@ -208,7 +207,7 @@ def test_07_line_embedding_band():
     safe = result.audit["safe_points"]
     if result.audit["pairs_checked"] != safe * (safe - 1) // 2:
         failures.append("not every safe pair was checked")
-    if result.vectors[(0,)].norm() != 0.0:
+    if lp_distance(result.vectors[space.index((0,))], 0.0, 2) != 0.0:
         failures.append("base point moved")
     verdict(7, failures, started, 60)
 

@@ -1,4 +1,4 @@
-"""Metric substrate: distances, neighborhoods, sparse l_p vectors."""
+"""Metric substrate: distances, neighborhoods, l_p distances."""
 
 import math
 import random
@@ -10,7 +10,6 @@ from coarsekit.errors import PreconditionFailed
 from coarsekit.metric import (
     INF,
     FiniteMetricSpace,
-    SparseVector,
     inner_neighborhood,
     lp_distance,
     neighborhood,
@@ -76,50 +75,32 @@ def test_neighborhood_monotonicity_sweep():
 
 
 def test_lp_distance_examples():
-    u = SparseVector({"a": 1.0}, 2)
-    assert lp_distance(u, u) == 0
-    v = SparseVector({"b": 1.0}, 2)
+    # coordinates a, b
+    u = np.array([1.0, 0.0])
+    assert lp_distance(u, u, 2) == 0
+    v = np.array([0.0, 1.0])
     # disjoint unit supports give 2^(1/p)
-    assert abs(lp_distance(u, v) - math.sqrt(2)) < 1e-12
-    u1 = SparseVector({"a": 1.0}, 1)
-    v1 = SparseVector({"b": 1.0}, 1)
-    assert abs(lp_distance(u1, v1) - 2.0) < 1e-12
-    ui = SparseVector({0: 1.0}, INF)
-    vi = SparseVector({1: 1.0}, INF)
-    assert lp_distance(ui, vi) == 1.0
+    assert abs(lp_distance(u, v, 2) - math.sqrt(2)) < 1e-12
+    assert abs(lp_distance(u, v, 1) - 2.0) < 1e-12
+    assert lp_distance(u, v, INF) == 1.0
 
 
-def test_lp_distance_mixed_p_requires_override():
-    u = SparseVector({"a": 1.0}, 1)
-    v = SparseVector({"a": 0.5}, 2)
-    with pytest.raises(PreconditionFailed):
-        lp_distance(u, v)
-    assert abs(lp_distance(u, v, p=1) - 0.5) < 1e-12
-
-
-def random_vector(rng, p, size=6):
-    entries = {i: rng.uniform(-2, 2) for i in rng.sample(range(20), size)}
-    return SparseVector(entries, p)
+def random_vector(rng, size=6):
+    vec = np.zeros(20)
+    for i in rng.sample(range(20), size):
+        vec[i] = rng.uniform(-2, 2)
+    return vec
 
 
 def test_lp_triangle_inequality_random_triples():
     rng = random.Random(7)
     for p in (1, 2, 3, INF):
         for _ in range(200):
-            u, v, w = (random_vector(rng, p) for _ in range(3))
-            duw = lp_distance(u, w)
-            duv = lp_distance(u, v)
-            dvw = lp_distance(v, w)
+            u, v, w = (random_vector(rng) for _ in range(3))
+            duw = lp_distance(u, w, p)
+            duv = lp_distance(u, v, p)
+            dvw = lp_distance(v, w, p)
             assert duw <= duv + dvw + 1e-9
-
-
-def test_sparse_vector_drops_zeros_and_powers():
-    vec = SparseVector({"a": 0.5, "b": 0.0, "c": 0.5}, 1)
-    assert vec.support() == {"a", "c"}
-    assert abs(vec.norm() - 1.0) < 1e-12
-    squared = vec.power(0.5, 2)
-    assert abs(squared.norm() - 1.0) < 1e-12
-    assert squared.p == 2
 
 
 def test_space_json_round_trip():

@@ -4,6 +4,7 @@ coarse embedding built from them."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from coarsekit.errors import (
@@ -15,8 +16,10 @@ from coarsekit.errors import (
 )
 from coarsekit.covers import Cover, ball_cover, shrink_to_irreducible
 from coarsekit.groups import ball_space, zn_spec
-from coarsekit.metric import INF, SparseVector, lp_distance
+from coarsekit import property_a
+from coarsekit.metric import INF, FiniteMetricSpace, lp_distance
 from coarsekit.property_a import (
+    PropertyAFamily,
     a_infinity_family,
     certificate,
     coarse_embedding,
@@ -32,13 +35,14 @@ from coarsekit.property_a import (
 def test_tent_values_on_the_line():
     space = ball_space(zn_spec(1), 5)
     family = a_infinity_family(space, [2])
-    vec = family.levels[2][(0,)]
-    assert vec.entries[(0,)] == 1.0
-    assert vec.entries[(1,)] == 0.5
-    assert vec.entries[(-1,)] == 0.5
-    assert (2,) not in vec.entries  # the tent hits zero and is dropped
-    for z in space.points:
-        assert family.levels[2][z].entries[z] == 1.0
+    at = space.index
+    vec = family.levels[2][at((0,))]
+    assert vec[at((0,))] == 1.0
+    assert vec[at((1,))] == 0.5
+    assert vec[at((-1,))] == 0.5
+    assert vec[at((2,))] == 0.0  # the tent hits zero
+    for i in range(len(space)):
+        assert family.levels[2][i, i] == 1.0
 
 
 def test_tent_variation_meets_closed_bound():
@@ -63,9 +67,10 @@ def test_tent_levels_start_at_one():
 def test_finite_p_tents_are_renormalized():
     space = ball_space(zn_spec(1), 5)
     family = a_infinity_family(space, [2], p=1)
-    vec = family.levels[2][(0,)]
-    assert abs(vec.entries[(0,)] - 0.5) < 1e-12
-    assert abs(vec.entries[(1,)] - 0.25) < 1e-12
+    at = space.index
+    vec = family.levels[2][at((0,))]
+    assert abs(vec[at((0,))] - 0.5) < 1e-12
+    assert abs(vec[at((1,))] - 0.25) < 1e-12
     assert family.variation_bound(2, 1) is None  # measured use only
 
 
@@ -109,33 +114,34 @@ def test_whole_window_cover_gives_constant_family():
 
 
 def test_power_conversion_example():
-    u = SparseVector({"a": 1.0}, 1)
-    v = SparseVector({"a": 0.5, "b": 0.5}, 1)
-    up = v.power(0.5, 2)
-    assert abs(up.entries["a"] - 1 / math.sqrt(2)) < 1e-12
-    assert abs(up.norm() - 1.0) < 1e-12
+    # coordinates a, b
+    u = np.array([1.0, 0.0])
+    v = np.array([0.5, 0.5])
+    up = v**0.5
+    assert abs(up[0] - 1 / math.sqrt(2)) < 1e-12
+    assert abs(lp_distance(up, 0.0, 2) - 1.0) < 1e-12
     lhs, rhs = power_conversion_gap(u, v, 1, 2)
     assert lhs <= rhs + 1e-12
 
 
 def test_holder_conversion_example():
     s = 1 / math.sqrt(2)
-    u = SparseVector({"a": s, "b": s}, 2)
-    v = SparseVector({"b": s, "c": s}, 2)
+    # coordinates a, b, c
+    u = np.array([s, s, 0.0])
+    v = np.array([0.0, s, s])
     lhs, rhs = holder_conversion_gap(u, v, 2)
     assert abs(lhs - 1.0) < 1e-12
     assert abs(rhs - 2.0 * math.sqrt(2.0)) < 1e-12
 
 
 def random_unit_vector(rng, p, coords=6):
-    entries = {}
+    vec = np.zeros(coords)
     for c in range(coords):
         if rng.random() < 0.6:
-            entries[c] = rng.random()
-    if not entries:
-        entries[0] = 1.0
-    vec = SparseVector(entries, p)
-    return vec.scale(1.0 / vec.norm())
+            vec[c] = rng.random()
+    if not vec.any():
+        vec[0] = 1.0
+    return vec * (1.0 / lp_distance(vec, 0.0, p))
 
 
 def test_conversion_inequalities_random_scan():
@@ -159,8 +165,8 @@ def test_convert_up_family():
     family = a_infinity_family(space, [2, 4], p=1)
     raised = convert_up(family, 2)
     assert raised.p == 2.0
-    for z in space.points:
-        assert abs(raised.levels[2][z].norm() - 1.0) < 1e-9
+    for row in raised.levels[2]:
+        assert abs(lp_distance(row, 0.0, 2) - 1.0) < 1e-9
     with pytest.raises(PreconditionFailed):
         convert_up(raised, 1)  # cannot lower this way
 
@@ -170,8 +176,8 @@ def test_convert_down_to_1_family():
     family = a_infinity_family(space, [2, 4], p=2)
     dropped = convert_down_to_1(family)
     assert dropped.p == 1.0
-    for z in space.points:
-        assert abs(dropped.levels[4][z].norm() - 1.0) < 1e-9
+    for row in dropped.levels[4]:
+        assert abs(lp_distance(row, 0.0, 1) - 1.0) < 1e-9
     with pytest.raises(PreconditionFailed):
         convert_down_to_1(a_infinity_family(space, [2]))  # p = inf
 
@@ -190,10 +196,10 @@ def test_converted_bound_tracks_the_inequality():
 def test_family_audit_rejects_bad_vectors():
     space = ball_space(zn_spec(1), 3)
     family = a_infinity_family(space, [2])
-    broken = {n: dict(v) for n, v in family.levels.items()}
-    broken[2][(0,)] = SparseVector({(0,): 0.5}, INF)
-    from coarsekit.property_a import PropertyAFamily
-
+    broken = {n: rows.copy() for n, rows in family.levels.items()}
+    zero = space.index((0,))
+    broken[2][zero] = 0.0
+    broken[2][zero, zero] = 0.5
     with pytest.raises(AuditFailed):
         PropertyAFamily(space, INF, broken, family.support_radius)
 
@@ -202,7 +208,7 @@ def test_coarse_embedding_on_the_line():
     space = ball_space(zn_spec(1), 30)
     family = a_infinity_family(space, [3, 7, 15], p=2)
     result = coarse_embedding(family, (0,), 3)
-    assert result.vectors[(0,)].norm() == 0.0
+    assert lp_distance(result.vectors[space.index((0,))], 0.0, 2) == 0.0
     picked = [e["level"] for e in result.selected]
     assert picked == sorted(picked)
     assert result.support_radii == sorted(result.support_radii)
@@ -220,11 +226,12 @@ def test_coarse_embedding_band_holds_at_p1():
     family = a_infinity_family(space, [5, 30], p=1)
     result = coarse_embedding(family, (0,), 2)
     margins = space.margins()
+    base = space.index((0,))
     for i, z in enumerate(space.points):
         if margins[i] < result.safe_margin or z == (0,):
             continue
         t = space.dist(z, (0,))
-        gap = lp_distance(result.vectors[z], result.vectors[(0,)])
+        gap = lp_distance(result.vectors[i], result.vectors[base], 1)
         assert result.rho_lower(t) - 1e-9 <= gap <= result.rho_upper(t) + 1e-9
 
 
@@ -245,3 +252,42 @@ def test_coarse_embedding_rejects_bad_inputs():
         coarse_embedding(family, (99,), 1)
     with pytest.raises(PreconditionFailed):
         coarse_embedding(family, (0,), 0)
+
+
+def spaced_line(count, gap):
+    """Points on a line, gap apart: no pair sits within a small K."""
+    coords = [gap * i for i in range(count)]
+    return FiniteMetricSpace([(c,) for c in coords], np.abs(np.subtract.outer(coords, coords)))
+
+
+def test_tampered_entry_is_named_by_both_audits():
+    # levels 2 and 3 stay below the spacing, so every row is an indicator
+    # and the slot selection sees no pairs; one large entry in the row of
+    # (10,) then breaks unit norm and the displacement band
+    space = spaced_line(6, 5)
+    family = a_infinity_family(space, [2, 3], p=2)
+    family.levels[2][space.index((10,)), space.index((20,))] = 5.0
+    with pytest.raises(AuditFailed) as err:
+        PropertyAFamily(space, 2, family.levels, family.support_radius)
+    assert err.value.context["level"] == 2
+    assert err.value.context["point"] == "(10)"
+    with pytest.raises(AuditFailed) as err:
+        coarse_embedding(family, (0,), 2)
+    # (0,)-(5,) passes; (0,)-(10,) is the first failure in upper-triangle order
+    assert err.value.context["pair"] == ("(0)", "(10)")
+    assert err.value.context["distance"] == 10
+
+
+def test_scans_do_not_depend_on_chunk_size(monkeypatch):
+    space = ball_space(zn_spec(1), 30)
+    family = a_infinity_family(space, [3, 7, 15], p=2)
+
+    def scan():
+        report = variation_report(family, [1, 2])
+        result = coarse_embedding(family, (0,), 3)
+        convert_down_to_1(family)
+        return report.measured, result.audit, result.displacement
+
+    whole = scan()
+    monkeypatch.setattr(property_a, "_CHUNK_ELEMENTS", 1)  # one pair per chunk
+    assert scan() == whole
