@@ -26,13 +26,13 @@ from .covers import (
     shrink_to_irreducible,
     wreath_cover,
 )
-from .dimension import _wreath_parts, gromov_profile, growth_curve
+from .dimension import gromov_profile, growth_curve
 from .errors import CoarseKitError, PreconditionFailed, WindowTooSmall
 from .groups import (
     ball_space,
     distortion_profile,
+    extension_kernel,
     group_from_token,
-    heisenberg_center,
     log_log_slope,
     word_norm_table,
     zn_spec,
@@ -160,13 +160,14 @@ def cmd_ball(config: RunConfig):
 # -- cover ---------------------------------------------------------------------
 
 
-def _extension_cover_z2(config: RunConfig):
+def _extension_cover_z2(total, config: RunConfig):
     """The worked split extension: Z^2 over its first coordinate.
 
     U is the staggered interval cover of the quotient line, V covers the
     kernel line with blocks wide enough for the 6R Lebesgue hypothesis
     (or --kernel-lambda to see the hypothesis fail)."""
-    total = zn_spec(2)
+    if total.lattice_rank != 2:
+        raise PreconditionFailed("the extension method covers zn:2 only", group=config.group)
     window = ball_space(total, config.radius, cap=config.ball_cap)
     quotient_spec = zn_spec(1)
     quotient = ball_space(quotient_spec, config.radius, cap=config.ball_cap)
@@ -189,22 +190,19 @@ def _extension_cover_z2(config: RunConfig):
 
 def cmd_cover(config: RunConfig):
     method = config.extras["method"]
+    spec = group_from_token(config.group)
     try:
         if method == "wreath":
-            base_token, lamp_token = _wreath_parts(config.group)
+            if spec.factors is None:
+                raise PreconditionFailed("cannot split wreath token", token=config.group)
             cover, stats = wreath_cover(
-                group_from_token(base_token),
-                group_from_token(lamp_token),
-                config.radius,
-                config.lam,
-                ball_cap=config.ball_cap,
+                *spec.factors, config.radius, config.lam, ball_cap=config.ball_cap
             )
         else:
             if method == "extension":
-                cover = _extension_cover_z2(config)
+                cover = _extension_cover_z2(spec, config)
                 stats = dict(cover.meta["conclusions"])
             else:
-                spec = group_from_token(config.group)
                 space = ball_space(spec, config.radius, cap=config.ball_cap)
                 if method == "ball":
                     cover = ball_cover(space, config.lam)
@@ -353,12 +351,12 @@ def cmd_gromov(config: RunConfig):
 
 
 def cmd_distortion(config: RunConfig):
-    if config.group != "heisenberg":
+    spec = group_from_token(config.group)
+    if spec.extension is None:
         raise PreconditionFailed(
             "distortion profiling is wired for the heisenberg center", group=config.group
         )
-    spec = group_from_token(config.group)
-    member, sub_generators = heisenberg_center()
+    member, sub_generators = extension_kernel(spec)
     pairs = distortion_profile(
         spec, member, sub_generators, config.radius,
         cap=config.ball_cap, inner_cap=config.extras.get("inner_cap"),

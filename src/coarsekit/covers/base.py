@@ -71,18 +71,17 @@ class Cover:
         return int(self.counts().max()) if len(self) else 0
 
     def complement_distances(self):
-        """Row i holds d(x, X minus U_i) for every point x; inf rows mark
-        sets equal to the whole space."""
+        """Row i holds d(x, X minus U_i) for every point x (0 off U_i);
+        inf rows mark sets equal to the whole space."""
         if self._comp is None:
-            n = len(self.space.points)
-            comp = np.empty((len(self), n))
+            comp = np.zeros(self.masks.shape)
             for i, row in enumerate(self.masks):
                 outside = np.flatnonzero(~row)
                 if outside.size == 0:
                     comp[i] = INF
                 else:
-                    comp[i] = self.space.d[:, outside].min(axis=1)
-                    comp[i][~row] = 0.0
+                    inside = np.flatnonzero(row)
+                    comp[i, inside] = self.space.d[np.ix_(inside, outside)].min(axis=1)
             self._comp = comp
         return self._comp
 

@@ -69,9 +69,9 @@ def wreath_cover(N: GroupSpec, G: GroupSpec, ball_radius, lam, *, ball_cap=None)
     window = ball_space(W, ball_radius, cap=ball_cap)
     quotient = ball_space(N, ball_radius, cap=ball_cap)
 
-    if N.name == "zn:1":
+    if N.lattice_rank == 1:
         U = interval_cover_z(quotient, lam)
-    elif N.name.startswith("zn:"):
+    elif N.lattice_rank is not None:
         U = brick_cover_zl(quotient, lam)
     else:
         raise PreconditionFailed("no quotient cover recipe for this base group", base=N.name)

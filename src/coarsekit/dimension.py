@@ -414,15 +414,8 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
                         "a heuristic beat the exhaustive oracle", lam=lam, D=D
                     )
 
-        if token.startswith("wreath:") or token == "lamplighter":
-            base_token, lamp_token = _wreath_parts(token)
-            w_cover, stats = wreath_cover(
-                group_from_token(base_token),
-                group_from_token(lamp_token),
-                ball_radius,
-                lam,
-                ball_cap=ball_cap,
-            )
+        if spec.factors is not None:
+            w_cover, stats = wreath_cover(*spec.factors, ball_radius, lam, ball_cap=ball_cap)
             mult, lam_meas, diam = independent_audit(w_cover)
             if mult != stats["multiplicity"]:
                 raise AuditFailed("wreath witness failed re-audit", mult=mult)
@@ -435,36 +428,21 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
     return profile
 
 
-def _wreath_parts(token):
-    if token == "lamplighter":
-        return "zn:1", "cyclic:2"
-    rest = token.split(":", 1)[1]
-    # base:lamp, each itself possibly containing ':'
-    for cut in range(1, len(rest)):
-        if rest[cut] == ":":
-            head, tail = rest[:cut], rest[cut + 1:]
-            try:
-                group_from_token(head), group_from_token(tail)
-                return head, tail
-            except Exception:
-                continue
-    raise PreconditionFailed("cannot split wreath token", token=token)
-
-
 def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> DimensionProfile:
     """Achieved cover diameter per lambda under a multiplicity cap.
 
     Rows carry the achieved diameter in the diam_budget column (it is
     the budget these witnesses meet).  For lattices the curve is
-    asserted linear in lambda; the Heisenberg group goes through the
-    quotient-kernel extension with its center as kernel, retrying once
-    with a wider boundary margin if the first one is uncovered.
+    asserted linear in lambda; a declared extension (the Heisenberg group
+    over Z^2) goes through the quotient-kernel cover with the whole
+    kernel as one set, retrying once with a wider boundary margin if the
+    first one is uncovered.
     """
     spec = group_from_token(token)
     profile = DimensionProfile(token, "gromov", f"cap={cap}")
 
-    if token.startswith("zn:"):
-        l = int(token.split(":")[1])
+    if spec.lattice_rank is not None:
+        l = spec.lattice_rank
         if cap < min(2, l + 1):
             raise Infeasible("multiplicity cap below the construction family", cap=cap)
         space = ball_space(spec, ball_radius, cap=ball_cap)
@@ -485,16 +463,13 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
         profile.assert_monotone()
         return profile
 
-    if token == "heisenberg":
+    if spec.extension is not None:
         if cap < 6:
             raise Infeasible("extension needs multiplicity budget 6", cap=cap)
-        from .groups import zn_spec
-
-        quotient_spec = zn_spec(2)
+        quotient_spec, pi, _ = spec.extension
         window = ball_space(spec, ball_radius, cap=ball_cap)
         quotient = ball_space(quotient_spec, ball_radius, cap=ball_cap)
-        kernel_pts = [p for p in window.points if p[0] == 0 and p[1] == 0]
-        kernel = window.subspace(kernel_pts)
+        kernel = window.subspace([p for p in window.points if pi(p) == quotient_spec.unit])
         V = Cover(kernel, [list(kernel.points)], ["Z"], meta={"method": "whole_window"})
         for lam in sorted(lam_schedule):
             if lam == 0:
@@ -507,7 +482,7 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
             for _ in range(2):
                 try:
                     cover = extension_cover(
-                        spec, window, quotient_spec, lambda p: (p[0], p[1]),
+                        spec, window, quotient_spec, pi,
                         U, V, lam, R, None, safe_margin=margin, ball_cap=ball_cap,
                     )
                     break

@@ -3,9 +3,12 @@
 A group is a :class:`GroupSpec`: unit, multiplication, inversion and a
 symmetric generating tuple, all on hashable canonical element
 representations.  Norms come from breadth-first search over the Cayley
-graph unless a closed form is attached.  Built-ins: Z^n, finite cyclic
-groups, free groups, the discrete Heisenberg group in Hall coordinates,
-and restricted wreath products (lamp configurations over a base).
+graph unless a closed form is attached.  Structure that constructions
+use (lattice rank, wreath factors, a central extension) is declared in
+typed fields by the constructors here; the name is only a label.
+Built-ins: Z^n, finite cyclic groups, free groups, the discrete
+Heisenberg group in Hall coordinates, and restricted wreath products
+(lamp configurations over a base).
 """
 
 from __future__ import annotations
@@ -33,14 +36,17 @@ def ball_cap(explicit=None) -> int:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    name: str
+    name: str                       # a label for payloads; nothing dispatches on it
     unit: object
     multiply: callable
     inverse: callable
     generators: tuple
     norm_fn: callable = None        # closed-form word norm, if known
     ball_fn: callable = None        # closed-form ball enumeration, if known
-    coords_fn: callable = None      # lattice coordinates, for vectorized metrics
+    distances: callable = None      # word metric on an array of points, batched
+    lattice_rank: int = None        # L when the group is Z^L
+    factors: tuple = None           # (base, lamp) of a wreath product
+    extension: tuple = None         # (quotient spec, projection, kernel generators)
     asdim: int = None               # declared value, used only in envelope columns
 
     def __repr__(self):
@@ -111,7 +117,8 @@ def zn_spec(n: int) -> GroupSpec:
         generators=tuple(gens),
         norm_fn=lambda a: sum(abs(x) for x in a),
         ball_fn=ball,
-        coords_fn=lambda a: a,
+        distances=lambda x: cdist(x, x, metric="cityblock"),
+        lattice_rank=n,
         asdim=n,
     )
 
@@ -120,6 +127,11 @@ def cyclic_spec(m: int) -> GroupSpec:
     if m < 2:
         raise PreconditionFailed("cyclic order must be >= 2", m=m)
     gens = (1, m - 1) if m > 2 else (1,)
+
+    def distances(x):
+        d = cdist(x[:, None], x[:, None], metric="cityblock")
+        return np.minimum(d, m - d)
+
     return GroupSpec(
         name=f"cyclic:{m}",
         unit=0,
@@ -128,7 +140,7 @@ def cyclic_spec(m: int) -> GroupSpec:
         generators=gens,
         norm_fn=lambda a: min(a % m, (-a) % m),
         ball_fn=lambda r: list(range(m)) if r >= m // 2 else sorted({x % m for x in range(-r, r + 1)}),
-        coords_fn=lambda a: (a,),
+        distances=distances,
         asdim=0,
     )
 
@@ -172,6 +184,8 @@ def free_spec(k: int) -> GroupSpec:
 # -- discrete Heisenberg in Hall coordinates ---------------------------------
 #
 # (a, b, c) stands for x^a y^b [x,y]^c; the product collects one cross term.
+# The group is a central extension of Z^2 by Z: forgetting c is a
+# homomorphism onto Z^2 whose kernel is the center, generated by [x,y].
 
 
 def heisenberg_spec() -> GroupSpec:
@@ -181,12 +195,19 @@ def heisenberg_spec() -> GroupSpec:
         multiply=lambda u, v: (u[0] + v[0], u[1] + v[1], u[2] + v[2] + u[0] * v[1]),
         inverse=lambda u: (-u[0], -u[1], u[0] * u[1] - u[2]),
         generators=((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)),
+        extension=(zn_spec(2), lambda e: (e[0], e[1]), ((0, 0, 1), (0, 0, -1))),
     )
+
+
+def extension_kernel(spec: GroupSpec):
+    """Membership predicate and generators of the declared kernel."""
+    quotient, pi, generators = spec.extension
+    return (lambda e: pi(e) == quotient.unit, generators)
 
 
 def heisenberg_center():
     """Predicate and generators for the central copy of Z."""
-    return (lambda e: e[0] == 0 and e[1] == 0, ((0, 0, 1), (0, 0, -1)))
+    return extension_kernel(heisenberg_spec())
 
 
 def central_retraction(e):
@@ -218,11 +239,11 @@ def wreath_spec(base: GroupSpec, lamp: GroupSpec) -> GroupSpec:
     unit = WreathElement((), base.unit)
 
     def mul(a: WreathElement, b: WreathElement):
-        # (f, s)(g, t) = (f * s(g), s t) with s(g)(x) = g(x s^{-1}),
-        # so the support of g translates by s on the right.
+        # (f, s)(g, t) = (f * s(g), s t) with s(g)(x) = g(s^{-1} x),
+        # so the support of g translates by s on the left.
         cfg = dict(a.config)
         for k, g in b.config:
-            kk = base.multiply(k, a.head)
+            kk = base.multiply(a.head, k)
             merged = lamp.multiply(cfg.get(kk, lamp.unit), g)
             if merged == lamp.unit:
                 cfg.pop(kk, None)
@@ -232,7 +253,7 @@ def wreath_spec(base: GroupSpec, lamp: GroupSpec) -> GroupSpec:
 
     def inv(a: WreathElement):
         hinv = base.inverse(a.head)
-        cfg = {base.multiply(k, hinv): lamp.inverse(g) for k, g in a.config}
+        cfg = {base.multiply(hinv, k): lamp.inverse(g) for k, g in a.config}
         return WreathElement(tuple(sorted(cfg.items())), hinv)
 
     gens = [WreathElement(((base.unit, s),), base.unit) for s in lamp.generators]
@@ -243,6 +264,7 @@ def wreath_spec(base: GroupSpec, lamp: GroupSpec) -> GroupSpec:
         multiply=mul,
         inverse=inv,
         generators=tuple(gens),
+        factors=(base, lamp),
     )
 
 
@@ -318,17 +340,13 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
     """The closed ball around the unit with the restricted word metric.
 
     Pairwise distances are norms of x^{-1} y, which live in the 2*radius
-    ball; they come from a closed form when the group has one and from a
-    BFS table otherwise.  Window metadata is attached for margin audits.
+    ball; they come from the declared batched metric, else a closed-form
+    norm, else a BFS table.  Window metadata is attached for margin audits.
     """
     dtype = np.int16 if 2 * radius < 32000 else np.int32
-    if spec.coords_fn is not None and spec.ball_fn is not None:
+    if spec.distances is not None:
         points = ball_elements(spec, radius, cap)
-        coords = np.array([spec.coords_fn(p) for p in points])
-        d = cdist(coords, coords, metric="cityblock").astype(dtype)
-        if spec.name.startswith("cyclic:"):
-            m = int(spec.name.split(":")[1])
-            d = np.minimum(d, m - d).astype(dtype)
+        d = spec.distances(np.array(points)).astype(dtype)
         return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
 
     if spec.norm_fn is not None:
@@ -451,18 +469,32 @@ def log_log_slope(pairs):
 # -- token grammar ------------------------------------------------------------
 
 
+def _count(parts, i, least=None):
+    """The integer argument at parts[i], at least ``least`` when given."""
+    token = ":".join(parts)
+    try:
+        value = int(parts[i])
+    except (IndexError, ValueError):
+        raise PreconditionFailed("group token needs an integer argument", token=token) from None
+    if least is not None and value < least:
+        raise PreconditionFailed("group token argument too small", token=token, least=least)
+    return value
+
+
 def _parse_token(parts, i):
+    if i == len(parts):
+        raise PreconditionFailed("group token ends early", token=":".join(parts))
     head = parts[i]
     if head == "heisenberg":
         return heisenberg_spec(), i + 1
     if head == "lamplighter":
         return lamplighter_spec(), i + 1
     if head == "zn":
-        return zn_spec(int(parts[i + 1])), i + 2
+        return zn_spec(_count(parts, i + 1, least=1)), i + 2
     if head == "free":
-        return free_spec(int(parts[i + 1])), i + 2
+        return free_spec(_count(parts, i + 1, least=0)), i + 2
     if head == "cyclic":
-        return cyclic_spec(int(parts[i + 1])), i + 2
+        return cyclic_spec(_count(parts, i + 1)), i + 2
     if head == "wreath":
         base, j = _parse_token(parts, i + 1)
         lamp, k = _parse_token(parts, j)

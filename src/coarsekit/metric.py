@@ -50,17 +50,6 @@ class FiniteMetricSpace:
 
     # -- construction ------------------------------------------------------
 
-    @classmethod
-    def from_dist_fn(cls, points, fn, *, integral=True, **kw):
-        pts = list(points)
-        n = len(pts)
-        dtype = np.int32 if integral else np.float64
-        d = np.zeros((n, n), dtype=dtype)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = fn(pts[i], pts[j])
-        return cls(pts, d, **kw)
-
     def subspace(self, points, *, validate=False):
         """Restriction to a subset; the metric is inherited, so no re-check."""
         idx = self.indices(points)

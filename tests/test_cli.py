@@ -108,6 +108,35 @@ def test_cover_wreath(capsys):
     assert body["stats"]["multiplicity"] <= 26
 
 
+def test_cover_wreath_rejects_a_non_wreath_group(capsys):
+    code, body = run_json(
+        capsys, "cover", "--method", "wreath", "--group", "heisenberg",
+        "--radius", "3", "--lambda", "1",
+    )
+    assert code == 2
+    assert body["type"] == "PreconditionFailed"
+    assert body["error"] == "cannot split wreath token"
+    assert body["token"] == "heisenberg"
+
+
+def test_cover_extension_rejects_groups_other_than_the_plane(capsys):
+    code, body = run_json(
+        capsys, "cover", "--method", "extension", "--group", "heisenberg",
+        "--radius", "6", "--lambda", "1",
+    )
+    assert code == 2
+    assert body["type"] == "PreconditionFailed"
+    assert body["group"] == "heisenberg"
+
+
+@pytest.mark.parametrize("token", ["zn", "free", "wreath:zn:1", "zn:x", "zn:0", "zn:-1", "free:-1"])
+def test_malformed_group_tokens_exit_2(capsys, token):
+    code, body = run_json(capsys, "ball", "--group", token, "--radius", "1")
+    assert code == 2
+    assert body["type"] == "PreconditionFailed"
+    assert body["token"] == token
+
+
 def test_certify_a_tent_bounds(capsys):
     code, body = run_json(
         capsys, "certify-a", "--group", "zn:1", "--radius", "12",

@@ -113,6 +113,28 @@ def test_group_axioms_per_spec():
         validate_group_axioms(spec)
 
 
+def test_wreath_over_a_free_base_is_a_group():
+    # lamp supports translate on the left, so a non-abelian base works too
+    spec = group_from_token("wreath:free:2:cyclic:2")
+    validate_group_axioms(spec)
+    space = ball_space(spec, 3)
+    assert len(space) == 106
+    x = wreath_element({(1,): 1}, (), 0)
+    assert spec.multiply(wreath_element({}, (2,), 0), x) == wreath_element({(2, 1): 1}, (2,), 0)
+
+
+def test_specs_declare_their_structure():
+    assert zn_spec(2).lattice_rank == 2
+    assert cyclic_spec(5).lattice_rank is None and cyclic_spec(5).factors is None
+    base, lamp = lamplighter_spec().factors
+    assert base.lattice_rank == 1 and lamp.name == "cyclic:2"
+    assert heisenberg_spec().factors is None and free_spec(2).extension is None
+    quotient, pi, kernel_gens = heisenberg_spec().extension
+    assert quotient.lattice_rank == 2 and pi((3, -1, 7)) == (3, -1)
+    member, gens = heisenberg_center()
+    assert gens == kernel_gens and member((0, 0, 4)) and not member((1, 0, 0))
+
+
 def test_left_invariance_on_lamplighter():
     spec = lamplighter_spec()
     table = word_norm_table(spec, 6)
