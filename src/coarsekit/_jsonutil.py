@@ -2,7 +2,9 @@
 
 Outputs must be byte-identical across reruns: keys sorted, floats rounded
 to 9 significant digits, infinities spelled "inf" (JSON has no literal
-for them), containers emitted in deterministic order.
+for them), containers emitted in deterministic order.  Integer arrays
+are rendered directly and spliced into the text, with the layout
+``json.dumps`` gives their ``tolist()``.
 """
 
 from __future__ import annotations
@@ -11,11 +13,21 @@ import csv
 import io
 import json
 import math
+import re
+
+import numpy as np
 
 SCHEMA = "coarsekit/1"
 
+# Stands in for integer array number k until its text is spliced in; argv
+# and point labels never hold NUL, so no payload string looks like it.
+_SLOT = "\x00array{}\x00"
+_SLOT_TEXT = re.compile(r'"\\u0000array(\d+)\\u0000"')
 
-def _canonical(value):
+
+def _canonical(value, arrays):
+    """Plain JSON values; integer arrays are appended to ``arrays`` and
+    replaced by their numbered ``_SLOT``."""
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
@@ -25,21 +37,71 @@ def _canonical(value):
             return int(value)
         return float("%.9g" % value)
     if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
+        return {str(k): _canonical(v, arrays) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
+        return [_canonical(v, arrays) for v in value]
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "i" and value.ndim:
+            arrays.append(value)
+            return _SLOT.format(len(arrays) - 1)
+        return _canonical(value.tolist(), arrays)
     if hasattr(value, "item") and not isinstance(value, (str, bytes)):
         # numpy scalar
-        return _canonical(value.item())
+        return _canonical(value.item(), arrays)
     return value
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_canonical(obj), sort_keys=True, separators=(", ", ": "), indent=1)
+    arrays = []
+    text = json.dumps(_canonical(obj, arrays), sort_keys=True, separators=(", ", ": "), indent=1)
+    if not arrays:
+        return text
+    # sort_keys reorders entries, so slots appear in text order, not k order
+    pieces = _SLOT_TEXT.split(text)
+    order = [int(k) for k in pieces[1::2]]
+    if sorted(order) != list(range(len(arrays))):
+        raise ValueError("a payload string collides with an array slot")
+    out = [pieces[0]]
+    for k, after in zip(order, pieces[2::2]):
+        # the slot opens a line as a list item or a key's value; that
+        # line's indent is the array's nesting level
+        line = out[-1][out[-1].rfind("\n") + 1 :]
+        _render_ints(arrays[k], len(line) - len(line.lstrip(" ")), out)
+        out.append(after)
+    return "".join(out)
+
+
+def _render_ints(array, level, out):
+    """Append the text ``json.dumps(array.tolist(), indent=1,
+    separators=(", ", ": "))`` writes at nesting ``level``."""
+    lo, hi = (int(array.min()), int(array.max())) if array.size else (0, 0)
+    if hi - lo < array.size:
+        # a table of every value in range is no larger than the array
+        table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+        strings = lambda row: table[row.astype(np.intp) - lo].tolist()
+    else:
+        strings = lambda row: map(str, row.tolist())
+
+    def render(sub, level):
+        if len(sub) == 0:
+            out.append("[]")
+            return
+        inner = "\n" + " " * (level + 1)
+        out.append("[" + inner)
+        if sub.ndim == 1:
+            out.append((", " + inner).join(strings(sub)))
+        else:
+            for k, child in enumerate(sub):
+                if k:
+                    out.append(", " + inner)
+                render(child, level + 1)
+        out.append("\n" + " " * level + "]")
+
+    render(array, level)
 
 
 def format_cell(value) -> str:
-    v = _canonical(value)
+    v = _canonical(value, [])
     if isinstance(v, float):
         return "%.9g" % v
     return str(v)

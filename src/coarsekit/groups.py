@@ -21,10 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import BallTooLarge, NotInKernel, PreconditionFailed
+from .errors import AuditFailed, BallTooLarge, NotInKernel, PreconditionFailed
 from .metric import INF, FiniteMetricSpace
 
 DEFAULT_BALL_CAP = 5_000_000
+
+# Distance cells gathered per block of window rows; bounds the temporaries
+# of the packed-table fill to a few MB whatever the window size.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def ball_cap(explicit=None) -> int:
@@ -44,6 +48,7 @@ class GroupSpec:
     norm_fn: callable = None        # closed-form word norm, if known
     ball_fn: callable = None        # closed-form ball enumeration, if known
     distances: callable = None      # word metric on an array of points, batched
+    differences: callable = None    # x_i^{-1} x_j on integer coordinate arrays, batched
     lattice_rank: int = None        # L when the group is Z^L
     factors: tuple = None           # (base, lamp) of a wreath product
     extension: tuple = None         # (quotient spec, projection, kernel generators)
@@ -188,6 +193,13 @@ def free_spec(k: int) -> GroupSpec:
 # homomorphism onto Z^2 whose kernel is the center, generated by [x,y].
 
 
+def _heisenberg_differences(x, y):
+    # x_i^{-1} y_j = (a_j - a_i, b_j - b_i, c_j - c_i - a_i (b_j - b_i))
+    a, b, c = (x[:, None, k] for k in range(3))
+    db = y[:, 1] - b
+    return np.stack((y[:, 0] - a, db, y[:, 2] - c - a * db), axis=-1)
+
+
 def heisenberg_spec() -> GroupSpec:
     return GroupSpec(
         name="heisenberg",
@@ -195,6 +207,7 @@ def heisenberg_spec() -> GroupSpec:
         multiply=lambda u, v: (u[0] + v[0], u[1] + v[1], u[2] + v[2] + u[0] * v[1]),
         inverse=lambda u: (-u[0], -u[1], u[0] * u[1] - u[2]),
         generators=((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)),
+        differences=_heisenberg_differences,
         extension=(zn_spec(2), lambda e: (e[0], e[1]), ((0, 0, 1), (0, 0, -1))),
     )
 
@@ -341,7 +354,8 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
 
     Pairwise distances are norms of x^{-1} y, which live in the 2*radius
     ball; they come from the declared batched metric, else a closed-form
-    norm, else a BFS table.  Window metadata is attached for margin audits.
+    norm, else a BFS table (one packed-table gather when the spec declares
+    ``differences``).  Window metadata is attached for margin audits.
     """
     dtype = np.int16 if 2 * radius < 32000 else np.int32
     if spec.distances is not None:
@@ -351,19 +365,21 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
 
     if spec.norm_fn is not None:
         points = ball_elements(spec, radius, cap)
-        norm, mul, inv = spec.norm_fn, spec.multiply, spec.inverse
-        table_lookup = None
+        norm = spec.norm_fn
     else:
         table = word_norm_table(spec, 2 * radius, cap)
         points = sorted(
             (e for e, n in table.items() if n <= radius),
             key=lambda e: (table[e], element_key(e)),
         )
-        norm, mul, inv = table.__getitem__, spec.multiply, spec.inverse
-        table_lookup = table
+        if spec.differences is not None:
+            d = _packed_distances(spec, table, points, dtype)
+            return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
+        norm = table.__getitem__
 
     n = len(points)
-    inverses = [inv(p) for p in points]
+    mul = spec.multiply
+    inverses = [spec.inverse(p) for p in points]
     d = np.zeros((n, n), dtype=dtype)
     for i in range(n):
         gi = inverses[i]
@@ -371,10 +387,30 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
         for j in range(i + 1, n):
             row[j] = norm(mul(gi, points[j]))
     d = d + d.T
-    if table_lookup is not None:
-        # distances of ball points never exceed 2*radius, so lookups are total
-        assert d.max() <= 2 * radius
     return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
+
+
+def _packed_distances(spec: GroupSpec, table, points, dtype):
+    """d[i, j] = table[x_i^{-1} x_j], read from the table packed into a dense
+    array over its coordinate box (absent cells hold -1), one block of rows
+    at a time."""
+    keys = np.array(list(table), dtype=np.int64)
+    lo = keys.min(axis=0)
+    packed = np.full(keys.max(axis=0) - lo + 1, -1, dtype=dtype)
+    packed[tuple((keys - lo).T)] = list(table.values())
+    coords = np.array(points, dtype=np.int64)
+    n = len(points)
+    d = np.empty((n, n), dtype=dtype)
+    step = max(1, _CHUNK_ELEMENTS // n)
+    for start in range(0, n, step):
+        rel = spec.differences(coords[start : start + step], coords) - lo
+        inside = rel.min() >= 0 and (rel.max(axis=(0, 1)) < packed.shape).all()
+        d[start : start + step] = packed[tuple(np.moveaxis(rel, -1, 0))] if inside else -1
+    if d.min() < 0:
+        # every x^{-1} y of the window has norm <= 2 * radius, so this is a
+        # spec whose differences disagree with its multiplication
+        raise AuditFailed("window distance missing from the norm table", group=spec.name)
+    return d
 
 
 # -- distortion ---------------------------------------------------------------
@@ -494,7 +530,7 @@ def _parse_token(parts, i):
     if head == "free":
         return free_spec(_count(parts, i + 1, least=0)), i + 2
     if head == "cyclic":
-        return cyclic_spec(_count(parts, i + 1)), i + 2
+        return cyclic_spec(_count(parts, i + 1, least=2)), i + 2
     if head == "wreath":
         base, j = _parse_token(parts, i + 1)
         lamp, k = _parse_token(parts, j)

@@ -98,16 +98,18 @@ class FiniteMetricSpace:
         d = self.d
         if len(self.points) == 0:
             return
-        if not np.allclose(d, d.T, atol=TOL, rtol=0):
+        tol = _tolerance(d)
+        # integer matrices are compared exactly, without float temporaries
+        symmetric = np.array_equal(d, d.T) if tol == 0 else np.allclose(d, d.T, atol=TOL, rtol=0)
+        if not symmetric:
             raise PreconditionFailed("distance matrix not symmetric")
         if np.any(np.diagonal(d) != 0):
             raise PreconditionFailed("nonzero diagonal")
         if d.min() < 0:
             raise PreconditionFailed("negative distance")
-        off = d + np.where(np.eye(len(self.points), dtype=bool), np.inf, 0)
-        if len(self.points) > 1 and off.min() <= _tolerance(d):
+        # the n diagonal zeros are the only entries allowed within tol of 0
+        if np.count_nonzero(d <= tol) > len(self.points):
             raise PreconditionFailed("distinct points at distance 0")
-        tol = _tolerance(d)
         n = len(self.points)
         if n <= _FULL_TRIANGLE_LIMIT:
             for k in range(n):
@@ -133,9 +135,11 @@ class FiniteMetricSpace:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
+        """Point labels and the distance matrix, which stays an array for
+        ``canonical_json`` to render."""
         return {
             "points": [point_label(p) for p in self.points],
-            "dist": self.d.tolist(),
+            "dist": self.d,
         }
 
     @classmethod

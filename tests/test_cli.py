@@ -1,11 +1,15 @@
 """The command-line surface: happy paths, audited failures as exit codes,
 and byte-stable reruns."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from coarsekit.cli import main
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def run(capsys, *argv):
@@ -129,7 +133,10 @@ def test_cover_extension_rejects_groups_other_than_the_plane(capsys):
     assert body["group"] == "heisenberg"
 
 
-@pytest.mark.parametrize("token", ["zn", "free", "wreath:zn:1", "zn:x", "zn:0", "zn:-1", "free:-1"])
+@pytest.mark.parametrize(
+    "token",
+    ["zn", "free", "wreath:zn:1", "zn:x", "zn:0", "zn:-1", "free:-1", "cyclic:1", "wreath:zn:1:cyclic:0"],
+)
 def test_malformed_group_tokens_exit_2(capsys, token):
     code, body = run_json(capsys, "ball", "--group", token, "--radius", "1")
     assert code == 2
@@ -216,6 +223,24 @@ def test_reruns_are_byte_identical(capsys):
     _, first = run(capsys, *argv)
     _, second = run(capsys, *argv)
     assert first == second
+
+
+def _benchmark_checks():
+    spec = importlib.util.spec_from_file_location("checks", BENCHMARKS / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ball_benchmark_argv_matches_recorded_digests(capsys):
+    checks = _benchmark_checks()
+    references = checks.load_references()
+    argvs = [key.split() for key in references if key.startswith("ball ")]
+    assert argvs
+    for argv in argvs:
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert checks.check(argv, out.encode(), references) == []
 
 
 def test_schedule_validation(capsys):

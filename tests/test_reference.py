@@ -4,17 +4,25 @@ The reference below uses lists and explicit loops over pairs only: tents
 and distance-to-complement rows come straight from their definitions,
 and every sup, slack and conversion gap is a plain loop.  The library's
 variation reports, embedding audit and conversion gaps must agree with it
-to 1e-12 on small windows of four groups.
+to 1e-12 on small windows of four groups.  Two more array paths have a
+plain reference here: the packed-table fill of Heisenberg windows (a loop
+over pairs looking norms up in the BFS table) and the emission of integer
+arrays (the same payload with every array turned into lists first).
 """
 
+import dataclasses
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from coarsekit import groups
+from coarsekit._jsonutil import canonical_json
 from coarsekit.covers import ball_cover, shrink_to_irreducible
 from coarsekit.errors import AuditFailed, SubsequenceUnavailable
-from coarsekit.groups import ball_space, group_from_token
+from coarsekit.groups import ball_space, group_from_token, heisenberg_spec, word_norm_table
 from coarsekit.metric import INF
 from coarsekit.property_a import (
     CERT_TOL,
@@ -84,6 +92,24 @@ def ref_cover_rows(cover, p):
             row[pts.index(injection[label])] = float(depth)
         rows.append(ref_unit(row, p))
     return rows
+
+
+def ref_distances(spec, points, radius):
+    """d(x, y) = |x^{-1} y|, one pair at a time, from the radius-2r BFS table."""
+    table = word_norm_table(spec, 2 * radius)
+    inverses = [spec.inverse(x) for x in points]
+    return [[table[spec.multiply(xi, y)] for y in points] for xi in inverses]
+
+
+def ref_lists(value):
+    """The payload with every array replaced by its nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: ref_lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [ref_lists(v) for v in value]
+    return value
 
 
 def ref_pairs(space, K=None):
@@ -252,3 +278,61 @@ def test_conversion_gaps_match_reference(token, p, m, n):
         if p > 1:
             assert abs(holder_lhs[k] - ref_dist([x**p for x in a], [y**p for y in b], 1)) <= TOL
             assert abs(holder_rhs[k] - 2.0 ** (1.0 / q) * p * ref_dist(a, b, p)) <= TOL
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
+def test_heisenberg_fill_matches_reference(radius):
+    spec = heisenberg_spec()
+    space = ball_space(spec, radius)
+    assert space.d.dtype == np.int16
+    assert space.d.tolist() == ref_distances(spec, space.points, radius)
+
+
+@pytest.mark.parametrize("chunk", [1, 4 * 53])  # 53 points at r=3: one row per block; 13 blocks of 4, then 1
+def test_fill_does_not_depend_on_block_size(monkeypatch, chunk):
+    spec = heisenberg_spec()
+    whole = ball_space(spec, 3).d
+    monkeypatch.setattr(groups, "_CHUNK_ELEMENTS", chunk)
+    assert np.array_equal(ball_space(spec, 3).d, whole)
+
+
+def test_fill_rejects_differences_that_leave_the_table():
+    spec = heisenberg_spec()
+    shifted = dataclasses.replace(spec, differences=lambda x, y: spec.differences(x, y) + (0, 0, 1000))
+    with pytest.raises(AuditFailed):
+        ball_space(shifted, 2)
+
+
+int_arrays = st.sampled_from([np.int16, np.int32, np.int64]).flatmap(
+    lambda dtype: st.sampled_from([3, int(np.iinfo(dtype).max)]).flatmap(
+        lambda bound: arrays(
+            dtype,
+            array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+            elements=st.integers(-bound, bound),
+        )
+    )
+)
+other_arrays = st.one_of(
+    arrays(np.bool_, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
+    arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+           elements=st.floats(-1e6, 1e6)),
+)
+payloads = st.recursive(
+    st.one_of(int_arrays, other_arrays, st.integers(-9, 9), st.text("abc", max_size=3)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text("xyz", min_size=1, max_size=2), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(obj=payloads)
+def test_array_emission_matches_lists(obj):
+    assert canonical_json(obj) == canonical_json(ref_lists(obj))
+
+
+def test_array_emission_refuses_a_string_that_looks_like_a_slot():
+    with pytest.raises(ValueError):
+        canonical_json({"a": np.arange(2), "b": "\x00array0\x00"})
