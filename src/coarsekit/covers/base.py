@@ -120,16 +120,11 @@ class Cover:
         dies as soon as even the union of all remaining candidates cannot
         empty it.
         """
-        d = self.space.d
-        tol = _tolerance(d)
         n = len(self.space.points)
-        point_bits = []
-        for x in range(n):
-            b = 0
-            for i in range(len(self)):
-                if self.masks[i, x]:
-                    b |= 1 << i
-            point_bits.append(b)
+        packed = np.packbits(self.masks.T, axis=1, bitorder="little")
+        point_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        near = self.space.d <= lam + _tolerance(self.space.d)
+        neighbours = [set(np.flatnonzero(row).tolist()) for row in near]
         nodes = 0
 
         def dfs(chosen, mask, candidates):
@@ -145,16 +140,14 @@ class Cover:
             if remaining:
                 return None
             for k, c in enumerate(candidates):
-                narrowed = [
-                    c2 for c2 in candidates[k + 1 :] if d[c, c2] <= lam + tol
-                ]
+                narrowed = [c2 for c2 in candidates[k + 1 :] if c2 in neighbours[c]]
                 hit = dfs(chosen + [c], mask & point_bits[c], narrowed)
                 if hit is not None:
                     return hit
             return None
 
         for x in range(n):
-            cand = [y for y in range(x + 1, n) if d[x, y] <= lam + tol]
+            cand = (np.flatnonzero(near[x, x + 1 :]) + x + 1).tolist()
             hit = dfs([x], point_bits[x], cand)
             if hit is not None:
                 return tuple(self.space.points[i] for i in hit)

@@ -257,22 +257,23 @@ def greedy_min_multiplicity(space, lam, D):
 
 
 def independent_audit(cover):
-    """Recompute (multiplicity, Lebesgue surrogate, diameter) from raw masks."""
-    d = cover.space.d.astype(float)
+    """Recompute (multiplicity, Lebesgue surrogate, diameter) from raw masks.
+
+    A point outside a set lies in its complement, so only member rows can
+    raise a depth above 0; each set reads just its own rows of ``d``.
+    """
+    d = cover.space.d
     masks = cover.masks
     mult = int(masks.sum(axis=0).max())
     depth = np.zeros(len(cover.space.points))
-    for row in masks:
-        comp = ~row
-        dist = d[:, comp].min(axis=1) if comp.any() else np.full(len(row), INF)
-        np.maximum(depth, dist, out=depth)
-    lam = float(depth.min())
     diam = 0.0
     for row in masks:
-        idx = np.flatnonzero(row)
-        if len(idx):
-            diam = max(diam, float(d[np.ix_(idx, idx)].max()))
-    return mult, lam, diam
+        inside = np.flatnonzero(row)
+        block = d[inside]
+        dist = block[:, ~row].min(axis=1) if len(inside) < len(row) else INF
+        depth[inside] = np.maximum(depth[inside], dist)
+        diam = max(diam, float(block[:, inside].max()))
+    return mult, float(depth.min()), diam
 
 
 @dataclass

@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import AuditFailed, BallTooLarge, NotInKernel, PreconditionFailed
 from .metric import INF, FiniteMetricSpace
@@ -122,7 +121,7 @@ def zn_spec(n: int) -> GroupSpec:
         generators=tuple(gens),
         norm_fn=lambda a: sum(abs(x) for x in a),
         ball_fn=ball,
-        distances=lambda x: cdist(x, x, metric="cityblock"),
+        distances=lambda x: sum(np.abs(np.subtract.outer(c, c)) for c in x.T),
         lattice_rank=n,
         asdim=n,
     )
@@ -134,7 +133,7 @@ def cyclic_spec(m: int) -> GroupSpec:
     gens = (1, m - 1) if m > 2 else (1,)
 
     def distances(x):
-        d = cdist(x[:, None], x[:, None], metric="cityblock")
+        d = np.abs(np.subtract.outer(x, x))
         return np.minimum(d, m - d)
 
     return GroupSpec(

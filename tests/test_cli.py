@@ -3,6 +3,9 @@ and byte-stable reruns."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from coarsekit.cli import main
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -268,3 +272,10 @@ def test_ball_cap_exit_code(capsys):
     )
     assert code == 3
     assert body["type"] == "BallTooLarge"
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import coarsekit.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

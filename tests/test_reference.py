@@ -7,7 +7,10 @@ variation reports, embedding audit and conversion gaps must agree with it
 to 1e-12 on small windows of four groups.  Two more array paths have a
 plain reference here: the packed-table fill of Heisenberg windows (a loop
 over pairs looking norms up in the BFS table) and the emission of integer
-arrays (the same payload with every array turned into lists first).
+arrays (the same payload with every array turned into lists first).  The
+cover audits have one too: `independent_audit` and the subset oracle must
+return exactly what their full-row and per-cell forms return, and the
+cityblock metrics of Z^k and cyclic windows match a loop over pairs.
 """
 
 import dataclasses
@@ -20,9 +23,18 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from coarsekit import groups
 from coarsekit._jsonutil import canonical_json
-from coarsekit.covers import ball_cover, shrink_to_irreducible
-from coarsekit.errors import AuditFailed, SubsequenceUnavailable
-from coarsekit.groups import ball_space, group_from_token, heisenberg_spec, word_norm_table
+from coarsekit.covers import Cover, ball_cover, brick_cover_zl, shrink_to_irreducible
+from coarsekit.dimension import independent_audit
+from coarsekit.errors import AuditFailed, SubsequenceUnavailable, TooLarge
+from coarsekit.groups import (
+    ball_elements,
+    ball_space,
+    cyclic_spec,
+    group_from_token,
+    heisenberg_spec,
+    word_norm_table,
+    zn_spec,
+)
 from coarsekit.metric import INF
 from coarsekit.property_a import (
     CERT_TOL,
@@ -110,6 +122,80 @@ def ref_lists(value):
     if isinstance(value, list):
         return [ref_lists(v) for v in value]
     return value
+
+
+def ref_independent_audit(cover):
+    """(multiplicity, Lebesgue surrogate, diameter) with every point's
+    distance to every complement, on a float copy of the whole matrix."""
+    d = cover.space.d.astype(float)
+    masks = cover.masks
+    mult = int(masks.sum(axis=0).max())
+    depth = np.zeros(len(cover.space.points))
+    for row in masks:
+        comp = ~row
+        dist = d[:, comp].min(axis=1) if comp.any() else np.full(len(row), INF)
+        np.maximum(depth, dist, out=depth)
+    lam = float(depth.min())
+    diam = 0.0
+    for row in masks:
+        idx = np.flatnonzero(row)
+        if len(idx):
+            diam = max(diam, float(d[np.ix_(idx, idx)].max()))
+    return mult, lam, diam
+
+
+def ref_find_uncovered_subset(cover, lam, cap):
+    """The subset oracle's DFS reading one matrix cell and one mask cell at
+    a time (integer windows, so no tolerance); returns (witness or None,
+    nodes visited)."""
+    d = cover.space.d
+    n = len(cover.space.points)
+    point_bits = []
+    for x in range(n):
+        b = 0
+        for i in range(len(cover)):
+            if cover.masks[i, x]:
+                b |= 1 << i
+        point_bits.append(b)
+    nodes = 0
+
+    def dfs(chosen, mask, candidates):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise TooLarge("subset enumeration exceeded cap", cap=cap, lam=lam)
+        if mask == 0:
+            return chosen
+        remaining = mask
+        for c in candidates:
+            remaining &= point_bits[c]
+        if remaining:
+            return None
+        for k, c in enumerate(candidates):
+            narrowed = [c2 for c2 in candidates[k + 1 :] if d[c, c2] <= lam]
+            hit = dfs(chosen + [c], mask & point_bits[c], narrowed)
+            if hit is not None:
+                return hit
+        return None
+
+    for x in range(n):
+        cand = [y for y in range(x + 1, n) if d[x, y] <= lam]
+        hit = dfs([x], point_bits[x], cand)
+        if hit is not None:
+            return tuple(cover.space.points[i] for i in hit), nodes
+    return None, nodes
+
+
+def ref_cityblock(points, m=None):
+    """Sum of coordinate gaps per pair; folded to min(g, m - g) for Z/m."""
+    out = []
+    for x in points:
+        row = []
+        for y in points:
+            gap = sum(abs(a - b) for a, b in zip(x, y)) if m is None else abs(x - y)
+            row.append(gap if m is None else min(gap, m - gap))
+        out.append(row)
+    return out
 
 
 def ref_pairs(space, K=None):
@@ -336,3 +422,118 @@ def test_array_emission_matches_lists(obj):
 def test_array_emission_refuses_a_string_that_looks_like_a_slot():
     with pytest.raises(ValueError):
         canonical_json({"a": np.arange(2), "b": "\x00array0\x00"})
+
+
+AUDIT_TOKENS = ["heisenberg", "zn:1", "zn:2"]
+
+
+@st.composite
+def member_masks(draw, token):
+    """Random members of a window: arbitrary sets (leaving points uncovered
+    unless something covers them), singletons, possibly the whole space,
+    and repeats of earlier members, in a drawn order."""
+    n = len(window(token))
+    rows = draw(st.lists(arrays(np.bool_, n).filter(np.any), min_size=1, max_size=5))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        rows.append(np.arange(n) == i)
+    if draw(st.booleans()):
+        rows.append(np.ones(n, dtype=bool))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return draw(st.permutations(rows))
+
+
+def cover_from_masks(space, rows):
+    sets = [[space.points[i] for i in np.flatnonzero(row)] for row in rows]
+    return Cover(space, sets, require_total=False)
+
+
+def test_independent_audit_matches_reference():
+    seen = set()
+
+    @settings(SETTINGS, max_examples=80)
+    @given(data=st.data(), token=st.sampled_from(AUDIT_TOKENS))
+    def check(data, token):
+        cover = cover_from_masks(window(token), data.draw(member_masks(token)))
+        assert independent_audit(cover) == ref_independent_audit(cover)
+        rows = {row.tobytes() for row in cover.masks}
+        seen.update(
+            name
+            for name, hit in [
+                ("uncovered", not cover.covered_mask().all()),
+                ("whole space", cover.masks.all(axis=1).any()),
+                ("singleton", (cover.masks.sum(axis=1) == 1).any()),
+                ("duplicate", len(rows) < len(cover)),
+            ]
+            if hit
+        )
+
+    check()
+    assert seen == {"uncovered", "whole space", "singleton", "duplicate"}
+
+
+def test_independent_audit_calls_no_cover_statistic(monkeypatch):
+    cover = ball_cover(window("zn:2"), 1)
+    expected = ref_independent_audit(cover)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("independent_audit must not reuse Cover statistics")
+
+    for name in ("complement_distances", "depth", "stats", "diameters"):
+        monkeypatch.setattr(Cover, name, refuse)
+    assert independent_audit(cover) == expected
+
+
+def assert_same_search(cover, lam):
+    """Same witness (or None) as the reference, after exactly as many nodes."""
+    witness, nodes = ref_find_uncovered_subset(cover, lam, cap=1_000_000)
+    assert cover.find_uncovered_subset(lam, cap=nodes) == witness
+    with pytest.raises(TooLarge):
+        cover.find_uncovered_subset(lam, cap=nodes - 1)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    data=st.data(),
+    token=st.sampled_from(AUDIT_TOKENS),
+    lam=st.integers(0, 4),
+    radius=st.sampled_from([None, 0, 1, 2]),
+)
+def test_subset_oracle_matches_reference(data, token, lam, radius):
+    space = window(token)
+    if radius is None:
+        cover = cover_from_masks(space, data.draw(member_masks(token)))
+    else:
+        cover = ball_cover(space, radius)
+    assert_same_search(cover, lam)
+
+
+# searches that go deep on the radius-4 plane window (nodes visited noted)
+@pytest.mark.parametrize(
+    "build, size, lam",
+    [
+        ("ball", 2, 3),  # 1,075
+        ("ball", 3, 4),  # 2,447
+        ("ball", 3, 5),  # 180,639
+        ("brick", 1, 2),  # 112
+        ("brick", 1, 3),  # 252, then a witness
+    ],
+)
+def test_subset_oracle_matches_reference_on_deep_searches(build, size, lam):
+    construct = {"ball": ball_cover, "brick": brick_cover_zl}[build]
+    assert_same_search(construct(window("zn:2"), size), lam)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lattice_metric_matches_reference(k):
+    points = ball_elements(zn_spec(k), 4)
+    d = zn_spec(k).distances(np.array(points))
+    assert np.issubdtype(d.dtype, np.integer)
+    assert d.tolist() == ref_cityblock(points)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_cyclic_metric_matches_reference(m):
+    points = list(range(m))
+    d = cyclic_spec(m).distances(np.array(points))
+    assert np.issubdtype(d.dtype, np.integer)
+    assert d.tolist() == ref_cityblock(points, m)
