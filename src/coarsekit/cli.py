@@ -21,6 +21,7 @@ from .covers import (
     brick_families_zl,
     coordinate_interval_cover,
     extension_cover,
+    extension_split,
     families_to_cover,
     interval_cover_z,
     shrink_to_irreducible,
@@ -35,7 +36,6 @@ from .groups import (
     group_from_token,
     log_log_slope,
     word_norm_table,
-    zn_spec,
 )
 from .metric import INF, point_label
 from .property_a import (
@@ -160,30 +160,20 @@ def cmd_ball(config: RunConfig):
 # -- cover ---------------------------------------------------------------------
 
 
-def _extension_cover_z2(total, config: RunConfig):
-    """The worked split extension: Z^2 over its first coordinate.
-
-    U is the staggered interval cover of the quotient line, V covers the
-    kernel line with blocks wide enough for the 6R Lebesgue hypothesis
+def _extension_cover(spec, config: RunConfig):
+    """U from the declared quotient; V the staggered intervals on the
+    kernel's last coordinate, wide enough for the 6R Lebesgue hypothesis
     (or --kernel-lambda to see the hypothesis fail)."""
-    if total.lattice_rank != 2:
-        raise PreconditionFailed("the extension method covers zn:2 only", group=config.group)
-    window = ball_space(total, config.radius, cap=config.ball_cap)
-    quotient_spec = zn_spec(1)
-    quotient = ball_space(quotient_spec, config.radius, cap=config.ball_cap)
-
-    def pi(e):
-        return (e[0],)
-
-    U = interval_cover_z(quotient, config.lam)
-    R = U.max_diameter()
-    kernel = window.subspace([pt for pt in window.points if pt[0] == 0])
+    if spec.extension is None:
+        raise PreconditionFailed("the extension method needs a declared extension", group=config.group)
+    split = extension_split(spec, config.radius, ball_cap=config.ball_cap)
+    U, R = split.quotient_cover(config.lam)
     kernel_lam = config.extras.get("kernel_lam")
     if kernel_lam is None:
         kernel_lam = 6 * R
-    V = coordinate_interval_cover(kernel, 1, kernel_lam)
+    V = coordinate_interval_cover(split.kernel, -1, kernel_lam)
     return extension_cover(
-        total, window, quotient_spec, pi, U, V, config.lam, R,
+        spec, split.window, split.quotient_spec, split.pi, U, V, config.lam, R,
         ball_cap=config.ball_cap,
     )
 
@@ -200,7 +190,7 @@ def cmd_cover(config: RunConfig):
             )
         else:
             if method == "extension":
-                cover = _extension_cover_z2(spec, config)
+                cover = _extension_cover(spec, config)
                 stats = dict(cover.meta["conclusions"])
             else:
                 space = ball_space(spec, config.radius, cap=config.ball_cap)

@@ -11,8 +11,8 @@ from .base import (
     partition_of_unity,
     shrink_to_irreducible,
 )
-from .extension import extension_cover, wreath_kernel_cover
-from .wreath import eval_polynomial, gromov_bound_compose, wreath_cover, wreath_lamp_bricks
+from .extension import extension_cover, extension_split, wreath_kernel_cover
+from .wreath import eval_polynomial, wreath_cover, wreath_lamp_bricks
 
 __all__ = [
     "Cover",
@@ -24,8 +24,8 @@ __all__ = [
     "coordinate_interval_cover",
     "eval_polynomial",
     "extension_cover",
+    "extension_split",
     "families_to_cover",
-    "gromov_bound_compose",
     "interval_cover_z",
     "partition_of_unity",
     "shrink_to_irreducible",

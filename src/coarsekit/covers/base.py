@@ -48,6 +48,7 @@ class Cover:
             raise PreconditionFailed("label count mismatch")
         self.meta = dict(meta) if meta else {}
         self._comp = None
+        self._diam = None
         if require_total and len(sets) and not self.covered_mask().all():
             missing = np.flatnonzero(~self.covered_mask())[0]
             raise NotCovering("sets do not cover the space", witness=point_label(space.points[missing]))
@@ -101,11 +102,12 @@ class Cover:
         return int(value) if np.issubdtype(self.space.d.dtype, np.integer) and np.isfinite(value) else float(value)
 
     def diameters(self):
-        out = []
-        for row in self.masks:
-            idx = np.flatnonzero(row)
-            out.append(self.space.d[np.ix_(idx, idx)].max().item())
-        return out
+        if self._diam is None:
+            self._diam = tuple(
+                self.space.d[np.ix_(idx, idx)].max().item()
+                for idx in map(np.flatnonzero, self.masks)
+            )
+        return self._diam
 
     def max_diameter(self):
         return max(self.diameters()) if len(self) else 0

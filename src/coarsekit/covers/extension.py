@@ -5,10 +5,13 @@ the restricted metric, grows a shrunken copy of each kernel member back
 by R, and translates it into each fiber by a deep preimage point.  Its
 three promised statistics (Lebesgue, diameter, multiplicity) are all
 asserted on the computed window, with boundary effects quarantined to a
-reported safe margin rather than silently absorbed.
+reported safe margin rather than silently absorbed.  ``extension_split``
+cuts the windows it needs along a spec's declared quotient map.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +24,14 @@ from ..errors import (
 from ..groups import (
     GroupSpec,
     ball_elements,
+    ball_space,
     element_key,
     wreath_outside,
     wreath_restrict,
     word_norm_table,
 )
 from ..metric import FiniteMetricSpace, point_label, _tolerance
-from .base import Cover
+from .base import Cover, brick_cover_zl, interval_cover_z
 
 
 def _audit_projection(G: GroupSpec, window: FiniteMetricSpace, H: GroupSpec, pi, quotient: FiniteMetricSpace):
@@ -59,6 +63,51 @@ def _audit_projection(G: GroupSpec, window: FiniteMetricSpace, H: GroupSpec, pi,
                         "projection is not a homomorphism restriction", point=point_label(w)
                     )
     return idx
+
+
+@dataclass(frozen=True)
+class ExtensionSplit:
+    """A ball window of a group cut along its declared quotient map.
+
+    ``kernel`` is the subwindow {pi(w) == quotient unit}; each caller
+    brings its own kernel cover and takes U from ``quotient_cover``.
+    """
+
+    quotient_spec: GroupSpec
+    pi: callable
+    window: FiniteMetricSpace
+    quotient: FiniteMetricSpace
+    kernel: FiniteMetricSpace
+
+    def quotient_cover(self, lam):
+        """U by the quotient's lattice rank (intervals at 1, bricks above),
+        with R = diam U."""
+        rank = self.quotient_spec.lattice_rank
+        if rank == 1:
+            U = interval_cover_z(self.quotient, lam)
+        elif rank is not None:
+            U = brick_cover_zl(self.quotient, lam)
+        else:
+            raise PreconditionFailed(
+                "no quotient cover recipe for this base group", base=self.quotient_spec.name
+            )
+        return U, U.max_diameter()
+
+
+def extension_split(spec: GroupSpec, radius, *, ball_cap=None) -> ExtensionSplit:
+    """Windows for the quotient-kernel composition on B_radius(e).
+
+    The quotient and projection come from ``spec.extension``, or from
+    ``spec.factors`` for a wreath product (the base, read off the head).
+    """
+    if spec.extension is not None:
+        quotient_spec, pi, _ = spec.extension
+    else:
+        quotient_spec, pi = spec.factors[0], lambda w: w.head
+    window = ball_space(spec, radius, cap=ball_cap)
+    quotient = ball_space(quotient_spec, radius, cap=ball_cap)
+    kernel = window.subspace([w for w in window.points if pi(w) == quotient_spec.unit])
+    return ExtensionSplit(quotient_spec, pi, window, quotient, kernel)
 
 
 def extension_cover(
@@ -112,47 +161,35 @@ def extension_cover(
     # 2R-shrunk kernel members, in the restricted metric of the kernel window
     comp_v = V_cover.complement_distances()
     tol = _tolerance(kernel.d)
-    cores = []
+    core_inverses = []
     for j in range(len(V_cover)):
         keep = V_cover.masks[j] & (comp_v[j] > 2 * R + tol)
-        cores.append([kernel.points[i] for i in np.flatnonzero(keep)])
+        core_inverses.append([G.inverse(kernel.points[i]) for i in np.flatnonzero(keep)])
 
     # deepest preimage point per quotient member, canonical ties
     comp_u = U_cover.complement_distances()
-    norms = window.d[:, window.index(G.unit)] if G.unit in window._index else None
-    reps = {}
-    for i in range(len(U_cover)):
-        best = None
-        for wi, w in enumerate(window.points):
-            qi = pi_idx[wi]
-            if not U_cover.masks[i, qi]:
-                continue
-            rank = (
-                -comp_u[i, qi],
-                int(norms[wi]) if norms is not None else 0,
-                element_key(w),
-            )
-            if best is None or rank < best[0]:
-                best = (rank, w)
-        if best is not None:
-            reps[i] = best[1]
+    n = len(window.points)
+    norms = window.d[:, window.index(G.unit)] if G.unit in window._index else np.zeros(n)
+    key_rank = np.empty(n, dtype=np.intp)
+    key_rank[sorted(range(n), key=lambda wi: element_key(window.points[wi]))] = np.arange(n)
 
-    sets, labels, owners = [], [], []
-    for i, z in reps.items():
+    sets, labels, owners, z_points = [], [], [], {}
+    for i in range(len(U_cover)):
+        strip = np.flatnonzero(U_cover.masks[i, pi_idx])
+        if strip.size == 0:
+            continue
+        deepest = np.lexsort((key_rank[strip], norms[strip], -comp_u[i, pi_idx[strip]]))[0]
+        z = window.points[strip[deepest]]
+        z_points[U_cover.labels[i]] = point_label(z)
         z_inv = G.inverse(z)
-        strip = [wi for wi in range(len(window.points)) if U_cover.masks[i, pi_idx[wi]]]
-        shifted = {wi: G.multiply(z_inv, window.points[wi]) for wi in strip}
-        for j, core in enumerate(cores):
-            if not core:
+        shifted = [(window.points[wi], G.multiply(z_inv, window.points[wi])) for wi in strip]
+        for j, core_inv in enumerate(core_inverses):
+            if not core_inv:
                 continue
-            core_inv = [G.inverse(s) for s in core]
-            members = []
-            for wi in strip:
-                x = shifted[wi]
-                for s_inv in core_inv:
-                    if G.multiply(s_inv, x) in small_ball:
-                        members.append(window.points[wi])
-                        break
+            members = [
+                w for w, x in shifted
+                if any(G.multiply(s_inv, x) in small_ball for s_inv in core_inv)
+            ]
             if members:
                 sets.append(members)
                 labels.append(f"W({U_cover.labels[i]},{V_cover.labels[j]})")
@@ -169,7 +206,7 @@ def extension_cover(
         meta={
             "method": "extension",
             "pairs": owners,
-            "z_points": {U_cover.labels[i]: point_label(z) for i, z in reps.items()},
+            "z_points": z_points,
             "safe_margin": guard,
             "R": R,
             "D": D,

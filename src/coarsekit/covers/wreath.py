@@ -10,25 +10,15 @@ along the head projection.
 from __future__ import annotations
 
 from ..errors import AuditFailed, PreconditionFailed
-from ..groups import GroupSpec, ball_elements, ball_space, wreath_spec
-from .base import Cover, _dedupe_nested, brick_cover_zl, interval_cover_z
-from .extension import extension_cover, wreath_kernel_cover
+from ..groups import GroupSpec, ball_elements, wreath_spec
+from .base import Cover, _dedupe_nested
+from .extension import extension_cover, extension_split, wreath_kernel_cover
 
 
 def eval_polynomial(coeffs, x):
     if any(c < 0 for c in coeffs):
         raise PreconditionFailed("polynomial has a negative coefficient", coeffs=list(coeffs))
     return sum(c * x**i for i, c in enumerate(coeffs))
-
-
-def gromov_bound_compose(p1, p2, p3, lam):
-    """Composed diameter bound p2(p3(6 p1(lam))) + 2 p1(lam).
-
-    Each argument is an ascending coefficient list with nonnegative
-    entries, so each stage is monotone on lam >= 0.
-    """
-    a = eval_polynomial(p1, lam)
-    return eval_polynomial(p2, eval_polynomial(p3, 6 * a)) + 2 * a
 
 
 def wreath_lamp_bricks(inside_window, positions, lam) -> Cover:
@@ -66,23 +56,14 @@ def wreath_cover(N: GroupSpec, G: GroupSpec, ball_radius, lam, *, ball_cap=None)
     to the theoretical multiplicity envelope (n+1)(m+1)|B_{6R}(e)|.
     """
     W = wreath_spec(N, G)
-    window = ball_space(W, ball_radius, cap=ball_cap)
-    quotient = ball_space(N, ball_radius, cap=ball_cap)
-
-    if N.lattice_rank == 1:
-        U = interval_cover_z(quotient, lam)
-    elif N.lattice_rank is not None:
-        U = brick_cover_zl(quotient, lam)
-    else:
-        raise PreconditionFailed("no quotient cover recipe for this base group", base=N.name)
-    R = U.max_diameter()
+    split = extension_split(W, ball_radius, ball_cap=ball_cap)
+    U, R = split.quotient_cover(lam)
     r = 6 * R
 
     inside_positions = ball_elements(N, r)
     inside_set = set(inside_positions)
-    kernel_pts = [w for w in window.points if w.head == N.unit]
-    kernel_window = window.subspace(kernel_pts)
-    inside_pts = [w for w in kernel_pts if all(k in inside_set for k, _ in w.config)]
+    kernel_window = split.kernel
+    inside_pts = [w for w in kernel_window.points if all(k in inside_set for k, _ in w.config)]
     inside_window = kernel_window.subspace(inside_pts)
 
     if G.asdim == 0:
@@ -100,9 +81,9 @@ def wreath_cover(N: GroupSpec, G: GroupSpec, ball_radius, lam, *, ball_cap=None)
 
     cover = extension_cover(
         W,
-        window,
+        split.window,
         N,
-        lambda w: w.head,
+        split.pi,
         U,
         kernel_cover,
         lam,
@@ -124,6 +105,6 @@ def wreath_cover(N: GroupSpec, G: GroupSpec, ball_radius, lam, *, ball_cap=None)
         R=R,
         quotient_sets=len(U),
         kernel_sets=len(kernel_cover),
-        window_points=len(window),
+        window_points=len(split.window),
     )
     return cover, stats

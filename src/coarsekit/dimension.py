@@ -16,7 +16,7 @@ import numpy as np
 
 from ._jsonutil import csv_text
 from .covers.base import Cover, _dedupe_nested, ball_cover, brick_cover_zl
-from .covers.extension import extension_cover
+from .covers.extension import extension_cover, extension_split
 from .covers.wreath import eval_polynomial, wreath_cover
 from .errors import AuditFailed, Infeasible, PreconditionFailed, TooLarge, WindowTooSmall
 from .groups import ball_space, group_from_token
@@ -436,8 +436,8 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
     the budget these witnesses meet).  For lattices the curve is
     asserted linear in lambda; a declared extension (the Heisenberg group
     over Z^2) goes through the quotient-kernel cover with the whole
-    kernel as one set, retrying once with a wider boundary margin if the
-    first one is uncovered.
+    kernel as one set, retrying once with a boundary margin past the
+    deepest uncovered point.
     """
     spec = group_from_token(token)
     profile = DimensionProfile(token, "gromov", f"cap={cap}")
@@ -467,34 +467,28 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
     if spec.extension is not None:
         if cap < 6:
             raise Infeasible("extension needs multiplicity budget 6", cap=cap)
-        quotient_spec, pi, _ = spec.extension
-        window = ball_space(spec, ball_radius, cap=ball_cap)
-        quotient = ball_space(quotient_spec, ball_radius, cap=ball_cap)
-        kernel = window.subspace([p for p in window.points if pi(p) == quotient_spec.unit])
+        split = extension_split(spec, ball_radius, ball_cap=ball_cap)
+        window, kernel = split.window, split.kernel
         V = Cover(kernel, [list(kernel.points)], ["Z"], meta={"method": "whole_window"})
         for lam in sorted(lam_schedule):
             if lam == 0:
                 single = Cover(window, [[p] for p in window.points], meta={"method": "singletons"})
                 profile.add_row(0, 0, 1, "singletons", None, single.stats()["boundary_margin"])
                 continue
-            U = brick_cover_zl(quotient, lam)
-            R = U.max_diameter()
-            margin = lam
-            for _ in range(2):
-                try:
-                    cover = extension_cover(
-                        spec, window, quotient_spec, pi,
-                        U, V, lam, R, None, safe_margin=margin, ball_cap=ball_cap,
-                    )
-                    break
-                except WindowTooSmall as err:
-                    if "requested_margin" not in err.context:
-                        raise
-                    margin = int(err.context["margin"]) + 1
-            else:
-                raise WindowTooSmall(
-                    "no margin made the extension cover total", lam=lam, radius=ball_radius
-                )
+            U, R = split.quotient_cover(lam)
+            args = (spec, window, split.quotient_spec, split.pi, U, V, lam, R, None)
+            cover = None
+            try:
+                cover = extension_cover(*args, safe_margin=lam, ball_cap=ball_cap)
+            except WindowTooSmall as err:
+                if "requested_margin" not in err.context:
+                    raise
+                # the sets do not depend on the margin, so one step past the
+                # deepest miss makes every safe point a covered one
+                margin = int(err.context["margin"]) + 1
+            if cover is None:
+                # outside the handler, so the failed attempt's frames are freed
+                cover = extension_cover(*args, safe_margin=margin, ball_cap=ball_cap)
             mult, lam_meas, diam = independent_audit(cover)
             if mult > cap:
                 raise AuditFailed("multiplicity cap violated", mult=mult, cap=cap)

@@ -123,6 +123,7 @@ def zn_spec(n: int) -> GroupSpec:
         ball_fn=ball,
         distances=lambda x: sum(np.abs(np.subtract.outer(c, c)) for c in x.T),
         lattice_rank=n,
+        extension=(zn_spec(n - 1), lambda a: a[: n - 1], tuple(gens[-2:])) if n >= 2 else None,
         asdim=n,
     )
 
@@ -220,11 +221,6 @@ def extension_kernel(spec: GroupSpec):
 def heisenberg_center():
     """Predicate and generators for the central copy of Z."""
     return extension_kernel(heisenberg_spec())
-
-
-def central_retraction(e):
-    """Kill the Hall x/y coordinates, keep the center one."""
-    return (0, 0, e[2])
 
 
 # -- wreath products ----------------------------------------------------------

@@ -142,13 +142,6 @@ class FiniteMetricSpace:
             "dist": self.d,
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        d = np.asarray(obj["dist"])
-        if np.allclose(d, np.round(d)):
-            d = d.astype(np.int64)
-        return cls(list(obj["points"]), d)
-
 
 def point_label(point) -> str:
     """Stable string id for a point; tuples render without spaces."""
@@ -167,34 +160,6 @@ def set_distance(space, A, B):
         return INF
     block = space.d[np.ix_(space.indices(A), space.indices(B))]
     return block.min().item()
-
-
-def _member_mask(space, A):
-    mask = np.zeros(len(space.points), dtype=bool)
-    mask[space.indices(list(A))] = True
-    return mask
-
-
-def distances_to_set(space, A):
-    """Vector of d(x, A) over the whole space; inf for empty A."""
-    idx = space.indices(list(A))
-    if idx.size == 0:
-        return np.full(len(space.points), INF)
-    return space.d[:, idx].min(axis=1).astype(float)
-
-
-def neighborhood(space, A, r):
-    """Closed r-neighborhood: every x with d(x, A) <= r."""
-    dist = distances_to_set(space, A)
-    keep = dist <= r + _tolerance(space.d)
-    return [p for p, k in zip(space.points, keep) if k]
-
-def inner_neighborhood(space, A, r):
-    """Points of A at depth > r: A minus the closed r-neighborhood of the complement."""
-    mask = _member_mask(space, A)
-    comp_dist = distances_to_set(space, [p for p, m in zip(space.points, mask) if not m])
-    keep = mask & (comp_dist > r + _tolerance(space.d))
-    return [p for p, k in zip(space.points, keep) if k]
 
 
 # -- l_p distances -----------------------------------------------------------

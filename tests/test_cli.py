@@ -128,13 +128,31 @@ def test_cover_wreath_rejects_a_non_wreath_group(capsys):
 
 
 def test_cover_extension_rejects_groups_other_than_the_plane(capsys):
+    # free groups declare no split; a wreath product has factors, but its
+    # kernel is no lattice for the interval cover V
+    for token in ("free:2", "lamplighter"):
+        code, body = run_json(
+            capsys, "cover", "--method", "extension", "--group", token,
+            "--radius", "3", "--lambda", "1",
+        )
+        assert code == 2
+        assert body["type"] == "PreconditionFailed"
+        assert body["error"] == "the extension method needs a declared extension"
+        assert body["group"] == token
+
+
+@pytest.mark.parametrize("token, radius", [("zn:2", 12), ("zn:3", 8), ("heisenberg", 6)])
+def test_cover_extension_serves_every_declared_extension(capsys, token, radius):
     code, body = run_json(
-        capsys, "cover", "--method", "extension", "--group", "heisenberg",
-        "--radius", "6", "--lambda", "1",
+        capsys, "cover", "--method", "extension", "--group", token,
+        "--radius", str(radius), "--lambda", "1",
     )
-    assert code == 2
-    assert body["type"] == "PreconditionFailed"
-    assert body["group"] == "heisenberg"
+    assert code == 0
+    stats = body["stats"]
+    assert stats["multiplicity"] <= stats["multiplicity_bound"]
+    assert stats["diameter"] <= stats["diameter_bound"]
+    assert stats["lebesgue_safe"] >= stats["lebesgue_target"] == 1
+    assert stats["safe_points"] > 0
 
 
 @pytest.mark.parametrize(
@@ -217,6 +235,10 @@ def test_distortion_command(capsys):
     code, body = run_json(capsys, "distortion", "--group", "zn:1", "--radius", "4")
     assert code == 2
     assert body["type"] == "PreconditionFailed"
+    # the last axis of Z^2 is undistorted
+    code, body = run_json(capsys, "distortion", "--group", "zn:2", "--radius", "6")
+    assert code == 0
+    assert body["slope"] == 1.0
 
 
 def test_reruns_are_byte_identical(capsys):
@@ -245,6 +267,15 @@ def test_ball_benchmark_argv_matches_recorded_digests(capsys):
         code, out = run(capsys, *argv)
         assert code == 0
         assert checks.check(argv, out.encode(), references) == []
+
+
+def test_gromov_benchmark_argv_matches_recorded_rows(capsys):
+    checks = _benchmark_checks()
+    references = checks.load_references()
+    argv = next(key.split() for key in references if key.startswith("gromov --group heisenberg"))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert checks.check(argv, out.encode(), references) == []
 
 
 def test_schedule_validation(capsys):

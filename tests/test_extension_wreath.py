@@ -1,8 +1,11 @@
 """Extension covers along a projection, the wreath kernel spread, and the
-composed diameter bounds."""
+polynomial diameter policies."""
+
+import json
 
 import pytest
 
+from coarsekit.cli import main
 from coarsekit.errors import (
     LebesgueTooSmall,
     PreconditionFailed,
@@ -13,7 +16,6 @@ from coarsekit.covers import (
     coordinate_interval_cover,
     eval_polynomial,
     extension_cover,
-    gromov_bound_compose,
     interval_cover_z,
     wreath_cover,
     wreath_kernel_cover,
@@ -27,6 +29,7 @@ from coarsekit.groups import (
     wreath_spec,
     zn_spec,
 )
+from coarsekit.metric import point_label
 
 
 Z = zn_spec(1)
@@ -67,6 +70,18 @@ def plane_extension(radius, lam, kernel_lam=None):
     kernel = window.subspace([p for p in window.points if p[0] == 0])
     V = coordinate_interval_cover(kernel, 1, kernel_lam if kernel_lam else 6 * R)
     return extension_cover(G, window, Z, lambda e: (e[0],), U, V, lam, R)
+
+
+def test_cli_extension_cover_equals_the_hand_built_one(tmp_path, capsys):
+    out = tmp_path / "cover.json"
+    code = main([
+        "cover", "--method", "extension", "--group", "zn:2",
+        "--radius", "20", "--lambda", "2", "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    expected = [[point_label(p) for p in members] for members in plane_extension(20, 2).sets()]
+    assert json.loads(out.read_text())["sets"] == expected
 
 
 def test_extension_over_plane_conclusions():
@@ -175,17 +190,8 @@ def test_wreath_lamp_bricks_direct():
     assert cover.multiplicity() <= len(positions) + 1
 
 
-def test_gromov_bound_compose_examples():
-    t = [0, 1]
-    assert gromov_bound_compose(t, t, t, 1) == 8
-    assert gromov_bound_compose([0, 5], [0, 1, 1], [0, 3], 0) == 0
-    assert gromov_bound_compose([0, 2], [0, 0, 1], t, 2) == 584
-
-
 def test_eval_polynomial_contract():
     assert eval_polynomial([1, 2, 3], 2) == 17
     assert eval_polynomial([], 5) == 0
     with pytest.raises(PreconditionFailed):
         eval_polynomial([1, -1], 2)
-    with pytest.raises(PreconditionFailed):
-        gromov_bound_compose([0, 1], [0, -2], [0, 1], 1)

@@ -9,7 +9,6 @@ from coarsekit.errors import BallTooLarge, NotInKernel, PreconditionFailed
 from coarsekit.groups import (
     ball_elements,
     ball_space,
-    central_retraction,
     cyclic_spec,
     distortion_profile,
     free_ball_cover_audit,
@@ -87,19 +86,6 @@ def test_heisenberg_polynomial_laws():
     assert commutator == (0, 0, 1)
 
 
-def test_central_retraction():
-    assert central_retraction((1, 1, 1)) == (0, 0, 1)
-    assert central_retraction((0, 0, 5)) == (0, 0, 5)
-    spec = heisenberg_spec()
-    rng = random.Random(5)
-    for _ in range(50):
-        g = tuple(rng.randint(-4, 4) for _ in range(3))
-        z = (0, 0, rng.randint(-4, 4))
-        assert central_retraction(spec.multiply(z, g)) == spec.multiply(
-            z, central_retraction(g)
-        )
-
-
 def test_group_axioms_per_spec():
     for spec in (
         zn_spec(1),
@@ -133,6 +119,11 @@ def test_specs_declare_their_structure():
     assert quotient.lattice_rank == 2 and pi((3, -1, 7)) == (3, -1)
     member, gens = heisenberg_center()
     assert gens == kernel_gens and member((0, 0, 4)) and not member((1, 0, 0))
+    # Z^n splits off its last axis over Z^(n-1)
+    assert zn_spec(1).extension is None
+    quotient, pi, kernel_gens = zn_spec(3).extension
+    assert quotient.lattice_rank == 2 and pi((4, -1, 7)) == (4, -1)
+    assert kernel_gens == ((0, 0, 1), (0, 0, -1))
 
 
 def test_left_invariance_on_lamplighter():

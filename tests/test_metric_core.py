@@ -1,4 +1,4 @@
-"""Metric substrate: distances, neighborhoods, l_p distances."""
+"""Metric substrate: distances and l_p distances."""
 
 import math
 import random
@@ -10,9 +10,7 @@ from coarsekit.errors import PreconditionFailed
 from coarsekit.metric import (
     INF,
     FiniteMetricSpace,
-    inner_neighborhood,
     lp_distance,
-    neighborhood,
     set_distance,
 )
 
@@ -44,36 +42,6 @@ def test_set_distance_examples():
     assert set_distance(space, set(), set()) == INF
 
 
-def test_neighborhood_examples():
-    space = z_segment(10)
-    assert set(neighborhood(space, {4, 5}, 2)) == set(range(2, 8))
-    assert set(neighborhood(space, {4, 5}, 0)) == {4, 5}
-    assert set(neighborhood(space, set(space.points), 3)) == set(space.points)
-
-
-def test_inner_neighborhood_examples():
-    space = z_segment(10)
-    assert set(inner_neighborhood(space, set(range(2, 8)), 1)) == set(range(3, 7))
-    assert set(inner_neighborhood(space, set(range(2, 8)), 0)) == set(range(2, 8))
-    assert set(inner_neighborhood(space, {4}, 1)) == set()
-
-
-def test_neighborhood_monotonicity_sweep():
-    # r1 <= r2 nesting plus the inner/outer adjunction, over every
-    # interval-shaped subset of a segment
-    space = z_segment(9)
-    subsets = [set(range(a, b)) for a in range(9) for b in range(a + 1, 10)]
-    for A in subsets:
-        for r1 in range(4):
-            r2 = r1 + 1
-            assert set(neighborhood(space, A, r1)) <= set(neighborhood(space, A, r2))
-            inner2 = set(inner_neighborhood(space, A, r2))
-            inner1 = set(inner_neighborhood(space, A, r1))
-            assert inner2 <= inner1
-            grown = set(neighborhood(space, inner1, r1)) if inner1 else set()
-            assert grown <= A
-
-
 def test_lp_distance_examples():
     # coordinates a, b
     u = np.array([1.0, 0.0])
@@ -101,13 +69,6 @@ def test_lp_triangle_inequality_random_triples():
             duv = lp_distance(u, v, p)
             dvw = lp_distance(v, w, p)
             assert duw <= duv + dvw + 1e-9
-
-
-def test_space_json_round_trip():
-    space = z_segment(5)
-    back = FiniteMetricSpace.from_json(space.to_json())
-    assert np.array_equal(back.d, space.d)
-    assert len(back.points) == 5
 
 
 def test_subspace_inherits_metric_and_window():

@@ -10,7 +10,9 @@ over pairs looking norms up in the BFS table) and the emission of integer
 arrays (the same payload with every array turned into lists first).  The
 cover audits have one too: `independent_audit` and the subset oracle must
 return exactly what their full-row and per-cell forms return, and the
-cityblock metrics of Z^k and cyclic windows match a loop over pairs.
+cityblock metrics of Z^k and cyclic windows match a loop over pairs.  The
+extension cover built by each of its three callers must have the sets and
+z points of a per-point loop over the same inputs.
 """
 
 import dataclasses
@@ -21,10 +23,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from coarsekit import groups
+from coarsekit import cli, groups
 from coarsekit._jsonutil import canonical_json
-from coarsekit.covers import Cover, ball_cover, brick_cover_zl, shrink_to_irreducible
-from coarsekit.dimension import independent_audit
+from coarsekit.covers import (
+    Cover,
+    ball_cover,
+    brick_cover_zl,
+    extension_cover,
+    shrink_to_irreducible,
+    wreath_cover,
+)
+from coarsekit.dimension import gromov_profile, independent_audit
 from coarsekit.errors import AuditFailed, SubsequenceUnavailable, TooLarge
 from coarsekit.groups import (
     ball_elements,
@@ -35,7 +44,7 @@ from coarsekit.groups import (
     word_norm_table,
     zn_spec,
 )
-from coarsekit.metric import INF
+from coarsekit.metric import INF, point_label
 from coarsekit.property_a import (
     CERT_TOL,
     a_infinity_family,
@@ -196,6 +205,42 @@ def ref_cityblock(points, m=None):
             row.append(gap if m is None else min(gap, m - gap))
         out.append(row)
     return out
+
+
+def ref_extension(G, window, pi, U, V, R):
+    """Sets and z points of the extension cover, by per-point loops: the
+    deepest preimage of each U member by comparing (-depth, norm, key)
+    tuples, and each strip point tested against every core element."""
+    quotient, kernel = U.space, V.space
+    small_ball = set(word_norm_table(G, R))
+    comp_u, comp_v = U.complement_distances(), V.complement_distances()
+    cores = [
+        [s for k, s in enumerate(kernel.points) if V.masks[j, k] and comp_v[j, k] > 2 * R]
+        for j in range(len(V))
+    ]
+    unit = window._index.get(G.unit)
+    sets, z_points = [], {}
+    for i in range(len(U)):
+        strip = [w for w in window.points if U.masks[i, quotient.index(pi(w))]]
+        if not strip:
+            continue
+        z = min(
+            strip,
+            key=lambda w: (
+                -comp_u[i, quotient.index(pi(w))],
+                0 if unit is None else window.d[window.index(w), unit],
+                groups.element_key(w),
+            ),
+        )
+        z_points[U.labels[i]] = point_label(z)
+        for core in cores:
+            members = tuple(
+                w for w in strip
+                if any(G.multiply(G.inverse(s), G.multiply(G.inverse(z), w)) in small_ball for s in core)
+            )
+            if members:
+                sets.append(members)
+    return sets, z_points
 
 
 def ref_pairs(space, K=None):
@@ -537,3 +582,33 @@ def test_cyclic_metric_matches_reference(m):
     d = cyclic_spec(m).distances(np.array(points))
     assert np.issubdtype(d.dtype, np.integer)
     assert d.tolist() == ref_cityblock(points, m)
+
+
+EXTENSION_CALLERS = {
+    "cli-zn:3": (
+        "coarsekit.cli",
+        lambda: cli.main(["cover", "--method", "extension", "--group", "zn:3", "--radius", "6", "--lambda", "1"]),
+    ),
+    "gromov-heisenberg": ("coarsekit.dimension", lambda: gromov_profile("heisenberg", 6, [1, 2], 7)),
+    "wreath-lamplighter": ("coarsekit.covers.wreath", lambda: wreath_cover(zn_spec(1), cyclic_spec(2), 4, 1)),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(EXTENSION_CALLERS))
+def test_extension_cover_matches_reference(monkeypatch, capsys, caller):
+    module, run = EXTENSION_CALLERS[caller]
+    original = extension_cover
+    built = []
+
+    def recording(G, window, H, pi, U, V, lam, R, *args, **kwargs):
+        cover = original(G, window, H, pi, U, V, lam, R, *args, **kwargs)
+        built.append((cover, ref_extension(G, window, pi, U, V, R)))
+        return cover
+
+    monkeypatch.setattr(f"{module}.extension_cover", recording)
+    run()
+    capsys.readouterr()
+    assert built
+    for cover, (sets, z_points) in built:
+        assert cover.sets() == sets
+        assert cover.meta["z_points"] == z_points
