@@ -33,9 +33,11 @@ def _canonical(value, arrays):
             return "inf" if value > 0 else "-inf"
         if math.isnan(value):
             raise ValueError("NaN is not representable in canonical output")
+        # round first, so a float within 9 digits of an integer prints as one
+        value = float("%.9g" % value)
         if value == int(value) and abs(value) < 1e15:
             return int(value)
-        return float("%.9g" % value)
+        return value
     if isinstance(value, dict):
         return {str(k): _canonical(v, arrays) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -343,9 +343,7 @@ def cmd_gromov(config: RunConfig):
 def cmd_distortion(config: RunConfig):
     spec = group_from_token(config.group)
     if spec.extension is None:
-        raise PreconditionFailed(
-            "distortion profiling is wired for the heisenberg center", group=config.group
-        )
+        raise PreconditionFailed("distortion profiling needs a declared extension", group=config.group)
     member, sub_generators = extension_kernel(spec)
     pairs = distortion_profile(
         spec, member, sub_generators, config.radius,

@@ -25,7 +25,6 @@ from ..groups import (
     GroupSpec,
     ball_elements,
     ball_space,
-    element_key,
     wreath_outside,
     wreath_restrict,
     word_norm_table,
@@ -171,7 +170,7 @@ def extension_cover(
     n = len(window.points)
     norms = window.d[:, window.index(G.unit)] if G.unit in window._index else np.zeros(n)
     key_rank = np.empty(n, dtype=np.intp)
-    key_rank[sorted(range(n), key=lambda wi: element_key(window.points[wi]))] = np.arange(n)
+    key_rank[sorted(range(n), key=window.points.__getitem__)] = np.arange(n)
 
     sets, labels, owners, z_points = [], [], [], {}
     for i in range(len(U_cover)):

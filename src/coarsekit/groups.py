@@ -2,10 +2,11 @@
 
 A group is a :class:`GroupSpec`: unit, multiplication, inversion and a
 symmetric generating tuple, all on hashable canonical element
-representations.  Norms come from breadth-first search over the Cayley
-graph unless a closed form is attached.  Structure that constructions
-use (lattice rank, wreath factors, a central extension) is declared in
-typed fields by the constructors here; the name is only a label.
+representations.  Balls and norms come from breadth-first search over
+the Cayley graph; a spec may declare a batched closed-form metric for
+its windows.  Structure that constructions use (lattice rank, wreath
+factors, a central extension) is declared in typed fields by the
+constructors here; the name is only a label.
 Built-ins: Z^n, finite cyclic groups, free groups, the discrete
 Heisenberg group in Hall coordinates, and restricted wreath products
 (lamp configurations over a base).
@@ -14,9 +15,8 @@ Heisenberg group in Hall coordinates, and restricted wreath products
 from __future__ import annotations
 
 import itertools
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,9 @@ from .metric import INF, FiniteMetricSpace
 
 DEFAULT_BALL_CAP = 5_000_000
 
-# Distance cells gathered per block of window rows; bounds the temporaries
-# of the packed-table fill to a few MB whatever the window size.
+# Distance cells computed per block of window rows; bounds the temporaries
+# of the packed-table and free-word fills to a few MB whatever the window
+# size.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -44,9 +45,7 @@ class GroupSpec:
     multiply: callable
     inverse: callable
     generators: tuple
-    norm_fn: callable = None        # closed-form word norm, if known
-    ball_fn: callable = None        # closed-form ball enumeration, if known
-    distances: callable = None      # word metric on an array of points, batched
+    distances: callable = None      # word metric on a window's point list, batched
     differences: callable = None    # x_i^{-1} x_j on integer coordinate arrays, batched
     lattice_rank: int = None        # L when the group is Z^L
     factors: tuple = None           # (base, lamp) of a wreath product
@@ -57,19 +56,12 @@ class GroupSpec:
         return f"GroupSpec({self.name})"
 
 
-def element_key(e):
-    """Canonical comparison key; group elements are nested int tuples."""
-    if isinstance(e, WreathElement):
-        return (e.config, e.head)
-    return e
-
-
 def validate_group_axioms(spec: GroupSpec, radius=3, sample=1500):
     """Unit/inverse laws and associativity, checked on the radius-3 ball."""
     for s in spec.generators:
         if spec.inverse(s) not in spec.generators:
             raise PreconditionFailed("generating set is not symmetric", group=spec.name)
-    elems = sorted(_bfs_table(spec, radius, cap=200_000), key=element_key)
+    elems = sorted(word_norm_table(spec, radius, cap=200_000))
     for e in elems[: min(len(elems), 200)]:
         if spec.multiply(e, spec.unit) != e or spec.multiply(spec.unit, e) != e:
             raise PreconditionFailed("unit law fails", group=spec.name)
@@ -98,20 +90,9 @@ def zn_spec(n: int) -> GroupSpec:
             e[i] = s
             gens.append(tuple(e))
 
-    def ball(r):
-        # the l^1 diamond |x|_1 <= r
-        out = []
-
-        def rec(prefix, budget):
-            if len(prefix) == n - 1:
-                for x in range(-budget, budget + 1):
-                    out.append(tuple(prefix) + (x,))
-                return
-            for x in range(-budget, budget + 1):
-                rec(prefix + [x], budget - abs(x))
-
-        rec([], r)
-        return out
+    def distances(points):
+        x = np.array(points)
+        return sum(np.abs(np.subtract.outer(c, c)) for c in x.T)
 
     return GroupSpec(
         name=f"zn:{n}",
@@ -119,9 +100,7 @@ def zn_spec(n: int) -> GroupSpec:
         multiply=lambda a, b: tuple(x + y for x, y in zip(a, b)),
         inverse=lambda a: tuple(-x for x in a),
         generators=tuple(gens),
-        norm_fn=lambda a: sum(abs(x) for x in a),
-        ball_fn=ball,
-        distances=lambda x: sum(np.abs(np.subtract.outer(c, c)) for c in x.T),
+        distances=distances,
         lattice_rank=n,
         extension=(zn_spec(n - 1), lambda a: a[: n - 1], tuple(gens[-2:])) if n >= 2 else None,
         asdim=n,
@@ -133,8 +112,8 @@ def cyclic_spec(m: int) -> GroupSpec:
         raise PreconditionFailed("cyclic order must be >= 2", m=m)
     gens = (1, m - 1) if m > 2 else (1,)
 
-    def distances(x):
-        d = np.abs(np.subtract.outer(x, x))
+    def distances(points):
+        d = np.abs(np.subtract.outer(points, points))
         return np.minimum(d, m - d)
 
     return GroupSpec(
@@ -143,11 +122,29 @@ def cyclic_spec(m: int) -> GroupSpec:
         multiply=lambda a, b: (a + b) % m,
         inverse=lambda a: (-a) % m,
         generators=gens,
-        norm_fn=lambda a: min(a % m, (-a) % m),
-        ball_fn=lambda r: list(range(m)) if r >= m // 2 else sorted({x % m for x in range(-r, r + 1)}),
         distances=distances,
         asdim=0,
     )
+
+
+def _free_distances(points):
+    """d(u, v) = |u| + |v| - 2 lcp(u, v) on reduced words, compared as rows
+    padded with the non-letter 0, one block of rows at a time."""
+    n = len(points)
+    lengths = np.array([len(w) for w in points])
+    words = np.zeros((n, lengths.max()), dtype=np.int64)
+    for row, w in zip(words, points):
+        row[: len(w)] = w
+    d = np.empty((n, n), dtype=np.int64)
+    step = max(1, _CHUNK_ELEMENTS // n)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        same = words[block, None, :] == words[None, :, :]
+        lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2)
+        # padding matches padding, so a common prefix stops at the shorter word
+        lcp = np.minimum(lcp, np.minimum.outer(lengths[block], lengths))
+        d[block] = lengths[block, None] + lengths - 2 * lcp
+    return d
 
 
 def free_spec(k: int) -> GroupSpec:
@@ -161,27 +158,13 @@ def free_spec(k: int) -> GroupSpec:
             i += 1
         return tuple(a) + b[i:]
 
-    def ball(r):
-        out = [()]
-        frontier = [()]
-        for _ in range(r):
-            nxt = []
-            for w in frontier:
-                for s in letters:
-                    if not w or w[-1] != -s:
-                        nxt.append(w + (s,))
-            out.extend(nxt)
-            frontier = nxt
-        return out
-
     return GroupSpec(
         name=f"free:{k}",
         unit=(),
         multiply=mul,
         inverse=lambda a: tuple(-x for x in reversed(a)),
         generators=tuple((s,) for s in letters),
-        norm_fn=len,
-        ball_fn=ball,
+        distances=_free_distances,
         asdim=1,
     )
 
@@ -302,7 +285,9 @@ def wreath_outside(w: WreathElement, positions):
 # -- BFS norms and ball spaces ------------------------------------------------
 
 
-def _bfs_table(spec: GroupSpec, radius: int, cap: int):
+def word_norm_table(spec: GroupSpec, radius: int, cap=None):
+    """Word norms of every element in the closed ball, by layered BFS."""
+    cap = ball_cap(cap)
     norms = {spec.unit: 0}
     frontier = [spec.unit]
     for r in range(1, radius + 1):
@@ -324,54 +309,39 @@ def _bfs_table(spec: GroupSpec, radius: int, cap: int):
     return norms
 
 
-def word_norm_table(spec: GroupSpec, radius: int, cap=None):
-    """Word norms of every element in the closed ball, by layered BFS."""
-    return _bfs_table(spec, radius, ball_cap(cap))
+def _by_norm(table, radius):
+    """Elements of norm <= radius, by (norm, element)."""
+    return sorted((e for e, n in table.items() if n <= radius), key=lambda e: (table[e], e))
 
 
 def ball_elements(spec: GroupSpec, radius: int, cap=None):
-    if spec.ball_fn is not None:
-        elems = spec.ball_fn(radius)
-        if len(elems) > ball_cap(cap):
-            raise BallTooLarge(
-                "ball enumeration exceeded cap",
-                group=spec.name,
-                cap=ball_cap(cap),
-                radius_reached=radius,
-            )
-        return sorted(elems, key=lambda e: (spec.norm_fn(e), element_key(e)))
-    table = word_norm_table(spec, radius, cap)
-    return sorted(table, key=lambda e: (table[e], element_key(e)))
+    return _by_norm(word_norm_table(spec, radius, cap), radius)
 
 
 def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
     """The closed ball around the unit with the restricted word metric.
 
-    Pairwise distances are norms of x^{-1} y, which live in the 2*radius
-    ball; they come from the declared batched metric, else a closed-form
-    norm, else a BFS table (one packed-table gather when the spec declares
-    ``differences``).  Window metadata is attached for margin audits.
+    Pairwise distances are norms of x^{-1} y.  They come from the declared
+    batched metric, else from the radius-2r BFS table: one packed-table
+    gather when the spec declares ``differences``, else one lookup per
+    pair.  Window metadata is attached for margin audits.
     """
     dtype = np.int16 if 2 * radius < 32000 else np.int32
     if spec.distances is not None:
         points = ball_elements(spec, radius, cap)
-        d = spec.distances(np.array(points)).astype(dtype)
-        return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
-
-    if spec.norm_fn is not None:
-        points = ball_elements(spec, radius, cap)
-        norm = spec.norm_fn
+        d = spec.distances(points).astype(dtype)
     else:
         table = word_norm_table(spec, 2 * radius, cap)
-        points = sorted(
-            (e for e, n in table.items() if n <= radius),
-            key=lambda e: (table[e], element_key(e)),
-        )
+        points = _by_norm(table, radius)
         if spec.differences is not None:
             d = _packed_distances(spec, table, points, dtype)
-            return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
-        norm = table.__getitem__
+        else:
+            d = _pairwise_distances(spec, table, points, dtype)
+    return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
 
+
+def _pairwise_distances(spec: GroupSpec, table, points, dtype):
+    """d[i, j] = table[x_i^{-1} x_j], one pair at a time."""
     n = len(points)
     mul = spec.multiply
     inverses = [spec.inverse(p) for p in points]
@@ -380,9 +350,8 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
         gi = inverses[i]
         row = d[i]
         for j in range(i + 1, n):
-            row[j] = norm(mul(gi, points[j]))
-    d = d + d.T
-    return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
+            row[j] = table[mul(gi, points[j])]
+    return d + d.T
 
 
 def _packed_distances(spec: GroupSpec, table, points, dtype):
@@ -458,16 +427,16 @@ def free_ball_cover_audit(k: int, lam: int, radius: int):
     """
     spec = free_spec(k)
     small = ball_elements(spec, lam + 1)
-    inner = [u for u in small if spec.norm_fn(u) <= lam]
-    sphere = [u for u in small if spec.norm_fn(u) == lam + 1]
+    inner = [u for u in small if len(u) <= lam]
+    sphere = [u for u in small if len(u) == lam + 1]
     shells = []
     mult = interior_mult = 0
     min_depth = INF
     for s in range(radius + 1):
         y = (1,) * s
-        count = sum(1 for u in inner if spec.norm_fn(spec.multiply(y, u)) <= radius)
+        count = sum(1 for u in inner if len(spec.multiply(y, u)) <= radius)
         # nearest window point outside B_lam(y); unreachable means infinite depth
-        escape = any(spec.norm_fn(spec.multiply(y, u)) <= radius for u in sphere)
+        escape = any(len(spec.multiply(y, u)) <= radius for u in sphere)
         depth = lam + 1 if escape else INF
         shells.append({"norm": s, "multiplicity": count, "depth": depth})
         mult = max(mult, count)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from coarsekit._jsonutil import canonical_json
 from coarsekit.cli import main
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -232,9 +233,11 @@ def test_distortion_command(capsys):
     assert code == 0
     assert body["pairs"]
     assert 0.3 < body["slope"] < 0.7
-    code, body = run_json(capsys, "distortion", "--group", "zn:1", "--radius", "4")
-    assert code == 2
-    assert body["type"] == "PreconditionFailed"
+    for token in ("zn:1", "free:2"):
+        code, body = run_json(capsys, "distortion", "--group", token, "--radius", "4")
+        assert code == 2
+        assert body["type"] == "PreconditionFailed"
+        assert body["error"] == "distortion profiling needs a declared extension"
     # the last axis of Z^2 is undistorted
     code, body = run_json(capsys, "distortion", "--group", "zn:2", "--radius", "6")
     assert code == 0
@@ -249,6 +252,18 @@ def test_reruns_are_byte_identical(capsys):
     _, first = run(capsys, *argv)
     _, second = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "x", [15.9999999999, 16.0, -2.0000000001, 0.1 + 0.2, 2.5, 1e-12, 1234567890.5, 1e20, float("inf")]
+)
+def test_canonical_json_is_idempotent(x):
+    once = canonical_json({"x": x})
+    assert canonical_json(json.loads(once)) == once
+
+
+def test_canonical_json_prints_near_integers_as_integers():
+    assert canonical_json([15.9999999999, 16.0, -2.0000000001]) == canonical_json([16, 16, -2])
 
 
 def _benchmark_checks():

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from coarsekit.errors import BallTooLarge, NotInKernel, PreconditionFailed
@@ -215,6 +214,11 @@ def test_ball_cap_enforced():
         word_norm_table(free_spec(2), 10, cap=100)
     assert err.value.exit_code == 3
     assert "radius_reached" in err.value.context
+    # windows are listed by BFS, which stops in the first layer past the
+    # cap: |B_21| = 925 and |B_22| = 1013 in Z^2
+    with pytest.raises(BallTooLarge) as err:
+        ball_space(zn_spec(2), 50, cap=1000)
+    assert err.value.context["radius_reached"] == 21
 
 
 def test_group_token_grammar():

@@ -5,14 +5,16 @@ and distance-to-complement rows come straight from their definitions,
 and every sup, slack and conversion gap is a plain loop.  The library's
 variation reports, embedding audit and conversion gaps must agree with it
 to 1e-12 on small windows of four groups.  Two more array paths have a
-plain reference here: the packed-table fill of Heisenberg windows (a loop
-over pairs looking norms up in the BFS table) and the emission of integer
-arrays (the same payload with every array turned into lists first).  The
-cover audits have one too: `independent_audit` and the subset oracle must
-return exactly what their full-row and per-cell forms return, and the
-cityblock metrics of Z^k and cyclic windows match a loop over pairs.  The
-extension cover built by each of its three callers must have the sets and
-z points of a per-point loop over the same inputs.
+plain reference here: the window fill of every group but wreath products
+(the closed forms of Z^n, cyclic and free groups, and the packed-table
+gather of Heisenberg windows, against a loop over pairs looking norms up
+in the BFS table) and the emission of integer arrays (the same payload
+with every array turned into lists first).  The cover audits have one
+too: `independent_audit` and the subset oracle must return exactly what
+their full-row and per-cell forms return, and the cityblock metrics of
+Z^k and cyclic windows match a loop over pairs.  The extension cover
+built by each of its three callers must have the sets and z points of a
+per-point loop over the same inputs.
 """
 
 import dataclasses
@@ -39,6 +41,7 @@ from coarsekit.groups import (
     ball_elements,
     ball_space,
     cyclic_spec,
+    free_spec,
     group_from_token,
     heisenberg_spec,
     word_norm_table,
@@ -229,7 +232,7 @@ def ref_extension(G, window, pi, U, V, R):
             key=lambda w: (
                 -comp_u[i, quotient.index(pi(w))],
                 0 if unit is None else window.d[window.index(w), unit],
-                groups.element_key(w),
+                w,
             ),
         )
         z_points[U.labels[i]] = point_label(z)
@@ -411,20 +414,34 @@ def test_conversion_gaps_match_reference(token, p, m, n):
             assert abs(holder_rhs[k] - 2.0 ** (1.0 / q) * p * ref_dist(a, b, p)) <= TOL
 
 
-@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
-def test_heisenberg_fill_matches_reference(radius):
-    spec = heisenberg_spec()
+FILL_CASES = [
+    ("zn:1", 3), ("zn:2", 3), ("zn:3", 2),
+    # radius below and above m // 2
+    ("cyclic:2", 0), ("cyclic:2", 2), ("cyclic:3", 0), ("cyclic:3", 2), ("cyclic:7", 2), ("cyclic:7", 4),
+    ("free:0", 2), ("free:1", 3), ("free:2", 3), ("free:3", 2),
+]
+
+
+@pytest.mark.parametrize("token, radius", FILL_CASES)
+def test_fill_matches_bfs_reference(token, radius):
+    spec = group_from_token(token)
     space = ball_space(spec, radius)
     assert space.d.dtype == np.int16
     assert space.d.tolist() == ref_distances(spec, space.points, radius)
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
+def test_heisenberg_fill_matches_reference(radius):
+    test_fill_matches_bfs_reference("heisenberg", radius)
+
+
 @pytest.mark.parametrize("chunk", [1, 4 * 53])  # 53 points at r=3: one row per block; 13 blocks of 4, then 1
 def test_fill_does_not_depend_on_block_size(monkeypatch, chunk):
-    spec = heisenberg_spec()
-    whole = ball_space(spec, 3).d
-    monkeypatch.setattr(groups, "_CHUNK_ELEMENTS", chunk)
-    assert np.array_equal(ball_space(spec, 3).d, whole)
+    for spec in (heisenberg_spec(), free_spec(2)):
+        whole = ball_space(spec, 3).d
+        with monkeypatch.context() as patched:
+            patched.setattr(groups, "_CHUNK_ELEMENTS", chunk)
+            assert np.array_equal(ball_space(spec, 3).d, whole)
 
 
 def test_fill_rejects_differences_that_leave_the_table():
@@ -571,7 +588,7 @@ def test_subset_oracle_matches_reference_on_deep_searches(build, size, lam):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_lattice_metric_matches_reference(k):
     points = ball_elements(zn_spec(k), 4)
-    d = zn_spec(k).distances(np.array(points))
+    d = zn_spec(k).distances(points)
     assert np.issubdtype(d.dtype, np.integer)
     assert d.tolist() == ref_cityblock(points)
 
@@ -579,7 +596,7 @@ def test_lattice_metric_matches_reference(k):
 @pytest.mark.parametrize("m", [2, 3, 7])
 def test_cyclic_metric_matches_reference(m):
     points = list(range(m))
-    d = cyclic_spec(m).distances(np.array(points))
+    d = cyclic_spec(m).distances(points)
     assert np.issubdtype(d.dtype, np.integer)
     assert d.tolist() == ref_cityblock(points, m)
 
