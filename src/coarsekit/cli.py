@@ -10,6 +10,7 @@ a resource cap is hit.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -79,8 +80,8 @@ class RunConfig:
                 raise PreconditionFailed(
                     "schedule must be strictly increasing", which=name, values=list(sched)
                 )
-        if not (self.p == INF or self.p >= 1):
-            raise PreconditionFailed("p must lie in [1, inf]", p=self.p)
+        if not self.p >= 1:  # nan too
+            raise PreconditionFailed("p must lie in [1, inf]", p="nan" if math.isnan(self.p) else self.p)
         if self.radius < 0:
             raise PreconditionFailed("radius must be nonnegative", radius=self.radius)
         if self.budget < 1:
@@ -92,29 +93,33 @@ class RunConfig:
                     raise PreconditionFailed("output path not writable", path=path)
 
 
+def _number(token, text, kind=int):
+    """``kind(token)``, or a payload naming the whole option ``text``."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise PreconditionFailed("expected a number", text=text) from None
+
+
 def _parse_schedule(text):
     """Either an inclusive range "2..8" or an explicit list "1,2,4"."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        values = list(range(int(lo), int(hi) + 1))
+    lo, dots, hi = text.partition("..")
+    if dots:
+        values = list(range(_number(lo, text), _number(hi, text) + 1))
     else:
-        values = [int(tok) for tok in text.split(",") if tok != ""]
+        values = [_number(tok, text) for tok in text.split(",") if tok != ""]
     if not values:
         raise PreconditionFailed("empty schedule", text=text)
     return tuple(values)
 
 
 def _parse_coeffs(text):
-    return tuple(int(tok) for tok in text.split(","))
+    return tuple(_number(tok, text) for tok in text.split(","))
 
 
 def _parse_p(text):
-    if text.strip().lower() == "inf":
-        return INF
-    value = float(text)
-    if value == int(value):
-        return int(value)
-    return value
+    value = _number(text, text, float)  # float reads "inf" too
+    return int(value) if value.is_integer() else value
 
 
 def _emit(obj):

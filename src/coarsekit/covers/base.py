@@ -325,9 +325,10 @@ def shrink_to_irreducible(cover: Cover, n) -> Cover:
     """Shrink members by n, drop to an irreducible subcover of the cores,
     and return the matching unshrunk members.
 
-    Redundant cores are removed front-to-back until every survivor owns a
-    point no other survivor covers; those private points are recorded in
-    ``meta["injection"]`` for downstream re-indexing into l_p.
+    Redundant cores are dropped in one front-to-back pass: dropping a core
+    only lowers counts, so a core that owns a point keeps owning it.  The
+    survivors' private points are recorded in ``meta["injection"]`` for
+    downstream re-indexing into l_p.
     """
     comp = cover.complement_distances()
     tol = _tolerance(cover.space.d)
@@ -341,19 +342,14 @@ def shrink_to_irreducible(cover: Cover, n) -> Cover:
             witness=point_label(cover.space.points[list(uncovered)[0]]),
         )
 
-    kept = list(keep)
-    changed = True
-    while changed:
-        changed = False
-        counts = cores[kept].sum(axis=0)
-        for i in kept:
-            core = cores[i]
-            if (counts[core] >= 2).all():
-                kept.remove(i)
-                changed = True
-                break
+    kept = []
+    counts = cores[keep].sum(axis=0)
+    for i in keep:
+        if (counts[cores[i]] >= 2).all():
+            counts -= cores[i]
+        else:
+            kept.append(i)
 
-    counts = cores[kept].sum(axis=0)
     injection, private = {}, {}
     for i in kept:
         owned = np.flatnonzero(cores[i] & (counts == 1))

@@ -307,6 +307,37 @@ def test_schedule_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, key, text",
+    [
+        ("embed --group zn:1 --radius 20 --p 2 --levels a,b --budget 2", "text", "a,b"),
+        ("certify-a --group zn:1 --radius 8 --p 2 --n 2..b --K 1", "text", "2..b"),
+        ("profile --group zn:1 --lambda 1..2 --diam-policy x --radius 6", "text", "x"),
+        ("certify-a --group zn:1 --radius 8 --p abc --n 2..3 --K 1", "text", "abc"),
+        ("certify-a --group zn:1 --radius 8 --p nan --n 2..3 --K 1", "p", "nan"),
+    ],
+    ids=["levels", "range", "diam-policy", "p", "p-nan"],
+)
+def test_malformed_numbers_exit_2(capsys, argv, key, text):
+    code, body = run_json(capsys, *argv.split())
+    assert code == 2
+    assert body["type"] == "PreconditionFailed"
+    assert body[key] == text
+    if key == "p":
+        assert body["error"] == "p must lie in [1, inf]"
+
+
+def test_readme_examples_exit_0(capsys, monkeypatch, tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [line.split()[1:] for line in block.splitlines() if line.startswith("coarsekit ")]
+    assert len(examples) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
 def test_unknown_flag_is_fatal(capsys):
     with pytest.raises(SystemExit):
         main(["ball", "--group", "zn:1", "--radius", "2", "--frobnicate"])

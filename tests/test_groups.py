@@ -221,6 +221,15 @@ def test_ball_cap_enforced():
     assert err.value.context["radius_reached"] == 21
 
 
+def test_heisenberg_cap_counts_the_window():
+    # the closed-form fill needs no radius-2r table, so the cap meets only
+    # the window's own BFS: |B_6| = 593 and |B_7| = 1069
+    assert len(ball_space(heisenberg_spec(), 6, cap=1000).points) == 593
+    with pytest.raises(BallTooLarge) as err:
+        ball_space(heisenberg_spec(), 9, cap=1000)
+    assert err.value.context["radius_reached"] == 6
+
+
 def test_group_token_grammar():
     assert group_from_token("zn:3").name == "zn:3"
     assert group_from_token("lamplighter").name == "wreath:zn:1:cyclic:2"

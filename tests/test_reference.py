@@ -6,15 +6,15 @@ and every sup, slack and conversion gap is a plain loop.  The library's
 variation reports, embedding audit and conversion gaps must agree with it
 to 1e-12 on small windows of four groups.  Two more array paths have a
 plain reference here: the window fill of every group but wreath products
-(the closed forms of Z^n, cyclic and free groups, and the packed-table
-gather of Heisenberg windows, against a loop over pairs looking norms up
-in the BFS table) and the emission of integer arrays (the same payload
-with every array turned into lists first).  The cover audits have one
-too: `independent_audit` and the subset oracle must return exactly what
-their full-row and per-cell forms return, and the cityblock metrics of
-Z^k and cyclic windows match a loop over pairs.  The extension cover
-built by each of its three callers must have the sets and z points of a
-per-point loop over the same inputs.
+(the closed forms of Z^n, cyclic, free and Heisenberg groups, against a
+loop over pairs looking norms up in the BFS table) and the emission of
+integer arrays (the same payload with every array turned into lists
+first).  The cover audits have one too: `independent_audit` and the
+subset oracle must return exactly what their full-row and per-cell forms
+return, and the cityblock metrics of Z^k and cyclic windows match a loop
+over pairs.  The extension cover built by each of its three callers must
+have the sets and z points of a per-point loop over the same inputs, and
+`shrink_to_irreducible` must keep the cores its old restart loop kept.
 """
 
 import dataclasses
@@ -123,6 +123,23 @@ def ref_distances(spec, points, radius):
     table = word_norm_table(spec, 2 * radius)
     inverses = [spec.inverse(x) for x in points]
     return [[table[spec.multiply(xi, y)] for y in points] for xi in inverses]
+
+
+def ref_shrink_survivors(cover, n):
+    """Labels of the cores kept by dropping the first core whose every
+    point another kept core also covers, then starting over."""
+    cores = cover.masks & (cover.complement_distances() > n)
+    kept = [i for i in range(len(cover)) if cores[i].any()]
+    changed = True
+    while changed:
+        changed = False
+        counts = cores[kept].sum(axis=0)
+        for i in kept:
+            if (counts[cores[i]] >= 2).all():
+                kept.remove(i)
+                changed = True
+                break
+    return [cover.labels[i] for i in kept]
 
 
 def ref_lists(value):
@@ -435,20 +452,47 @@ def test_heisenberg_fill_matches_reference(radius):
     test_fill_matches_bfs_reference("heisenberg", radius)
 
 
-@pytest.mark.parametrize("chunk", [1, 4 * 53])  # 53 points at r=3: one row per block; 13 blocks of 4, then 1
+# At r=3 Heisenberg and free:2 have 53 points, zn:2 25 and cyclic:7 7.
+# Chunk 1 fills one row per block; chunk 21 does too, but takes 3, 3, 1
+# rows in cyclic:7; chunk 212 takes 13 blocks of 4 rows and then 1 in
+# Heisenberg and free:2, 3 of 8 and then 1 in zn:2, all 7 in cyclic:7.
+@pytest.mark.parametrize("chunk", [1, 3 * 7, 4 * 53])
 def test_fill_does_not_depend_on_block_size(monkeypatch, chunk):
-    for spec in (heisenberg_spec(), free_spec(2)):
+    for spec in (heisenberg_spec(), free_spec(2), zn_spec(2), cyclic_spec(7)):
         whole = ball_space(spec, 3).d
         with monkeypatch.context() as patched:
             patched.setattr(groups, "_CHUNK_ELEMENTS", chunk)
             assert np.array_equal(ball_space(spec, 3).d, whole)
 
 
-def test_fill_rejects_differences_that_leave_the_table():
-    spec = heisenberg_spec()
-    shifted = dataclasses.replace(spec, differences=lambda x, y: spec.differences(x, y) + (0, 0, 1000))
-    with pytest.raises(AuditFailed):
-        ball_space(shifted, 2)
+def test_fill_rejects_distances_that_disagree_with_bfs():
+    # l1 on Hall coordinates agrees with the word norm up to (-1,-1,0) and
+    # first disagrees at (-1,-1,1) = x^-1 y^-1, of norm 2 but l1 norm 3
+    wrong = dataclasses.replace(heisenberg_spec(), distances=zn_spec(3).distances)
+    with pytest.raises(AuditFailed) as err:
+        ball_space(wrong, 2)
+    assert err.value.context["point"] == "(-1,-1,1)"
+
+
+def test_heisenberg_closed_form_matches_bfs_both_ways():
+    """Every element of the radius-24 BFS table gets its BFS norm, and no
+    element outside it gets a norm of 24 or less.  A word of length n has
+    |a| + |b| <= n and |c| <= (n/2)^2 (each y letter moves c by at most the
+    number of x letters), so that box holds every element the closed form
+    could put inside the ball."""
+    n, top = 24, 12 * 12
+    table = word_norm_table(heisenberg_spec(), n)
+    axes = (np.arange(-n, n + 1), np.arange(-n, n + 1), np.arange(-top, top + 1))
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    # the unit first, so row 0 holds the norm of every element of the box
+    norms = heisenberg_spec().distances(np.vstack(([0, 0, 0], box)))(slice(0, 1))[0, 1:]
+    keys = np.array(list(table))
+    assert (np.abs(keys).max(axis=0) <= (n, n, top)).all()
+    at = np.ravel_multi_index(tuple((keys + (n, n, top)).T), [len(a) for a in axes])
+    assert norms[at].tolist() == list(table.values())
+    outside = np.ones(len(box), dtype=bool)
+    outside[at] = False
+    assert norms[outside].min() > n
 
 
 int_arrays = st.sampled_from([np.int16, np.int32, np.int64]).flatmap(
@@ -585,10 +629,23 @@ def test_subset_oracle_matches_reference_on_deep_searches(build, size, lam):
     assert_same_search(construct(window("zn:2"), size), lam)
 
 
+# the four covers of the certify-a benchmark (zn:2 r14, n = 2..5) and more
+@pytest.mark.parametrize(
+    "token, radius, build, size, n",
+    [("zn:2", 14, "ball", 2 * n, n) for n in (2, 3, 4, 5)]
+    + [("zn:1", 12, "ball", 4, 1), ("zn:1", 12, "ball", 6, 3), ("zn:2", 14, "brick", 2, 0),
+       ("heisenberg", 3, "ball", 2, 0), ("free:2", 3, "ball", 2, 1)],
+)
+def test_shrink_keeps_the_cores_of_the_restart_loop(token, radius, build, size, n):
+    construct = {"ball": ball_cover, "brick": brick_cover_zl}[build]
+    cover = construct(ball_space(group_from_token(token), radius), size)
+    assert shrink_to_irreducible(cover, n).labels == ref_shrink_survivors(cover, n)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_lattice_metric_matches_reference(k):
     points = ball_elements(zn_spec(k), 4)
-    d = zn_spec(k).distances(points)
+    d = zn_spec(k).distances(points)(slice(None))
     assert np.issubdtype(d.dtype, np.integer)
     assert d.tolist() == ref_cityblock(points)
 
@@ -596,7 +653,7 @@ def test_lattice_metric_matches_reference(k):
 @pytest.mark.parametrize("m", [2, 3, 7])
 def test_cyclic_metric_matches_reference(m):
     points = list(range(m))
-    d = cyclic_spec(m).distances(points)
+    d = cyclic_spec(m).distances(points)(slice(None))
     assert np.issubdtype(d.dtype, np.integer)
     assert d.tolist() == ref_cityblock(points, m)
 
