@@ -9,6 +9,8 @@ it on spaces small enough to enumerate.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import (
@@ -21,7 +23,7 @@ from ..errors import (
     PreconditionFailed,
     TooLarge,
 )
-from ..metric import INF, FiniteMetricSpace, point_label, set_distance, _tolerance
+from ..metric import INF, FiniteMetricSpace, point_label, row_blocks, set_distance, _tolerance
 
 
 class Cover:
@@ -75,14 +77,21 @@ class Cover:
         """Row i holds d(x, X minus U_i) for every point x (0 off U_i);
         inf rows mark sets equal to the whole space."""
         if self._comp is None:
+            d = self.space.d
             comp = np.zeros(self.masks.shape)
             for i, row in enumerate(self.masks):
                 outside = np.flatnonzero(~row)
                 if outside.size == 0:
                     comp[i] = INF
+                    continue
+                inside = np.flatnonzero(row)
+                # gather the rows of the smaller side; d is audited symmetric
+                if inside.size <= outside.size:
+                    mins = [block.min(axis=1) for block in row_blocks(d, inside, outside)]
+                    comp[i, inside] = np.concatenate(mins)
                 else:
-                    inside = np.flatnonzero(row)
-                    comp[i, inside] = self.space.d[np.ix_(inside, outside)].min(axis=1)
+                    mins = (block.min(axis=0) for block in row_blocks(d, outside, inside))
+                    comp[i, inside] = functools.reduce(np.minimum, mins)
             self._comp = comp
         return self._comp
 
@@ -104,7 +113,7 @@ class Cover:
     def diameters(self):
         if self._diam is None:
             self._diam = tuple(
-                self.space.d[np.ix_(idx, idx)].max().item()
+                max(block.max() for block in row_blocks(self.space.d, idx, idx)).item()
                 for idx in map(np.flatnonzero, self.masks)
             )
         return self._diam

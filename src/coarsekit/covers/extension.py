@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import (
     AuditFailed,
+    BallTooLarge,
     LebesgueTooSmall,
     PreconditionFailed,
     WindowTooSmall,
@@ -29,7 +30,7 @@ from ..groups import (
     wreath_restrict,
     word_norm_table,
 )
-from ..metric import FiniteMetricSpace, point_label, _tolerance
+from ..metric import FiniteMetricSpace, point_label, row_blocks, _tolerance
 from .base import Cover, brick_cover_zl, interval_cover_z
 
 
@@ -44,14 +45,18 @@ def _audit_projection(G: GroupSpec, window: FiniteMetricSpace, H: GroupSpec, pi,
             )
         images.append(quotient.index(q))
     idx = np.asarray(images, dtype=np.intp)
-    qd = quotient.d[np.ix_(idx, idx)]
-    bad = qd > window.d
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise PreconditionFailed(
-            "projection is not 1-Lipschitz",
-            pair=(point_label(window.points[i]), point_label(window.points[j])),
-        )
+    # one block of rows at a time, so the gathered quotient distances and
+    # their mask are never held whole
+    start = 0
+    for qd in row_blocks(quotient.d, idx, idx):
+        bad = qd > window.d[start : start + len(qd)]
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise PreconditionFailed(
+                "projection is not 1-Lipschitz",
+                pair=(point_label(window.points[start + i]), point_label(window.points[j])),
+            )
+        start += len(qd)
     window_set = window._index
     for w in window.points:
         for s in G.generators:
@@ -155,7 +160,11 @@ def extension_cover(
         if pi(v) != H.unit:
             raise PreconditionFailed("kernel window point projects off the unit", point=point_label(v))
 
-    small_ball = frozenset(word_norm_table(G, R, cap=ball_cap)) if R > 0 else frozenset({G.unit})
+    try:
+        small_ball = frozenset(word_norm_table(G, R, cap=ball_cap)) if R > 0 else frozenset({G.unit})
+    except BallTooLarge as err:
+        # the window fit; the ball of the quotient cover's diameter did not
+        raise BallTooLarge("R-ball enumeration exceeded cap", **err.context, R=R) from None
 
     # 2R-shrunk kernel members, in the restricted metric of the kernel window
     comp_v = V_cover.complement_distances()

@@ -25,7 +25,7 @@ from .metric import INF, FiniteMetricSpace, point_label
 
 DEFAULT_BALL_CAP = 5_000_000
 
-# Distance cells computed per block of window rows; bounds the temporaries
+# Distance cells computed per strip of window rows; bounds the temporaries
 # of a closed-form fill to a few MB whatever the window size.
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -44,7 +44,7 @@ class GroupSpec:
     multiply: callable
     inverse: callable
     generators: tuple
-    distances: callable = None      # a window's point list -> rows(block) -> d[block]
+    distances: callable = None      # a window's point list -> rows(block, cols) -> d[block, cols]
     lattice_rank: int = None        # L when the group is Z^L
     factors: tuple = None           # (base, lamp) of a wreath product
     extension: tuple = None         # (quotient spec, projection, kernel generators)
@@ -90,7 +90,7 @@ def zn_spec(n: int) -> GroupSpec:
 
     def distances(points):
         x = np.array(points)
-        return lambda block: np.abs(x[block, None] - x).sum(axis=2)
+        return lambda block, cols: np.abs(x[block, None] - x[cols]).sum(axis=2)
 
     return GroupSpec(
         name=f"zn:{n}",
@@ -113,7 +113,7 @@ def cyclic_spec(m: int) -> GroupSpec:
     def distances(points):
         x = np.array(points)
         # the shorter of the two ways round the cycle
-        return lambda block: np.minimum((x - x[block, None]) % m, (x[block, None] - x) % m)
+        return lambda block, cols: np.minimum((x[cols] - x[block, None]) % m, (x[block, None] - x[cols]) % m)
 
     return GroupSpec(
         name=f"cyclic:{m}",
@@ -134,12 +134,12 @@ def _free_distances(points):
     for row, w in zip(words, points):
         row[: len(w)] = w
 
-    def rows(block):
-        same = words[block, None, :] == words[None, :, :]
+    def rows(block, cols):
+        same = words[block, None, :] == words[None, cols, :]
         lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2)
         # padding matches padding, so a common prefix stops at the shorter word
-        lcp = np.minimum(lcp, np.minimum.outer(lengths[block], lengths))
-        return lengths[block, None] + lengths - 2 * lcp
+        lcp = np.minimum(lcp, np.minimum.outer(lengths[block], lengths[cols]))
+        return lengths[block, None] + lengths[cols] - 2 * lcp
 
     return rows
 
@@ -175,25 +175,37 @@ def free_spec(k: int) -> GroupSpec:
 
 def _heisenberg_distances(points):
     """Blachère's exact word length (Colloq. Math. 95, 2003) of x_i^{-1} x_j."""
-    x = np.array(points)
+    x = np.array(points, dtype=np.int64)
+    # with |a|, |b| <= A and |c| <= C in the window, no value below exceeds
+    # 4 (6 A^2 + 2 C), so the kernel runs in int32
+    A, C = int(np.abs(x[:, :2]).max()), int(np.abs(x[:, 2]).max())
+    if 8 * (3 * A * A + C) >= 2**31:
+        raise PreconditionFailed("Heisenberg window too wide for the int32 word length", a_b=A, c=C)
+    x = x.astype(np.int32)
 
-    def rows(block):
+    def rows(block, cols):
         # x_i^{-1} x_j = (a_j - a_i, b_j - b_i, c_j - c_i - a_i (b_j - b_i))
         ai, bi, ci = (x[block, None, k] for k in range(3))
-        a, b = x[:, 0] - ai, x[:, 1] - bi
-        c = x[:, 2] - ci - ai * b
+        a, b = x[cols, 0] - ai, x[cols, 1] - bi
+        c = x[cols, 2] - ci - ai * b
         # flipping the sign of a or of b negates c, and (a, b, c) has the
         # length of (a, b, ab - c)
-        c = np.where((a < 0) != (b < 0), -c, c)
-        a, b = np.abs(a), np.abs(b)
+        np.negative(c, out=c, where=(a < 0) != (b < 0))
+        np.abs(a, out=a)
+        np.abs(b, out=b)
         c = np.maximum(c, a * b - c)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        # ceil(2 sqrt(c)) = ceil(sqrt(4c)); a double root is exact for c < 10^14
-        return np.select(
-            [c <= lo * hi, c <= hi * hi],
-            [lo + hi, 2 * -(-c // np.maximum(hi, 1)) + hi - lo],
-            2 * np.ceil(np.sqrt(4 * c)).astype(np.int64) - lo - hi,
-        )
+        d = lo + hi
+        # the length exceeds lo + hi only where c > lo hi; there it is
+        # 2 ceil(c / hi) + hi - lo up to c = hi^2, and 2 ceil(sqrt(4c)) - lo - hi
+        # above (a double root is exact for c < 10^14)
+        far = np.flatnonzero(c > lo * hi)
+        c, lo, hi = c.ravel()[far], lo.ravel()[far], hi.ravel()[far]
+        top = np.flatnonzero(c > hi * hi)
+        far_d = 2 * -(-c // np.maximum(hi, 1)) + hi - lo
+        far_d[top] = 2 * np.ceil(np.sqrt(4 * c[top])).astype(np.int32) - lo[top] - hi[top]
+        d.ravel()[far] = far_d
+        return d
 
     return rows
 
@@ -337,10 +349,11 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
     """The closed ball around the unit with the restricted word metric.
 
     Pairwise distances are norms of x^{-1} y.  They come from the declared
-    batched metric, one block of rows at a time, checked on the unit row
-    against the BFS norms that listed the window; else (wreath products)
-    from the radius-2r BFS table, one lookup per pair.  Window metadata is
-    attached for margin audits.
+    batched metric, one strip of the upper triangle at a time mirrored
+    below the diagonal, checked on the unit row against the BFS norms
+    that listed the window; else (wreath products) from the radius-2r BFS
+    table, one lookup per pair.  Window metadata is attached for margin
+    audits.
     """
     dtype = np.int16 if 2 * radius < 32000 else np.int32
     table = word_norm_table(spec, 2 * radius if spec.distances is None else radius, cap)
@@ -351,9 +364,12 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
         rows = spec.distances(points)
         n = len(points)
         d = np.empty((n, n), dtype=dtype)
-        step = max(1, _CHUNK_ELEMENTS // n)
-        for start in range(0, n, step):
-            d[start : start + step] = rows(slice(start, start + step))
+        start = 0
+        while start < n:
+            stop = min(n, start + max(1, _CHUNK_ELEMENTS // (n - start)))
+            d[start:stop, start:] = rows(slice(start, stop), slice(start, None))
+            d[start:, start:stop] = d[start:stop, start:].T
+            start = stop
         # points[0] is the unit, so row 0 holds the norms BFS measured
         wrong = np.flatnonzero(d[0] != [table[p] for p in points])
         if wrong.size:

@@ -22,8 +22,32 @@ _FULL_TRIANGLE_LIMIT = 500
 _SAMPLED_TRIPLES = 100_000
 
 
-def _tolerance(matrix) -> float:
-    return 0.0 if np.issubdtype(matrix.dtype, np.integer) else TOL
+# Symmetry is compared one tile against its mirror tile at a time, so no
+# pass strides through the whole transpose.
+_SYMMETRY_TILE = 256
+
+# Cells per block of the row-then-column gathers; bounds their temporaries
+# to a few MB whatever the space size.
+_GATHER_CELLS = 1 << 20
+
+
+def _tolerance(matrix):
+    """Int 0 for an integer matrix, so ``d <= lam + tol`` stays an integer
+    compare; TOL otherwise."""
+    return 0 if np.issubdtype(matrix.dtype, np.integer) else TOL
+
+
+def _is_symmetric(d, tol) -> bool:
+    n = len(d)
+    for s in range(0, n, _SYMMETRY_TILE):
+        for t in range(s, n, _SYMMETRY_TILE):
+            tile = d[s : s + _SYMMETRY_TILE, t : t + _SYMMETRY_TILE]
+            mirror = d[t : t + _SYMMETRY_TILE, s : s + _SYMMETRY_TILE].T
+            # integer matrices are compared exactly, without float temporaries
+            same = np.array_equal(tile, mirror) if tol == 0 else np.allclose(tile, mirror, atol=TOL, rtol=0)
+            if not same:
+                return False
+    return True
 
 
 class FiniteMetricSpace:
@@ -57,7 +81,7 @@ class FiniteMetricSpace:
         radius = self.window_radius if center is not None else None
         return FiniteMetricSpace(
             [self.points[i] for i in idx],
-            self.d[np.ix_(idx, idx)],
+            self.d[idx][:, idx],
             validate=validate,
             center=center,
             window_radius=radius,
@@ -99,23 +123,29 @@ class FiniteMetricSpace:
         if len(self.points) == 0:
             return
         tol = _tolerance(d)
-        # integer matrices are compared exactly, without float temporaries
-        symmetric = np.array_equal(d, d.T) if tol == 0 else np.allclose(d, d.T, atol=TOL, rtol=0)
-        if not symmetric:
+        if not _is_symmetric(d, tol):
             raise PreconditionFailed("distance matrix not symmetric")
         if np.any(np.diagonal(d) != 0):
             raise PreconditionFailed("nonzero diagonal")
         if d.min() < 0:
             raise PreconditionFailed("negative distance")
-        # the n diagonal zeros are the only entries allowed within tol of 0
-        if np.count_nonzero(d <= tol) > len(self.points):
+        # the n diagonal zeros are the only entries allowed within tol of 0;
+        # an integer matrix, nonnegative by now, counts its zeros without a mask
+        near_zero = d.size - np.count_nonzero(d) if tol == 0 else np.count_nonzero(d <= tol)
+        if near_zero > len(self.points):
             raise PreconditionFailed("distinct points at distance 0")
         n = len(self.points)
         if n <= _FULL_TRIANGLE_LIMIT:
+            # d[i, k] + d[k, j] (+ tol) and its violations, in reused buffers;
+            # an int tol keeps an integer matrix's buffer integer
+            through_k = np.empty(d.shape, dtype=np.result_type(d, tol))
+            bad = np.empty(d.shape, dtype=bool)
             for k in range(n):
-                through_k = d[:, k : k + 1] + d[k : k + 1, :]
-                if np.any(d > through_k + tol):
-                    i, j = np.argwhere(d > through_k + tol)[0]
+                np.add(d[:, k : k + 1], d[k : k + 1, :], out=through_k)
+                if tol:
+                    through_k += tol
+                if np.greater(d, through_k, out=bad).any():
+                    i, j = np.argwhere(bad)[0]
                     raise PreconditionFailed(
                         "triangle inequality fails",
                         witness=[str(self.points[i]), str(self.points[k]), str(self.points[j])],
@@ -153,13 +183,20 @@ def point_label(point) -> str:
 # -- set operations ---------------------------------------------------------
 
 
+def row_blocks(d, rows, cols):
+    """d[rows][:, cols] one block of rows at a time: whole rows first, then
+    the columns, which is faster than one np.ix_ gather."""
+    step = max(1, _GATHER_CELLS // max(d.shape[1], len(cols)))
+    for start in range(0, len(rows), step):
+        yield d[rows[start : start + step]][:, cols]
+
+
 def set_distance(space, A, B):
     """min d(a, b) over a in A, b in B; inf when either side is empty."""
     A, B = list(A), list(B)
     if not A or not B:
         return INF
-    block = space.d[np.ix_(space.indices(A), space.indices(B))]
-    return block.min().item()
+    return space.d[space.indices(A)][:, space.indices(B)].min().item()
 
 
 # -- l_p distances -----------------------------------------------------------

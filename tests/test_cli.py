@@ -293,6 +293,16 @@ def test_gromov_benchmark_argv_matches_recorded_rows(capsys):
     assert checks.check(argv, out.encode(), references) == []
 
 
+@pytest.mark.parametrize("command", ["profile", "certify-a", "embed"])
+def test_benchmark_argv_matches_recorded_fields(capsys, command):
+    checks = _benchmark_checks()
+    references = checks.load_references()
+    argv = next(key.split() for key in references if key.startswith(command + " "))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert checks.check(argv, out.encode(), references) == []
+
+
 def test_schedule_validation(capsys):
     code, body = run_json(
         capsys, "profile", "--group", "zn:1", "--lambda", "2,1",
@@ -349,6 +359,18 @@ def test_ball_cap_exit_code(capsys):
     )
     assert code == 3
     assert body["type"] == "BallTooLarge"
+
+
+def test_r_ball_cap_names_the_enumeration(capsys):
+    # the 593-point window fits the cap; the ball of radius R = 10 does not
+    code, body = run_json(
+        capsys, "cover", "--method", "extension", "--group", "heisenberg",
+        "--radius", "6", "--lambda", "1", "--ball-cap", "1000",
+    )
+    assert code == 3
+    assert body["type"] == "BallTooLarge"
+    assert body["error"] == "R-ball enumeration exceeded cap"
+    assert (body["R"], body["radius_reached"], body["cap"]) == (10, 6, 1000)
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,14 +2,17 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from coarsekit.errors import PreconditionFailed
+from coarsekit.groups import ball_space, zn_spec
 from coarsekit.metric import (
     INF,
     FiniteMetricSpace,
+    _tolerance,
     lp_distance,
     set_distance,
 )
@@ -32,6 +35,24 @@ def test_space_validation_rejects_broken_metrics():
     degenerate = np.array([[0, 0], [0, 0]])
     with pytest.raises(PreconditionFailed):
         FiniteMetricSpace([0, 1], degenerate)
+
+
+def test_integer_tolerance_is_an_int():
+    # an int keeps ``d <= lam + tol`` an integer compare
+    for dtype in (np.int16, np.int32, np.int64):
+        assert type(_tolerance(np.zeros((2, 2), dtype=dtype))) is int
+    assert _tolerance(np.zeros((2, 2))) > 0
+
+
+def test_integer_validation_allocates_no_float_temporaries():
+    space = ball_space(zn_spec(2), 14)
+    tracemalloc.start()
+    try:
+        space._validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * space.d.nbytes
 
 
 def test_set_distance_examples():

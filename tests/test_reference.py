@@ -15,28 +15,35 @@ return, and the cityblock metrics of Z^k and cyclic windows match a loop
 over pairs.  The extension cover built by each of its three callers must
 have the sets and z points of a per-point loop over the same inputs, and
 `shrink_to_irreducible` must keep the cores its old restart loop kept.
+The dense passes keep their earlier forms as oracles: the int64
+`np.select` Heisenberg kernel, full rows for the half-triangle fill, the
+`np.ix_` gathers for complement distances and diameters, and the
+whole-matrix symmetry test with the float-promoted triangle loop, which
+must name the same error and witness.
 """
 
 import dataclasses
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from coarsekit import cli, groups
+from coarsekit import cli, groups, metric
 from coarsekit._jsonutil import canonical_json
 from coarsekit.covers import (
     Cover,
     ball_cover,
     brick_cover_zl,
     extension_cover,
+    interval_cover_z,
     shrink_to_irreducible,
     wreath_cover,
 )
 from coarsekit.dimension import gromov_profile, independent_audit
-from coarsekit.errors import AuditFailed, SubsequenceUnavailable, TooLarge
+from coarsekit.errors import AuditFailed, PreconditionFailed, SubsequenceUnavailable, TooLarge
 from coarsekit.groups import (
     ball_elements,
     ball_space,
@@ -47,7 +54,7 @@ from coarsekit.groups import (
     word_norm_table,
     zn_spec,
 )
-from coarsekit.metric import INF, point_label
+from coarsekit.metric import INF, FiniteMetricSpace, point_label
 from coarsekit.property_a import (
     CERT_TOL,
     a_infinity_family,
@@ -140,6 +147,70 @@ def ref_shrink_survivors(cover, n):
                 changed = True
                 break
     return [cover.labels[i] for i in kept]
+
+
+def ref_heisenberg_rows(points):
+    """Blachère's word length in int64 with np.select, which evaluates all
+    three cases on every cell of a block of rows against every column."""
+    x = np.array(points)
+
+    def rows(block):
+        ai, bi, ci = (x[block, None, k] for k in range(3))
+        a, b = x[:, 0] - ai, x[:, 1] - bi
+        c = x[:, 2] - ci - ai * b
+        c = np.where((a < 0) != (b < 0), -c, c)
+        a, b = np.abs(a), np.abs(b)
+        c = np.maximum(c, a * b - c)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        return np.select(
+            [c <= lo * hi, c <= hi * hi],
+            [lo + hi, 2 * -(-c // np.maximum(hi, 1)) + hi - lo],
+            2 * np.ceil(np.sqrt(4 * c)).astype(np.int64) - lo - hi,
+        )
+
+    return rows
+
+
+def ref_complement_distances(cover):
+    """d(x, X minus U) through one np.ix_ gather of U's rows and the
+    complement's columns per member; inf rows for whole-space members."""
+    comp = np.zeros(cover.masks.shape)
+    for i, row in enumerate(cover.masks):
+        inside, outside = np.flatnonzero(row), np.flatnonzero(~row)
+        if outside.size == 0:
+            comp[i] = INF
+        else:
+            comp[i, inside] = cover.space.d[np.ix_(inside, outside)].min(axis=1)
+    return comp
+
+
+def ref_validate(points, d):
+    """(message, witness) of the first failed check of the whole-matrix
+    symmetry test and the triangle loop with float temporaries, or None."""
+    tol = 0.0 if np.issubdtype(d.dtype, np.integer) else 1e-9
+    symmetric = np.array_equal(d, d.T) if tol == 0 else np.allclose(d, d.T, atol=1e-9, rtol=0)
+    if not symmetric:
+        return "distance matrix not symmetric", None
+    if np.any(np.diagonal(d) != 0):
+        return "nonzero diagonal", None
+    if d.min() < 0:
+        return "negative distance", None
+    if np.count_nonzero(d <= tol) > len(points):
+        return "distinct points at distance 0", None
+    n = len(points)
+    if n <= 500:
+        for k in range(n):
+            through_k = d[:, k : k + 1] + d[k : k + 1, :]
+            if np.any(d > through_k + tol):
+                i, j = np.argwhere(d > through_k + tol)[0]
+                return "triangle inequality fails", [str(points[i]), str(points[k]), str(points[j])]
+    else:
+        ijk = np.random.default_rng(0).integers(0, n, size=(100_000, 3))
+        lhs = d[ijk[:, 0], ijk[:, 2]]
+        rhs = d[ijk[:, 0], ijk[:, 1]] + d[ijk[:, 1], ijk[:, 2]]
+        if np.any(lhs > rhs + tol):
+            return "triangle inequality fails", [str(points[i]) for i in ijk[np.argmax(lhs > rhs + tol)]]
+    return None
 
 
 def ref_lists(value):
@@ -485,7 +556,7 @@ def test_heisenberg_closed_form_matches_bfs_both_ways():
     axes = (np.arange(-n, n + 1), np.arange(-n, n + 1), np.arange(-top, top + 1))
     box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     # the unit first, so row 0 holds the norm of every element of the box
-    norms = heisenberg_spec().distances(np.vstack(([0, 0, 0], box)))(slice(0, 1))[0, 1:]
+    norms = heisenberg_spec().distances(np.vstack(([0, 0, 0], box)))(slice(0, 1), slice(None))[0, 1:]
     keys = np.array(list(table))
     assert (np.abs(keys).max(axis=0) <= (n, n, top)).all()
     at = np.ravel_multi_index(tuple((keys + (n, n, top)).T), [len(a) for a in axes])
@@ -493,6 +564,57 @@ def test_heisenberg_closed_form_matches_bfs_both_ways():
     outside = np.ones(len(box), dtype=bool)
     outside[at] = False
     assert norms[outside].min() > n
+
+
+@pytest.mark.parametrize("radius", range(7))
+def test_heisenberg_kernel_matches_the_select_kernel(radius):
+    points = ball_elements(heisenberg_spec(), radius)
+    new = heisenberg_spec().distances(points)(slice(None), slice(None))
+    assert new.tolist() == ref_heisenberg_rows(points)(slice(None)).tolist()
+
+
+hall_triples = st.lists(
+    st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000), st.integers(-20_000_000, 20_000_000)),
+    min_size=1,
+    max_size=40,
+    unique=True,
+)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(points=hall_triples)
+def test_heisenberg_kernel_matches_the_select_kernel_on_hall_triples(points):
+    # one row against all columns and a strip of rows against the rest
+    rows, ref = heisenberg_spec().distances(points), ref_heisenberg_rows(points)
+    whole = ref(slice(None))
+    assert rows(slice(None), slice(None)).tolist() == whole.tolist()
+    half = len(points) // 2
+    assert rows(slice(half, None), slice(half, None)).tolist() == whole[half:, half:].tolist()
+
+
+def test_heisenberg_kernel_refuses_coordinates_that_overflow_int32():
+    with pytest.raises(PreconditionFailed):
+        heisenberg_spec().distances([(0, 0, 0), (0, 0, 300_000_000)])
+
+
+SYMMETRIC_FILL_CASES = [
+    ("zn:1", 5), ("zn:2", 3), ("zn:3", 2), ("cyclic:2", 1), ("cyclic:7", 3),
+    ("free:0", 2), ("free:1", 3), ("free:2", 2), ("free:3", 2), ("heisenberg", 3),
+]
+
+
+# the first strip takes 1 row (and so does every later one), 7 rows, or all n
+@pytest.mark.parametrize("first_strip", [1, 7, "n"])
+@pytest.mark.parametrize("token, radius", SYMMETRIC_FILL_CASES)
+def test_symmetric_fill_matches_full_rows(monkeypatch, token, radius, first_strip):
+    spec = group_from_token(token)
+    points = ball_elements(spec, radius)
+    n = len(points)
+    full = spec.distances(points)(slice(None), slice(None))
+    chunk = 1 if first_strip == 1 else n * (n if first_strip == "n" else first_strip)
+    monkeypatch.setattr(groups, "_CHUNK_ELEMENTS", chunk)
+    d = ball_space(spec, radius).d
+    assert d.tolist() == full.tolist()
 
 
 int_arrays = st.sampled_from([np.int16, np.int32, np.int64]).flatmap(
@@ -597,6 +719,79 @@ def assert_same_search(cover, lam):
         cover.find_uncovered_subset(lam, cap=nodes - 1)
 
 
+@settings(SETTINGS, max_examples=80)
+@given(data=st.data(), token=st.sampled_from(AUDIT_TOKENS))
+def test_complement_distances_match_the_ix_gather(data, token):
+    space = window(token)
+    n = len(space)
+    rows = list(data.draw(member_masks(token)))
+    # members larger than half the space: all but one point
+    rows += [np.arange(n) != i for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2))]
+    expected = ref_complement_distances(cover_from_masks(space, rows))
+    diameters = tuple(space.d[np.ix_(idx, idx)].max().item() for idx in map(np.flatnonzero, rows))
+    # whole members in one block of rows, and one row per block
+    for cells in (metric._GATHER_CELLS, 1):
+        with mock.patch.object(metric, "_GATHER_CELLS", cells):
+            cover = cover_from_masks(space, rows)
+            assert np.array_equal(cover.complement_distances(), expected)
+            assert cover.diameters() == diameters
+
+
+def assert_same_validation(points, d):
+    expected = ref_validate(points, d)
+    if expected is None:
+        FiniteMetricSpace(points, d)
+        return None
+    with pytest.raises(PreconditionFailed) as err:
+        FiniteMetricSpace(points, d)
+    assert (str(err.value), err.value.context.get("witness")) == expected
+    return expected
+
+
+def planted(d, cells, value):
+    d = d.copy()
+    for i, j in cells:
+        d[i, j] = value
+    return d
+
+
+# zn:1 at r=10 and r=200 (21 and 401 points, one and two symmetry tiles)
+# and r=300 (601 points, sampled triples)
+@pytest.mark.parametrize(
+    "radius, case",
+    [
+        (10, "metric"), (10, "triangle"), (10, "two-triangles"), (10, "diagonal"), (10, "zero"),
+        (200, "metric"), (200, "triangle"), (200, "asymmetric-first"),
+        (200, "asymmetric-late"), (200, "asymmetric-off-diagonal"),
+        (300, "metric"), (300, "triangle-wide"),
+        (10, "float-metric"), (10, "float-within-tol"), (10, "float-triangle"), (10, "float-asymmetric"),
+        (10, "float-zero"), (10, "float-diagonal"),
+    ],
+)
+def test_validation_matches_the_float_promoted_loop(radius, case):
+    points = list(range(-radius, radius + 1))
+    d = np.abs(np.subtract.outer(points, points)).astype(np.int16)
+    n = len(points)
+    if case.startswith("float"):
+        d = d.astype(float)
+        case = case[len("float-"):]
+    d = {
+        "metric": lambda: d,
+        "triangle": lambda: planted(d, [(2, n - 3), (n - 3, 2)], 2 * n),
+        "two-triangles": lambda: planted(d, [(1, 5), (5, 1), (3, 4), (4, 3)], 9),
+        "diagonal": lambda: planted(d, [(3, 3)], 1),
+        "zero": lambda: planted(d, [(3, 4), (4, 3)], 0),
+        "asymmetric-late": lambda: planted(d, [(n - 1, 300)], d[n - 1, 300] + 1),
+        "asymmetric-off-diagonal": lambda: planted(d, [(n - 1, 10)], d[n - 1, 10] + 1),
+        "asymmetric-first": lambda: planted(d, [(0, 1)], 2),
+        "triangle-wide": lambda: np.where(d > 300, 1000, d).astype(d.dtype),
+        "within-tol": lambda: planted(d, [(2, 7), (7, 2)], 5 + 1e-10),
+        "asymmetric": lambda: planted(d, [(2, 7)], 5 + 1e-6),
+    }[case]()
+    expected = assert_same_validation(points, d)
+    assert (expected is None) == (case in ("metric", "within-tol"))
+
+
 @settings(SETTINGS, max_examples=60)
 @given(
     data=st.data(),
@@ -645,7 +840,7 @@ def test_shrink_keeps_the_cores_of_the_restart_loop(token, radius, build, size, 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_lattice_metric_matches_reference(k):
     points = ball_elements(zn_spec(k), 4)
-    d = zn_spec(k).distances(points)(slice(None))
+    d = zn_spec(k).distances(points)(slice(None), slice(None))
     assert np.issubdtype(d.dtype, np.integer)
     assert d.tolist() == ref_cityblock(points)
 
@@ -653,9 +848,31 @@ def test_lattice_metric_matches_reference(k):
 @pytest.mark.parametrize("m", [2, 3, 7])
 def test_cyclic_metric_matches_reference(m):
     points = list(range(m))
-    d = cyclic_spec(m).distances(points)(slice(None))
+    d = cyclic_spec(m).distances(points)(slice(None), slice(None))
     assert np.issubdtype(d.dtype, np.integer)
     assert d.tolist() == ref_cityblock(points, m)
+
+
+# a sign flip beyond |e| = 2 keeps every distance to the unit, so the first
+# stretched pair sits in row 1 ((-1) against (-3)); blocks of 17 cells (the
+# quotient window's width) take one row each, 34 two rows, 153 all nine
+@pytest.mark.parametrize("cells", [17, 34, 153])
+def test_projection_audit_names_the_first_stretched_pair(monkeypatch, cells):
+    Z = zn_spec(1)
+    window, quotient = ball_space(Z, 4), ball_space(Z, 8)
+    U = interval_cover_z(quotient, 1)
+    V = Cover(window.subspace([(0,)]), [[(0,)]], ["K"])
+
+    def flip(e):
+        return e if abs(e[0]) <= 2 else (-e[0],)
+
+    idx = quotient.indices([flip(w) for w in window.points])
+    i, j = np.argwhere(quotient.d[np.ix_(idx, idx)] > window.d)[0]
+    monkeypatch.setattr(metric, "_GATHER_CELLS", cells)
+    with pytest.raises(PreconditionFailed) as err:
+        extension_cover(Z, window, Z, flip, U, V, 1, U.max_diameter())
+    assert err.value.context["pair"] == (point_label(window.points[i]), point_label(window.points[j]))
+    assert err.value.context["pair"] == ("(-1)", "(-3)")
 
 
 EXTENSION_CALLERS = {
