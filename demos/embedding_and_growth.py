@@ -7,9 +7,10 @@ from coarsekit import (
     a_infinity_family,
     ball_space,
     coarse_embedding,
-    cyclic_spec,
+    extension_split,
     gromov_profile,
     growth_curve,
+    lamplighter_spec,
     wreath_cover,
     zn_spec,
 )
@@ -37,7 +38,7 @@ for row in profile.rows:
 
 print()
 print("== covering a lamplighter ball through quotient and kernel ==")
-cover, stats = wreath_cover(zn_spec(1), cyclic_spec(2), 5, 1)
+cover, stats = wreath_cover(extension_split(lamplighter_spec(), 5), 1)
 print(f"  window {stats['window_points']} points, {len(cover)} cover members")
 print(f"  multiplicity {stats['multiplicity']} <= envelope {stats['envelope']}")
 print(f"  depth {stats['lebesgue_safe']} on {stats['safe_points']} safe points")

@@ -36,7 +36,6 @@ from .groups import (
     extension_kernel,
     group_from_token,
     log_log_slope,
-    word_norm_table,
 )
 from .metric import INF, point_label
 from .property_a import (
@@ -140,8 +139,9 @@ def cmd_ball(config: RunConfig):
     space_json = {"schema": SCHEMA, "group": config.group, "radius": config.radius}
     space_json.update(space.to_json())
     if config.norm_csv is not None:
-        table = word_norm_table(spec, config.radius, cap=config.ball_cap)
-        rows = sorted(((point_label(e), n) for e, n in table.items()), key=lambda r: (r[1], r[0]))
+        # points[0] is the unit, so row 0 holds every word norm
+        norms = zip(map(point_label, space.points), space.d[0].tolist())
+        rows = sorted(norms, key=lambda r: (r[1], r[0]))
         with open(config.norm_csv, "w", newline="") as fh:
             fh.write(csv_text(("element", "norm"), rows))
     if config.out is not None:
@@ -177,10 +177,7 @@ def _extension_cover(spec, config: RunConfig):
     if kernel_lam is None:
         kernel_lam = 6 * R
     V = coordinate_interval_cover(split.kernel, -1, kernel_lam)
-    return extension_cover(
-        spec, split.window, split.quotient_spec, split.pi, U, V, config.lam, R,
-        ball_cap=config.ball_cap,
-    )
+    return extension_cover(split, U, V, config.lam, R)
 
 
 def cmd_cover(config: RunConfig):
@@ -190,9 +187,8 @@ def cmd_cover(config: RunConfig):
         if method == "wreath":
             if spec.factors is None:
                 raise PreconditionFailed("cannot split wreath token", token=config.group)
-            cover, stats = wreath_cover(
-                *spec.factors, config.radius, config.lam, ball_cap=config.ball_cap
-            )
+            split = extension_split(spec, config.radius, ball_cap=config.ball_cap)
+            cover, stats = wreath_cover(split, config.lam)
         else:
             if method == "extension":
                 cover = _extension_cover(spec, config)

@@ -11,7 +11,7 @@ from .base import (
     partition_of_unity,
     shrink_to_irreducible,
 )
-from .extension import extension_cover, extension_split, wreath_kernel_cover
+from .extension import extension_cover, extension_split, split_along, wreath_kernel_cover
 from .wreath import eval_polynomial, wreath_cover, wreath_lamp_bricks
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "interval_cover_z",
     "partition_of_unity",
     "shrink_to_irreducible",
+    "split_along",
     "wreath_cover",
     "wreath_kernel_cover",
     "wreath_lamp_bricks",

@@ -5,8 +5,9 @@ the restricted metric, grows a shrunken copy of each kernel member back
 by R, and translates it into each fiber by a deep preimage point.  Its
 three promised statistics (Lebesgue, diameter, multiplicity) are all
 asserted on the computed window, with boundary effects quarantined to a
-reported safe margin rather than silently absorbed.  ``extension_split``
-cuts the windows it needs along a spec's declared quotient map.
+reported safe margin rather than silently absorbed.  ``split_along``
+cuts a window along an audited quotient map, and ``extension_split``
+cuts a ball window along a spec's declared one.
 """
 
 from __future__ import annotations
@@ -71,17 +72,22 @@ def _audit_projection(G: GroupSpec, window: FiniteMetricSpace, H: GroupSpec, pi,
 
 @dataclass(frozen=True)
 class ExtensionSplit:
-    """A ball window of a group cut along its declared quotient map.
+    """A window of a group cut along an audited quotient map.
 
-    ``kernel`` is the subwindow {pi(w) == quotient unit}; each caller
-    brings its own kernel cover and takes U from ``quotient_cover``.
+    ``pi_idx[i]`` is the quotient index of ``pi(window.points[i])``, and
+    ``kernel`` is the subwindow that projects to the quotient unit; each
+    caller brings its own kernel cover and takes U from ``quotient_cover``.
+    ``ball_cap`` is the cap the windows were listed under.
     """
 
+    spec: GroupSpec
     quotient_spec: GroupSpec
     pi: callable
     window: FiniteMetricSpace
     quotient: FiniteMetricSpace
     kernel: FiniteMetricSpace
+    pi_idx: np.ndarray
+    ball_cap: int
 
     def quotient_cover(self, lam):
         """U by the quotient's lattice rank (intervals at 1, bricks above),
@@ -98,6 +104,16 @@ class ExtensionSplit:
         return U, U.max_diameter()
 
 
+def split_along(
+    G: GroupSpec, window: FiniteMetricSpace, H: GroupSpec, quotient: FiniteMetricSpace, pi, ball_cap=None
+) -> ExtensionSplit:
+    """Cut a G-window along pi onto an H-window, auditing pi once."""
+    pi_idx = _audit_projection(G, window, H, pi, quotient)
+    unit = quotient._index.get(H.unit)
+    kernel = window.subspace([w for w, q in zip(window.points, pi_idx) if q == unit])
+    return ExtensionSplit(G, H, pi, window, quotient, kernel, pi_idx, ball_cap)
+
+
 def extension_split(spec: GroupSpec, radius, *, ball_cap=None) -> ExtensionSplit:
     """Windows for the quotient-kernel composition on B_radius(e).
 
@@ -110,37 +126,26 @@ def extension_split(spec: GroupSpec, radius, *, ball_cap=None) -> ExtensionSplit
         quotient_spec, pi = spec.factors[0], lambda w: w.head
     window = ball_space(spec, radius, cap=ball_cap)
     quotient = ball_space(quotient_spec, radius, cap=ball_cap)
-    kernel = window.subspace([w for w in window.points if pi(w) == quotient_spec.unit])
-    return ExtensionSplit(quotient_spec, pi, window, quotient, kernel)
+    return split_along(spec, window, quotient_spec, quotient, pi, ball_cap)
 
 
 def extension_cover(
-    G: GroupSpec,
-    window: FiniteMetricSpace,
-    H: GroupSpec,
-    pi,
-    U_cover: Cover,
-    V_cover: Cover,
-    lam,
-    R,
-    D=None,
-    *,
-    safe_margin=None,
-    ball_cap=None,
+    split: ExtensionSplit, U_cover: Cover, V_cover: Cover, lam, R, *, safe_margin=None
 ) -> Cover:
-    """Cover the G-window by sets z_U * N_R(2R-shrunk V) within each fiber.
+    """Cover the split's window by sets z_U * N_R(2R-shrunk V) within each fiber.
 
-    Preconditions (audited): Lambda(U) >= lam with diam <= R on the
-    quotient window; Lambda(V) >= 6R with diam <= D on the kernel window
-    in the restricted metric.  Conclusions (asserted): multiplicity <=
-    m(U) m(V) and member diameter <= D + 2R everywhere; Lambda >= lam on
-    the safe region.  Points too close to the window edge may end up
-    uncovered; if any point with margin >= safe_margin (default lam) is
-    missed, the window was too small and we say so.
+    Preconditions (audited): U covers the split's quotient window with
+    Lambda(U) >= lam and diam <= R; V covers its kernel window with
+    Lambda(V) >= 6R in the restricted metric.  Conclusions (asserted):
+    multiplicity <= m(U) m(V) and member diameter <= diam V + 2R
+    everywhere; Lambda >= lam on the safe region.  Points too close to
+    the window edge may end up uncovered; if any point with margin >=
+    safe_margin (default lam) is missed, the window was too small and we
+    say so.
     """
-    quotient = U_cover.space
-    kernel = V_cover.space
-    pi_idx = _audit_projection(G, window, H, pi, quotient)
+    G, window, kernel, pi_idx = split.spec, split.window, split.kernel, split.pi_idx
+    if U_cover.space is not split.quotient or V_cover.space is not kernel:
+        raise PreconditionFailed("U must cover the split's quotient window and V its kernel window")
 
     lam_u = U_cover.pointwise_lebesgue()
     if lam_u < lam:
@@ -151,17 +156,10 @@ def extension_cover(
     lam_v = V_cover.pointwise_lebesgue()
     if lam_v < 6 * R:
         raise LebesgueTooSmall("kernel cover surrogate below 6R", measured=lam_v, needed=6 * R)
-    if D is None:
-        D = V_cover.max_diameter()
-    diam_v = V_cover.max_diameter()
-    if diam_v > D:
-        raise PreconditionFailed("kernel cover wider than D", diam=diam_v, D=D)
-    for v in kernel.points:
-        if pi(v) != H.unit:
-            raise PreconditionFailed("kernel window point projects off the unit", point=point_label(v))
+    D = V_cover.max_diameter()
 
     try:
-        small_ball = frozenset(word_norm_table(G, R, cap=ball_cap)) if R > 0 else frozenset({G.unit})
+        small_ball = frozenset(word_norm_table(G, R, cap=split.ball_cap)) if R > 0 else frozenset({G.unit})
     except BallTooLarge as err:
         # the window fit; the ball of the quotient cover's diameter did not
         raise BallTooLarge("R-ball enumeration exceeded cap", **err.context, R=R) from None

@@ -10,9 +10,9 @@ along the head projection.
 from __future__ import annotations
 
 from ..errors import AuditFailed, PreconditionFailed
-from ..groups import GroupSpec, ball_elements, wreath_spec
+from ..groups import ball_elements
 from .base import Cover, _dedupe_nested
-from .extension import extension_cover, extension_split, wreath_kernel_cover
+from .extension import ExtensionSplit, extension_cover, wreath_kernel_cover
 
 
 def eval_polynomial(coeffs, x):
@@ -49,14 +49,13 @@ def wreath_lamp_bricks(inside_window, positions, lam) -> Cover:
     return cover
 
 
-def wreath_cover(N: GroupSpec, G: GroupSpec, ball_radius, lam, *, ball_cap=None):
-    """Cover a ball window of N wr G with the quotient-kernel composition.
+def wreath_cover(split: ExtensionSplit, lam):
+    """Cover a split ball window of N wr G with the quotient-kernel composition.
 
     Returns the cover and a stats dict holding the measured triple next
     to the theoretical multiplicity envelope (n+1)(m+1)|B_{6R}(e)|.
     """
-    W = wreath_spec(N, G)
-    split = extension_split(W, ball_radius, ball_cap=ball_cap)
+    N, G = split.spec.factors
     U, R = split.quotient_cover(lam)
     r = 6 * R
 
@@ -77,20 +76,7 @@ def wreath_cover(N: GroupSpec, G: GroupSpec, ball_radius, lam, *, ball_cap=None)
         V = wreath_lamp_bricks(inside_window, inside_positions, r)
 
     kernel_cover = wreath_kernel_cover(N, G, r, kernel_window, V)
-    D = kernel_cover.max_diameter()
-
-    cover = extension_cover(
-        W,
-        split.window,
-        N,
-        split.pi,
-        U,
-        kernel_cover,
-        lam,
-        R,
-        D,
-        ball_cap=ball_cap,
-    )
+    cover = extension_cover(split, U, kernel_cover, lam, R)
     envelope = (N.asdim + 1) * (G.asdim + 1) * len(inside_positions)
     stats = dict(cover.meta["conclusions"])
     if stats["multiplicity"] > envelope:

@@ -25,6 +25,9 @@ from .metric import INF, point_label, _tolerance
 ORACLE_MAX_POINTS = 9
 ORACLE_NODE_CAP = 10_000_000
 
+# Cells of d per chunk of member rows in independent_audit.
+_AUDIT_CELLS = 1 << 20
+
 CSV_HEADER = (
     "group",
     "lambda",
@@ -260,19 +263,25 @@ def independent_audit(cover):
     """Recompute (multiplicity, Lebesgue surrogate, diameter) from raw masks.
 
     A point outside a set lies in its complement, so only member rows can
-    raise a depth above 0; each set reads just its own rows of ``d``.
+    raise a depth above 0; each set reads just its own rows of ``d``, a
+    chunk of at most ``_AUDIT_CELLS`` cells at a time.
     """
     d = cover.space.d
     masks = cover.masks
+    n = len(cover.space.points)
     mult = int(masks.sum(axis=0).max())
-    depth = np.zeros(len(cover.space.points))
+    depth = np.zeros(n)
     diam = 0.0
+    step = max(1, _AUDIT_CELLS // n)
     for row in masks:
         inside = np.flatnonzero(row)
-        block = d[inside]
-        dist = block[:, ~row].min(axis=1) if len(inside) < len(row) else INF
-        depth[inside] = np.maximum(depth[inside], dist)
-        diam = max(diam, float(block[:, inside].max()))
+        outside = ~row
+        for start in range(0, len(inside), step):
+            chunk = inside[start : start + step]
+            block = d[chunk]
+            dist = block[:, outside].min(axis=1) if len(inside) < n else INF
+            depth[chunk] = np.maximum(depth[chunk], dist)
+            diam = max(diam, float(block[:, inside].max()))
     return mult, float(depth.min()), diam
 
 
@@ -365,7 +374,11 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
     emitted.
     """
     spec = group_from_token(token)
-    space = ball_space(spec, ball_radius, cap=ball_cap)
+    if spec.factors is not None:
+        split = extension_split(spec, ball_radius, ball_cap=ball_cap)
+        space = split.window
+    else:
+        space = ball_space(spec, ball_radius, cap=ball_cap)
     profile = DimensionProfile(
         token, "growth", "D=" + ",".join(str(c) for c in diam_policy)
     )
@@ -416,7 +429,7 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
                     )
 
         if spec.factors is not None:
-            w_cover, stats = wreath_cover(*spec.factors, ball_radius, lam, ball_cap=ball_cap)
+            w_cover, stats = wreath_cover(split, lam)
             mult, lam_meas, diam = independent_audit(w_cover)
             if mult != stats["multiplicity"]:
                 raise AuditFailed("wreath witness failed re-audit", mult=mult)
@@ -476,10 +489,9 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
                 profile.add_row(0, 0, 1, "singletons", None, single.stats()["boundary_margin"])
                 continue
             U, R = split.quotient_cover(lam)
-            args = (spec, window, split.quotient_spec, split.pi, U, V, lam, R, None)
             cover = None
             try:
-                cover = extension_cover(*args, safe_margin=lam, ball_cap=ball_cap)
+                cover = extension_cover(split, U, V, lam, R, safe_margin=lam)
             except WindowTooSmall as err:
                 if "requested_margin" not in err.context:
                     raise
@@ -488,7 +500,7 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
                 margin = int(err.context["margin"]) + 1
             if cover is None:
                 # outside the handler, so the failed attempt's frames are freed
-                cover = extension_cover(*args, safe_margin=margin, ball_cap=ball_cap)
+                cover = extension_cover(split, U, V, lam, R, safe_margin=margin)
             mult, lam_meas, diam = independent_audit(cover)
             if mult > cap:
                 raise AuditFailed("multiplicity cap violated", mult=mult, cap=cap)

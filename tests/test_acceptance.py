@@ -16,6 +16,7 @@ from coarsekit.covers import (
     brick_families_zl,
     coordinate_interval_cover,
     extension_cover,
+    extension_split,
     families_to_cover,
     interval_cover_z,
     partition_of_unity,
@@ -26,7 +27,6 @@ from coarsekit.dimension import greedy_min_multiplicity, oracle_min_multiplicity
 from coarsekit.errors import Infeasible
 from coarsekit.groups import (
     ball_space,
-    cyclic_spec,
     distortion_profile,
     free_ball_cover_audit,
     free_spec,
@@ -245,14 +245,11 @@ def test_08_lamplighter_kernel_norms():
 def test_09_plane_to_line_extension_conclusions():
     started = time.perf_counter()
     failures = []
-    G = zn_spec(2)
     lam, R = 2, 8
-    window = ball_space(G, 24)
-    quotient = ball_space(zn_spec(1), 24)
-    U = interval_cover_z(quotient, lam)
-    kernel = window.subspace([p for p in window.points if p[0] == 0])
-    V = coordinate_interval_cover(kernel, 1, 6 * R)
-    cover = extension_cover(G, window, zn_spec(1), lambda e: (e[0],), U, V, lam, R)
+    split = extension_split(zn_spec(2), 24)
+    U = interval_cover_z(split.quotient, lam)
+    V = coordinate_interval_cover(split.kernel, 1, 6 * R)
+    cover = extension_cover(split, U, V, lam, R)
     got = cover.meta["conclusions"]
     if got["multiplicity"] > got["multiplicity_bound"]:
         failures.append("multiplicity conclusion failed")
@@ -266,7 +263,7 @@ def test_09_plane_to_line_extension_conclusions():
 def test_10_lamplighter_cover_pipeline():
     started = time.perf_counter()
     failures = []
-    cover, stats = wreath_cover(zn_spec(1), cyclic_spec(2), 5, 1)
+    cover, stats = wreath_cover(extension_split(lamplighter_spec(), 5), 1)
     if stats["envelope"] != 26:
         failures.append(f"envelope {stats['envelope']} != 26")
     if stats["multiplicity"] > 26:

@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from coarsekit._jsonutil import canonical_json
+from coarsekit import cli, groups
+from coarsekit._jsonutil import canonical_json, csv_text
 from coarsekit.cli import main
+from coarsekit.groups import group_from_token, word_norm_table
+from coarsekit.metric import point_label
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,6 +54,31 @@ def test_ball_norm_csv_quotes_plane_points(capsys, tmp_path):
     assert code == 0
     text = csv_path.read_text()
     assert '"(0,1)",1' in text  # comma inside the label forces quotes
+
+
+@pytest.mark.parametrize("token, radius", [("heisenberg", 5), ("lamplighter", 4)])
+def test_ball_norm_csv_is_the_bfs_table(capsys, tmp_path, token, radius):
+    csv_path = tmp_path / "norms.csv"
+    code, _ = run(capsys, "ball", "--group", token, "--radius", str(radius), "--norm-csv", str(csv_path))
+    assert code == 0
+    table = word_norm_table(group_from_token(token), radius)
+    rows = sorted(((point_label(e), n) for e, n in table.items()), key=lambda r: (r[1], r[0]))
+    assert csv_path.read_text() == csv_text(("element", "norm"), rows)
+
+
+def test_ball_norm_csv_runs_one_bfs(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return word_norm_table(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "word_norm_table", counting)
+    # the command module's own reference, where it keeps one
+    monkeypatch.setattr(cli, "word_norm_table", counting, raising=False)
+    code, _ = run(capsys, "ball", "--group", "heisenberg", "--radius", "5", "--norm-csv", str(tmp_path / "n.csv"))
+    assert code == 0
+    assert calls == [5]
 
 
 def test_cover_ball_stats(capsys):

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from coarsekit import dimension
 from coarsekit.errors import AuditFailed, Infeasible, TooLarge
-from coarsekit.covers import Cover
+from coarsekit.covers import Cover, extension
 from coarsekit.dimension import (
     CSV_HEADER,
     DimensionProfile,
@@ -88,6 +89,32 @@ def test_independent_audit_recomputes_cover_facts():
     assert mult == cover.multiplicity() == 2
     assert lam == cover.pointwise_lebesgue() == 2
     assert diam == cover.max_diameter() == 5
+
+
+def test_gromov_audits_the_projection_once(monkeypatch):
+    audit, calls = extension._audit_projection, []
+
+    def counting(*args):
+        calls.append(args)
+        return audit(*args)
+
+    monkeypatch.setattr(extension, "_audit_projection", counting)
+    gromov_profile("heisenberg", 6, [1, 2], 9)
+    assert len(calls) == 1
+
+
+def test_wreath_profile_lists_its_window_once(monkeypatch):
+    windows = []
+
+    def counting(spec, radius, cap=None):
+        if spec.factors is not None:
+            windows.append(radius)
+        return ball_space(spec, radius, cap)
+
+    for module in (dimension, extension):
+        monkeypatch.setattr(module, "ball_space", counting)
+    growth_curve("lamplighter", [1, 2], [0, 4], 5)
+    assert windows == [5]
 
 
 def test_growth_curve_flat_on_the_line():

@@ -16,7 +16,9 @@ from coarsekit.covers import (
     coordinate_interval_cover,
     eval_polynomial,
     extension_cover,
+    extension_split,
     interval_cover_z,
+    split_along,
     wreath_cover,
     wreath_kernel_cover,
 )
@@ -38,11 +40,10 @@ Z = zn_spec(1)
 def test_extension_with_trivial_quotient_reproduces_kernel_cover():
     # constant projection: the whole window is one fiber, so the output
     # is exactly the kernel cover
-    window = ball_space(Z, 6)
-    quotient = ball_space(Z, 0)
-    U = Cover(quotient, [list(quotient.points)], ["Q"])
-    V = interval_cover_z(window, 2)
-    result = extension_cover(Z, window, Z, lambda e: (0,), U, V, 1, 0)
+    split = split_along(Z, ball_space(Z, 6), Z, ball_space(Z, 0), lambda e: (0,))
+    U = Cover(split.quotient, [list(split.quotient.points)], ["Q"])
+    V = interval_cover_z(split.kernel, 2)
+    result = extension_cover(split, U, V, 1, 0)
     assert sorted(map(tuple, result.sets())) == sorted(map(tuple, V.sets()))
     assert result.meta["conclusions"]["multiplicity"] == V.multiplicity()
 
@@ -50,26 +51,35 @@ def test_extension_with_trivial_quotient_reproduces_kernel_cover():
 def test_extension_with_trivial_kernel_reproduces_quotient_cover():
     # identity projection: fibers are single points, so the output pulls
     # the quotient cover straight back
-    window = ball_space(Z, 12)
-    quotient = ball_space(Z, 12)
-    U = interval_cover_z(quotient, 2)
-    kernel = window.subspace([(0,)])
-    V = Cover(kernel, [[(0,)]], ["K"])
+    split = split_along(Z, ball_space(Z, 12), Z, ball_space(Z, 12), lambda e: e)
+    U = interval_cover_z(split.quotient, 2)
+    V = Cover(split.kernel, [[(0,)]], ["K"])
     R = U.max_diameter()
-    result = extension_cover(Z, window, Z, lambda e: e, U, V, 2, R)
+    result = extension_cover(split, U, V, 2, R)
     assert sorted(map(tuple, result.sets())) == sorted(map(tuple, U.sets()))
     assert result.meta["conclusions"]["diameter_bound"] == 2 * R
 
 
+def test_extension_cover_takes_covers_of_the_split_windows():
+    split = split_along(Z, ball_space(Z, 12), Z, ball_space(Z, 12), lambda e: e)
+    U = interval_cover_z(split.quotient, 2)
+    V = Cover(split.kernel, [[(0,)]], ["K"])
+    R = U.max_diameter()
+    other_kernel = split.kernel.subspace(split.kernel.points)
+    for u, v in [(interval_cover_z(ball_space(Z, 12), 2), V), (U, Cover(other_kernel, [[(0,)]], ["K"]))]:
+        with pytest.raises(PreconditionFailed) as err:
+            extension_cover(split, u, v, 2, R)
+        assert "split" in str(err.value)
+    assert extension_cover(split, U, V, 2, R).meta["R"] == R
+
+
 def plane_extension(radius, lam, kernel_lam=None):
     G = zn_spec(2)
-    window = ball_space(G, radius)
-    quotient = ball_space(Z, radius)
-    U = interval_cover_z(quotient, lam)
+    split = split_along(G, ball_space(G, radius), Z, ball_space(Z, radius), lambda e: (e[0],))
+    U = interval_cover_z(split.quotient, lam)
     R = U.max_diameter()
-    kernel = window.subspace([p for p in window.points if p[0] == 0])
-    V = coordinate_interval_cover(kernel, 1, kernel_lam if kernel_lam else 6 * R)
-    return extension_cover(G, window, Z, lambda e: (e[0],), U, V, lam, R)
+    V = coordinate_interval_cover(split.kernel, 1, kernel_lam if kernel_lam else 6 * R)
+    return extension_cover(split, U, V, lam, R)
 
 
 def test_cli_extension_cover_equals_the_hand_built_one(tmp_path, capsys):
@@ -115,14 +125,11 @@ def test_extension_window_too_small():
 def test_extension_audits_the_projection():
     window = ball_space(Z, 4)
     quotient = ball_space(Z, 8)
-    U = interval_cover_z(quotient, 1)
-    kernel = window.subspace([(0,)])
-    V = Cover(kernel, [[(0,)]], ["K"])
     with pytest.raises(PreconditionFailed) as err:
-        extension_cover(Z, window, Z, lambda e: (2 * e[0],), U, V, 1, U.max_diameter())
+        split_along(Z, window, Z, quotient, lambda e: (2 * e[0],))
     assert "Lipschitz" in str(err.value)
     with pytest.raises(PreconditionFailed) as err:
-        extension_cover(Z, window, Z, lambda e: (abs(e[0]),), U, V, 1, U.max_diameter())
+        split_along(Z, window, Z, quotient, lambda e: (abs(e[0]),))
     assert "homomorphism" in str(err.value)
 
 
@@ -160,7 +167,7 @@ def test_wreath_kernel_cover_rejects_thin_inside_cover():
 
 
 def test_wreath_cover_lamplighter():
-    cover, stats = wreath_cover(Z, cyclic_spec(2), 5, 1)
+    cover, stats = wreath_cover(extension_split(wreath_spec(Z, cyclic_spec(2)), 5), 1)
     assert stats["envelope"] == 2 * 1 * len(ball_elements(Z, 6))
     assert stats["multiplicity"] <= stats["envelope"]
     assert stats["lebesgue_safe"] >= 1
@@ -168,7 +175,7 @@ def test_wreath_cover_lamplighter():
 
 
 def test_wreath_cover_integer_lamps():
-    cover, stats = wreath_cover(Z, Z, 3, 1)
+    cover, stats = wreath_cover(extension_split(wreath_spec(Z, Z), 3), 1)
     assert stats["envelope"] == 4 * len(ball_elements(Z, 6))
     assert stats["multiplicity"] <= stats["multiplicity_bound"]
     assert stats["lebesgue_safe"] >= 1

@@ -24,6 +24,7 @@ must name the same error and witness.
 
 import dataclasses
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,15 +32,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from coarsekit import cli, groups, metric
+from coarsekit import cli, dimension, groups, metric
 from coarsekit._jsonutil import canonical_json
 from coarsekit.covers import (
     Cover,
     ball_cover,
     brick_cover_zl,
     extension_cover,
-    interval_cover_z,
+    extension_split,
     shrink_to_irreducible,
+    split_along,
     wreath_cover,
 )
 from coarsekit.dimension import gromov_profile, independent_audit
@@ -51,6 +53,7 @@ from coarsekit.groups import (
     free_spec,
     group_from_token,
     heisenberg_spec,
+    lamplighter_spec,
     word_norm_table,
     zn_spec,
 )
@@ -699,6 +702,31 @@ def test_independent_audit_matches_reference():
     assert seen == {"uncovered", "whole space", "singleton", "duplicate"}
 
 
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, 7])
+def test_independent_audit_chunks_match_reference(monkeypatch, rows_per_chunk):
+    space = window("zn:2")
+    monkeypatch.setattr(dimension, "_AUDIT_CELLS", rows_per_chunk * len(space))
+    pts = space.points
+    for cover in (ball_cover(space, 1), Cover(space, [pts[:-1], pts[-2:]]), Cover(space, [pts])):
+        assert independent_audit(cover) == ref_independent_audit(cover)
+
+
+def test_independent_audit_temporaries_stay_bounded():
+    # 3,001 points in int16: an 18 MB matrix, against member-row chunks of
+    # at most 2**20 cells
+    space = ball_space(zn_spec(1), 1500)
+    pts = space.points
+    cover = Cover(space, [pts[:-1], pts[-2:]])
+    tracemalloc.start()
+    try:
+        result = independent_audit(cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * space.d.nbytes
+    assert result == (2, 1.0, 3000.0)
+
+
 def test_independent_audit_calls_no_cover_statistic(monkeypatch):
     cover = ball_cover(window("zn:2"), 1)
     expected = ref_independent_audit(cover)
@@ -860,8 +888,6 @@ def test_cyclic_metric_matches_reference(m):
 def test_projection_audit_names_the_first_stretched_pair(monkeypatch, cells):
     Z = zn_spec(1)
     window, quotient = ball_space(Z, 4), ball_space(Z, 8)
-    U = interval_cover_z(quotient, 1)
-    V = Cover(window.subspace([(0,)]), [[(0,)]], ["K"])
 
     def flip(e):
         return e if abs(e[0]) <= 2 else (-e[0],)
@@ -870,7 +896,7 @@ def test_projection_audit_names_the_first_stretched_pair(monkeypatch, cells):
     i, j = np.argwhere(quotient.d[np.ix_(idx, idx)] > window.d)[0]
     monkeypatch.setattr(metric, "_GATHER_CELLS", cells)
     with pytest.raises(PreconditionFailed) as err:
-        extension_cover(Z, window, Z, flip, U, V, 1, U.max_diameter())
+        split_along(Z, window, Z, quotient, flip)
     assert err.value.context["pair"] == (point_label(window.points[i]), point_label(window.points[j]))
     assert err.value.context["pair"] == ("(-1)", "(-3)")
 
@@ -881,7 +907,7 @@ EXTENSION_CALLERS = {
         lambda: cli.main(["cover", "--method", "extension", "--group", "zn:3", "--radius", "6", "--lambda", "1"]),
     ),
     "gromov-heisenberg": ("coarsekit.dimension", lambda: gromov_profile("heisenberg", 6, [1, 2], 7)),
-    "wreath-lamplighter": ("coarsekit.covers.wreath", lambda: wreath_cover(zn_spec(1), cyclic_spec(2), 4, 1)),
+    "wreath-lamplighter": ("coarsekit.covers.wreath", lambda: wreath_cover(extension_split(lamplighter_spec(), 4), 1)),
 }
 
 
@@ -891,9 +917,9 @@ def test_extension_cover_matches_reference(monkeypatch, capsys, caller):
     original = extension_cover
     built = []
 
-    def recording(G, window, H, pi, U, V, lam, R, *args, **kwargs):
-        cover = original(G, window, H, pi, U, V, lam, R, *args, **kwargs)
-        built.append((cover, ref_extension(G, window, pi, U, V, R)))
+    def recording(split, U, V, lam, R, *args, **kwargs):
+        cover = original(split, U, V, lam, R, *args, **kwargs)
+        built.append((cover, ref_extension(split.spec, split.window, split.pi, U, V, R)))
         return cover
 
     monkeypatch.setattr(f"{module}.extension_cover", recording)
