@@ -33,30 +33,55 @@ class Cover:
     this: multiplicity at an interior point must equal the ball size).
     ``require_total=False`` admits partial covers; constructions on window
     truncations use it and report the uncovered fringe instead of hiding it.
+    ``sets`` is either a sequence of point lists or a boolean matrix with
+    one row per set and one column per point; the matrix is kept, not
+    copied.
     """
 
     def __init__(self, space: FiniteMetricSpace, sets, labels=None, *, require_total=True, meta=None):
         self.space = space
         n = len(space.points)
-        masks = np.zeros((len(sets), n), dtype=bool)
-        for i, members in enumerate(sets):
-            idx = space.indices(list(members))
-            if idx.size == 0:
-                raise PreconditionFailed("cover contains an empty set", index=i)
-            masks[i, idx] = True
+        if isinstance(sets, np.ndarray):
+            if sets.dtype != bool or sets.ndim != 2 or sets.shape[1] != n:
+                raise PreconditionFailed("cover masks must be a boolean sets x points matrix", shape=sets.shape)
+            masks = sets
+            empty = np.flatnonzero(~masks.any(axis=1))
+            if empty.size:
+                raise PreconditionFailed("cover contains an empty set", index=int(empty[0]))
+        else:
+            masks = np.zeros((len(sets), n), dtype=bool)
+            for i, members in enumerate(sets):
+                idx = space.indices(list(members))
+                if idx.size == 0:
+                    raise PreconditionFailed("cover contains an empty set", index=i)
+                masks[i, idx] = True
         self.masks = masks
-        self.labels = list(labels) if labels is not None else [f"U{i}" for i in range(len(sets))]
-        if len(self.labels) != len(sets):
+        self.labels = list(labels) if labels is not None else [f"U{i}" for i in range(len(masks))]
+        if len(self.labels) != len(masks):
             raise PreconditionFailed("label count mismatch")
         self.meta = dict(meta) if meta else {}
         self._comp = None
         self._diam = None
-        if require_total and len(sets) and not self.covered_mask().all():
+        if require_total and len(masks) and not self.covered_mask().all():
             missing = np.flatnonzero(~self.covered_mask())[0]
             raise NotCovering("sets do not cover the space", witness=point_label(space.points[missing]))
 
     def __len__(self):
         return self.masks.shape[0]
+
+    def subfamily(self, kept, *, meta=None) -> "Cover":
+        """The members ``kept``, in that order, as a cover of the same space.
+
+        They are the same sets, so whatever of their complement distances
+        and diameters this cover has measured carries over row for row.
+        """
+        kept = np.asarray(kept, dtype=np.intp)
+        sub = Cover(self.space, self.masks[kept], [self.labels[i] for i in kept], meta=meta)
+        if self._comp is not None:
+            sub._comp = self._comp[kept]
+        if self._diam is not None:
+            sub._diam = tuple(self._diam[i] for i in kept)
+        return sub
 
     def sets(self):
         return [tuple(p for p, m in zip(self.space.points, row) if m) for row in self.masks]
@@ -220,11 +245,10 @@ def ball_cover(space: FiniteMetricSpace, lam, centers=None) -> Cover:
     if centers is None:
         centers = list(space.points)
     tol = _tolerance(space.d)
-    idx = space.indices(centers)
-    inside = space.d[:, idx] <= lam + tol
-    sets = [[space.points[i] for i in np.flatnonzero(inside[:, k])] for k in range(len(centers))]
+    # row c of d is column c, as d is audited symmetric
+    inside = space.d[space.indices(centers)] <= lam + tol
     labels = [f"B{lam}({point_label(c)})" for c in centers]
-    return Cover(space, sets, labels, meta={"method": "ball", "radius": lam})
+    return Cover(space, inside, labels, meta={"method": "ball", "radius": lam})
 
 
 def families_to_cover(space: FiniteMetricSpace, families, r, lam) -> Cover:
@@ -368,10 +392,8 @@ def shrink_to_irreducible(cover: Cover, n) -> Cover:
         injection[cover.labels[i]] = cover.space.points[owned[0]]
         private[cover.labels[i]] = pts
 
-    result = Cover(
-        cover.space,
-        [cover.set_points(i) for i in kept],
-        [cover.labels[i] for i in kept],
+    result = cover.subfamily(
+        kept,
         meta={
             "method": "shrink_to_irreducible",
             "shrink": n,

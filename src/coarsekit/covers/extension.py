@@ -2,10 +2,14 @@
 
 The composition takes a cover of the quotient, a cover of the kernel in
 the restricted metric, grows a shrunken copy of each kernel member back
-by R, and translates it into each fiber by a deep preimage point.  Its
-three promised statistics (Lebesgue, diameter, multiplicity) are all
-asserted on the computed window, with boundary effects quarantined to a
-reported safe margin rather than silently absorbed.  ``split_along``
+by R, and translates it into each fiber by a deep preimage point.  A
+window point w lies in z N_R(core) exactly when d(z s, w) <= R for some
+core element s, as word metrics are left-invariant; that distance comes
+from the spec's declared metric, and for wreath products (which declare
+none) from the BFS table of the R-ball.  Its three promised statistics
+(Lebesgue, diameter, multiplicity) are all asserted on the computed
+window, with boundary effects quarantined to a reported safe margin
+rather than silently absorbed.  ``split_along``
 cuts a window along an audited quotient map, and ``extension_split``
 cuts a ball window along a spec's declared one.
 """
@@ -16,21 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (
-    AuditFailed,
-    BallTooLarge,
-    LebesgueTooSmall,
-    PreconditionFailed,
-    WindowTooSmall,
-)
-from ..groups import (
-    GroupSpec,
-    ball_elements,
-    ball_space,
-    wreath_outside,
-    wreath_restrict,
-    word_norm_table,
-)
+from ..errors import AuditFailed, LebesgueTooSmall, PreconditionFailed, WindowTooSmall
+from ..groups import GroupSpec, ball_elements, ball_space, within, wreath_outside, wreath_restrict
 from ..metric import FiniteMetricSpace, point_label, row_blocks, _tolerance
 from .base import Cover, brick_cover_zl, interval_cover_z
 
@@ -77,7 +68,9 @@ class ExtensionSplit:
     ``pi_idx[i]`` is the quotient index of ``pi(window.points[i])``, and
     ``kernel`` is the subwindow that projects to the quotient unit; each
     caller brings its own kernel cover and takes U from ``quotient_cover``.
-    ``ball_cap`` is the cap the windows were listed under.
+    ``key_rank[i]`` is the rank of ``window.points[i]`` in element order,
+    the canonical tie-break.  ``ball_cap`` is the cap the windows were
+    listed under.
     """
 
     spec: GroupSpec
@@ -87,6 +80,7 @@ class ExtensionSplit:
     quotient: FiniteMetricSpace
     kernel: FiniteMetricSpace
     pi_idx: np.ndarray
+    key_rank: np.ndarray
     ball_cap: int
 
     def quotient_cover(self, lam):
@@ -111,7 +105,10 @@ def split_along(
     pi_idx = _audit_projection(G, window, H, pi, quotient)
     unit = quotient._index.get(H.unit)
     kernel = window.subspace([w for w, q in zip(window.points, pi_idx) if q == unit])
-    return ExtensionSplit(G, H, pi, window, quotient, kernel, pi_idx, ball_cap)
+    n = len(window.points)
+    key_rank = np.empty(n, dtype=np.intp)
+    key_rank[sorted(range(n), key=window.points.__getitem__)] = np.arange(n)
+    return ExtensionSplit(G, H, pi, window, quotient, kernel, pi_idx, key_rank, ball_cap)
 
 
 def extension_split(spec: GroupSpec, radius, *, ball_cap=None) -> ExtensionSplit:
@@ -136,7 +133,10 @@ def extension_cover(
 
     Preconditions (audited): U covers the split's quotient window with
     Lambda(U) >= lam and diam <= R; V covers its kernel window with
-    Lambda(V) >= 6R in the restricted metric.  Conclusions (asserted):
+    Lambda(V) >= 6R in the restricted metric.  Membership is measured with
+    ``groups.within``: the spec's declared metric between the translated
+    core z s and each strip point, or the R-ball table when the spec
+    declares no metric.  Conclusions (asserted):
     multiplicity <= m(U) m(V) and member diameter <= diam V + 2R
     everywhere; Lambda >= lam on the safe region.  Points too close to
     the window edge may end up uncovered; if any point with margin >=
@@ -158,46 +158,38 @@ def extension_cover(
         raise LebesgueTooSmall("kernel cover surrogate below 6R", measured=lam_v, needed=6 * R)
     D = V_cover.max_diameter()
 
-    try:
-        small_ball = frozenset(word_norm_table(G, R, cap=split.ball_cap)) if R > 0 else frozenset({G.unit})
-    except BallTooLarge as err:
-        # the window fit; the ball of the quotient cover's diameter did not
-        raise BallTooLarge("R-ball enumeration exceeded cap", **err.context, R=R) from None
-
-    # 2R-shrunk kernel members, in the restricted metric of the kernel window
+    # w joins the member of (U_i, V_j) when d(z_i s, w) <= R for some s in
+    # the 2R-shrunk V_j (in the restricted metric of the kernel window)
+    near = within(G, R, cap=split.ball_cap)
     comp_v = V_cover.complement_distances()
     tol = _tolerance(kernel.d)
-    core_inverses = []
-    for j in range(len(V_cover)):
-        keep = V_cover.masks[j] & (comp_v[j] > 2 * R + tol)
-        core_inverses.append([G.inverse(kernel.points[i]) for i in np.flatnonzero(keep)])
+    cores = [
+        [kernel.points[k] for k in np.flatnonzero(V_cover.masks[j] & (comp_v[j] > 2 * R + tol))]
+        for j in range(len(V_cover))
+    ]
 
     # deepest preimage point per quotient member, canonical ties
     comp_u = U_cover.complement_distances()
     n = len(window.points)
     norms = window.d[:, window.index(G.unit)] if G.unit in window._index else np.zeros(n)
-    key_rank = np.empty(n, dtype=np.intp)
-    key_rank[sorted(range(n), key=window.points.__getitem__)] = np.arange(n)
 
-    sets, labels, owners, z_points = [], [], [], {}
+    rows, labels, owners, z_points = [], [], [], {}
     for i in range(len(U_cover)):
         strip = np.flatnonzero(U_cover.masks[i, pi_idx])
         if strip.size == 0:
             continue
-        deepest = np.lexsort((key_rank[strip], norms[strip], -comp_u[i, pi_idx[strip]]))[0]
+        deepest = np.lexsort((split.key_rank[strip], norms[strip], -comp_u[i, pi_idx[strip]]))[0]
         z = window.points[strip[deepest]]
         z_points[U_cover.labels[i]] = point_label(z)
-        z_inv = G.inverse(z)
-        shifted = [(window.points[wi], G.multiply(z_inv, window.points[wi])) for wi in strip]
-        for j, core_inv in enumerate(core_inverses):
-            if not core_inv:
+        targets = [window.points[wi] for wi in strip]
+        for j, core in enumerate(cores):
+            if not core:
                 continue
-            members = [
-                w for w, x in shifted
-                if any(G.multiply(s_inv, x) in small_ball for s_inv in core_inv)
-            ]
-            if members:
-                sets.append(members)
+            hit = near([G.multiply(z, s) for s in core], targets)
+            if hit.any():
+                row = np.zeros(n, dtype=bool)
+                row[strip[hit]] = True
+                rows.append(row)
                 labels.append(f"W({U_cover.labels[i]},{V_cover.labels[j]})")
                 owners.append((U_cover.labels[i], V_cover.labels[j]))
 
@@ -206,7 +198,7 @@ def extension_cover(
     safe = margins >= guard
     cover = Cover(
         window,
-        sets,
+        np.array(rows, dtype=bool).reshape(len(rows), n),
         labels,
         require_total=False,
         meta={

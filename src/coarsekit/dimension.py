@@ -210,15 +210,19 @@ def _rotated_brick_cover(space, lam, D):
     return None
 
 
-def greedy_min_multiplicity(space, lam, D):
+def greedy_min_multiplicity(space, lam, D, *, ball=None):
     """Best multiplicity over the construction catalog, with a valid witness.
 
     Every candidate is audited for diameter and exact containment before
     it may win, so the result can never undercut the oracle.  Candidates
     in order: the whole space, singletons (lam = 0), interval chains in
     one dimension, rotated then straight bricks in two and more, and the
-    ball cover fallback once 2 lam <= D.
+    ball cover fallback once 2 lam <= D.  A caller that already holds
+    ``ball_cover(space, lam)`` passes it as ``ball``, and its measured
+    statistics are reused.
     """
+    if ball is not None and (ball.space is not space or ball.meta.get("radius") != lam or len(ball) != len(space)):
+        raise PreconditionFailed("ball must be the lam-ball cover of this space", lam=lam)
     candidates = []
     if space.diameter() <= D:
         whole = Cover(space, [list(space.points)], ["X"], meta={"method": "whole"})
@@ -246,7 +250,7 @@ def greedy_min_multiplicity(space, lam, D):
         if bricks is not None and _cover_is_valid(bricks, lam, D):
             candidates.append(bricks)
     if 2 * lam <= D:
-        balls = ball_cover(space, lam)
+        balls = ball if ball is not None else ball_cover(space, lam)
         if _cover_is_valid(balls, lam, D):
             candidates.append(balls)
 
@@ -399,7 +403,7 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
             rows_at.append(mult)
 
         try:
-            g_mult, g_cover = greedy_min_multiplicity(space, lam, D)
+            g_mult, g_cover = greedy_min_multiplicity(space, lam, D, ball=ball)
         except Infeasible:
             g_cover = None
         if g_cover is not None:

@@ -378,6 +378,38 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
     return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
 
 
+def within(spec: GroupSpec, radius: int, cap=None):
+    """``near(sources, targets)``: the mask of targets within ``radius`` of
+    some source in the word metric.
+
+    A declared metric answers from ``rows(sources, targets)``, exact
+    because word metrics are left-invariant, so no ball is listed; else
+    (wreath products) ``s^{-1} t`` is looked up in the BFS table of the
+    radius ball, listed once here under ``cap``.
+    """
+    if spec.distances is None:
+        ball = word_norm_table(spec, radius, cap)
+
+        def near(sources, targets):
+            inverses = [spec.inverse(s) for s in sources]
+            return np.array(
+                [any(spec.multiply(s_inv, t) in ball for s_inv in inverses) for t in targets], dtype=bool
+            )
+
+        return near
+
+    def near(sources, targets):
+        m = len(sources)
+        rows = spec.distances(list(sources) + list(targets))
+        hit = np.zeros(len(targets), dtype=bool)
+        step = max(1, _CHUNK_ELEMENTS // max(1, len(targets)))
+        for start in range(0, m, step):
+            hit |= (rows(slice(start, min(m, start + step)), slice(m, None)) <= radius).any(axis=0)
+        return hit
+
+    return near
+
+
 def _pairwise_distances(spec: GroupSpec, table, points, dtype):
     """d[i, j] = table[x_i^{-1} x_j], one pair at a time."""
     n = len(points)

@@ -389,16 +389,20 @@ def test_ball_cap_exit_code(capsys):
     assert body["type"] == "BallTooLarge"
 
 
-def test_r_ball_cap_names_the_enumeration(capsys):
-    # the 593-point window fits the cap; the ball of radius R = 10 does not
-    code, body = run_json(
-        capsys, "cover", "--method", "extension", "--group", "heisenberg",
-        "--radius", "6", "--lambda", "1", "--ball-cap", "1000",
-    )
+def test_extension_cover_lists_no_r_ball_under_the_cap(capsys):
+    # membership reads the declared metric, so only the window's own BFS
+    # counts against the cap: 593 points fit 1000 (R = 10 lists no ball)
+    # and trip 500
+    argv = ("cover", "--method", "extension", "--group", "heisenberg", "--radius", "6", "--lambda", "1")
+    assert len(groups.ball_space(group_from_token("heisenberg"), 6)) == 593
+    code, body = run_json(capsys, *argv, "--ball-cap", "1000")
+    assert code == 0
+    assert body == run_json(capsys, *argv)[1]
+    code, body = run_json(capsys, *argv, "--ball-cap", "500")
     assert code == 3
     assert body["type"] == "BallTooLarge"
-    assert body["error"] == "R-ball enumeration exceeded cap"
-    assert (body["R"], body["radius_reached"], body["cap"]) == (10, 6, 1000)
+    assert body["error"] == "ball enumeration exceeded cap"
+    assert (body["group"], body["cap"], body["radius_reached"]) == ("heisenberg", 500, 5)
 
 
 def test_cli_import_loads_no_scipy():

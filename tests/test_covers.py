@@ -86,6 +86,53 @@ def test_cover_requires_totality_and_nonempty_sets():
     assert list(partial.covered_mask()) == [True, True, False, False]
 
 
+def test_mask_built_cover_fails_like_the_list_path():
+    space = z_segment(4)
+    for sets, error in (
+        ([[0, 1], [], [2, 3]], PreconditionFailed),
+        ([[0, 1], [1]], NotCovering),
+    ):
+        masks = np.zeros((len(sets), 4), dtype=bool)
+        for i, members in enumerate(sets):
+            masks[i, members] = True
+        with pytest.raises(error) as from_lists:
+            Cover(space, sets)
+        with pytest.raises(error) as from_masks:
+            Cover(space, masks)
+        assert str(from_masks.value) == str(from_lists.value)
+        assert from_masks.value.context == from_lists.value.context
+    with pytest.raises(PreconditionFailed):
+        Cover(space, np.ones((2, 3), dtype=bool))
+    partial = Cover(space, np.array([[True, True, False, False]]), require_total=False)
+    assert list(partial.covered_mask()) == [True, True, False, False]
+
+
+def test_subfamily_inherits_the_rows_a_fresh_cover_measures():
+    space = ball_space(zn_spec(2), 4)
+    cover = ball_cover(space, 2)
+    cover.complement_distances()
+    cover.diameters()
+    # every ball but the unit's, backwards: still a cover, in a new order
+    kept = list(range(len(cover) - 1, 0, -1))
+    sub = cover.subfamily(kept)
+    # measured before anything is asked of the subfamily
+    assert sub._comp is not None and sub._diam is not None
+    fresh = Cover(space, [cover.set_points(i) for i in kept], [cover.labels[i] for i in kept])
+    assert np.array_equal(sub.masks, fresh.masks)
+    assert sub.labels == fresh.labels
+    assert np.array_equal(sub.complement_distances(), fresh.complement_distances())
+    assert np.array_equal(np.array(sub.diameters()), np.array(fresh.diameters()))
+
+
+def test_shrink_keeps_the_measured_rows_of_its_survivors():
+    space = ball_space(zn_spec(2), 5)
+    cover = ball_cover(space, 4)
+    shrunk = shrink_to_irreducible(cover, 2)
+    fresh = Cover(space, [list(members) for members in shrunk.sets()])
+    assert np.array_equal(shrunk.complement_distances(), fresh.complement_distances())
+    assert np.array_equal(np.array(shrunk.diameters()), np.array(fresh.diameters()))
+
+
 def test_ball_cover_on_z_window():
     space = ball_space(zn_spec(1), 8)
     cover = ball_cover(space, 2)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from coarsekit import dimension
-from coarsekit.errors import AuditFailed, Infeasible, TooLarge
-from coarsekit.covers import Cover, extension
+from coarsekit.errors import AuditFailed, Infeasible, PreconditionFailed, TooLarge
+from coarsekit.covers import Cover, ball_cover, extension
 from coarsekit.dimension import (
     CSV_HEADER,
     DimensionProfile,
@@ -115,6 +115,27 @@ def test_wreath_profile_lists_its_window_once(monkeypatch):
         monkeypatch.setattr(module, "ball_space", counting)
     growth_curve("lamplighter", [1, 2], [0, 4], 5)
     assert windows == [5]
+
+
+def test_growth_curve_builds_one_ball_cover_per_lambda(monkeypatch):
+    built = []
+
+    def counting(space, lam, centers=None):
+        built.append(lam)
+        return ball_cover(space, lam, centers)
+
+    monkeypatch.setattr(dimension, "ball_cover", counting)
+    profile = growth_curve("zn:2", [1, 2, 3], [0, 4], 6)
+    assert built == [1, 2, 3]
+    # every lambda has 2 lam <= D(lam) = 4 lam, so each ball cover served
+    # both its own row and the greedy search
+    assert sum(row["method"] == "ball" for row in profile.rows) == 3
+
+
+def test_greedy_refuses_a_ball_cover_of_another_radius():
+    space = z_window(6)
+    with pytest.raises(PreconditionFailed):
+        greedy_min_multiplicity(space, 1, 4, ball=ball_cover(space, 2))
 
 
 def test_growth_curve_flat_on_the_line():

@@ -13,7 +13,9 @@ first).  The cover audits have one too: `independent_audit` and the
 subset oracle must return exactly what their full-row and per-cell forms
 return, and the cityblock metrics of Z^k and cyclic windows match a loop
 over pairs.  The extension cover built by each of its three callers must
-have the sets and z points of a per-point loop over the same inputs, and
+have the masks and z points of a per-point loop over the same inputs,
+which tests membership in the BFS table of the R-ball where the library
+reads the declared metric, and
 `shrink_to_irreducible` must keep the cores its old restart loop kept.
 The dense passes keep their earlier forms as oracles: the int64
 `np.select` Heisenberg kernel, full rows for the half-triangle fill, the
@@ -304,7 +306,8 @@ def ref_cityblock(points, m=None):
 def ref_extension(G, window, pi, U, V, R):
     """Sets and z points of the extension cover, by per-point loops: the
     deepest preimage of each U member by comparing (-depth, norm, key)
-    tuples, and each strip point tested against every core element."""
+    tuples, and each strip point tested against every core element by
+    looking s^{-1} z^{-1} w up in the BFS table of the R-ball."""
     quotient, kernel = U.space, V.space
     small_ball = set(word_norm_table(G, R))
     comp_u, comp_v = U.complement_distances(), V.complement_distances()
@@ -901,12 +904,18 @@ def test_projection_audit_names_the_first_stretched_pair(monkeypatch, cells):
     assert err.value.context["pair"] == ("(-1)", "(-3)")
 
 
+# gromov picks its own margin (a retry at r9), which leaves the sets as they are
 EXTENSION_CALLERS = {
+    "cli-zn:2": (
+        "coarsekit.cli",
+        lambda: cli.main(["cover", "--method", "extension", "--group", "zn:2", "--radius", "12", "--lambda", "1"]),
+    ),
     "cli-zn:3": (
         "coarsekit.cli",
         lambda: cli.main(["cover", "--method", "extension", "--group", "zn:3", "--radius", "6", "--lambda", "1"]),
     ),
     "gromov-heisenberg": ("coarsekit.dimension", lambda: gromov_profile("heisenberg", 6, [1, 2], 7)),
+    "gromov-heisenberg-r9": ("coarsekit.dimension", lambda: gromov_profile("heisenberg", 6, [1, 2], 9)),
     "wreath-lamplighter": ("coarsekit.covers.wreath", lambda: wreath_cover(extension_split(lamplighter_spec(), 4), 1)),
 }
 
@@ -927,5 +936,24 @@ def test_extension_cover_matches_reference(monkeypatch, capsys, caller):
     capsys.readouterr()
     assert built
     for cover, (sets, z_points) in built:
-        assert cover.sets() == sets
+        masks = np.zeros((len(sets), len(cover.space)), dtype=bool)
+        for k, members in enumerate(sets):
+            masks[k, cover.space.indices(members)] = True
+        assert np.array_equal(cover.masks, masks)
         assert cover.meta["z_points"] == z_points
+
+
+@pytest.mark.parametrize("spec, bfs_runs", [(heisenberg_spec(), 0), (zn_spec(2), 0), (lamplighter_spec(), 1)])
+def test_extension_membership_lists_a_ball_only_without_a_declared_metric(monkeypatch, spec, bfs_runs):
+    split = extension_split(spec, 5)
+    U, R = split.quotient_cover(1)
+    V = Cover(split.kernel, [list(split.kernel.points)], ["K"])
+    tables = []
+
+    def counting(spec, radius, cap=None):
+        tables.append(radius)
+        return word_norm_table(spec, radius, cap)
+
+    monkeypatch.setattr(groups, "word_norm_table", counting)
+    extension_cover(split, U, V, 1, R)
+    assert tables == [R] * bfs_runs
