@@ -359,8 +359,8 @@ def shrink_to_irreducible(cover: Cover, n) -> Cover:
     and return the matching unshrunk members.
 
     Redundant cores are dropped in one front-to-back pass: dropping a core
-    only lowers counts, so a core that owns a point keeps owning it.  The
-    survivors' private points are recorded in ``meta["injection"]`` for
+    only lowers counts, so a core that owns a point keeps owning it.  Each
+    survivor's first private point is recorded in ``meta["injection"]`` for
     downstream re-indexing into l_p.
     """
     comp = cover.complement_distances()
@@ -383,23 +383,16 @@ def shrink_to_irreducible(cover: Cover, n) -> Cover:
         else:
             kept.append(i)
 
-    injection, private = {}, {}
+    injection = {}
     for i in kept:
         owned = np.flatnonzero(cores[i] & (counts == 1))
         if owned.size == 0:
             raise NotIrreducible("survivor lost all private points", member=cover.labels[i])
-        pts = [point_label(cover.space.points[j]) for j in owned]
         injection[cover.labels[i]] = cover.space.points[owned[0]]
-        private[cover.labels[i]] = pts
 
     result = cover.subfamily(
         kept,
-        meta={
-            "method": "shrink_to_irreducible",
-            "shrink": n,
-            "injection": injection,
-            "private_points": private,
-        },
+        meta={"method": "shrink_to_irreducible", "shrink": n, "injection": injection},
     )
     if result.multiplicity() > cover.multiplicity():
         raise AuditFailed("subfamily multiplicity grew", before=cover.multiplicity(), after=result.multiplicity())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditFailed, BallTooLarge, NotInKernel, PreconditionFailed
-from .metric import INF, FiniteMetricSpace, point_label
+from .metric import INF, FiniteMetricSpace, point_label, sampled_triples
 
 DEFAULT_BALL_CAP = 5_000_000
 
@@ -55,7 +55,9 @@ class GroupSpec:
 
 
 def validate_group_axioms(spec: GroupSpec, radius=3, sample=1500):
-    """Unit/inverse laws and associativity, checked on the radius-3 ball."""
+    """Unit/inverse laws and associativity, checked on the radius-3 ball:
+    associativity on every triple, or on ``sample`` triples from
+    ``sampled_triples`` when there are more."""
     for s in spec.generators:
         if spec.inverse(s) not in spec.generators:
             raise PreconditionFailed("generating set is not symmetric", group=spec.name)
@@ -65,11 +67,14 @@ def validate_group_axioms(spec: GroupSpec, radius=3, sample=1500):
             raise PreconditionFailed("unit law fails", group=spec.name)
         if spec.multiply(e, spec.inverse(e)) != spec.unit:
             raise PreconditionFailed("inverse law fails", group=spec.name)
-    rng = np.random.default_rng(0)
     triples = (
         itertools.product(elems, repeat=3)
         if len(elems) ** 3 <= sample
-        else (tuple(elems[i] for i in rng.integers(0, len(elems), 3)) for _ in range(sample))
+        else (
+            (elems[i], elems[j], elems[k])
+            for block in sampled_triples(len(elems), sample)
+            for i, j, k in block.tolist()
+        )
     )
     for a, b, c in triples:
         if spec.multiply(spec.multiply(a, b), c) != spec.multiply(a, spec.multiply(b, c)):
@@ -353,9 +358,11 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
     below the diagonal, checked on the unit row against the BFS norms
     that listed the window; else (wreath products) from the radius-2r BFS
     table, one lookup per pair.  Window metadata is attached for margin
-    audits.
+    audits.  The matrix has the narrowest signed integer type that holds a
+    sum of two of its distances: int8 up to r = 31, int16 up to r = 8191.
     """
-    dtype = np.int16 if 2 * radius < 32000 else np.int32
+    # a distance in the radius-r ball is at most 2r, and validation adds two
+    dtype = np.int8 if 4 * radius <= 127 else np.int16 if 4 * radius <= 32767 else np.int32
     table = word_norm_table(spec, 2 * radius if spec.distances is None else radius, cap)
     points = _by_norm(table, radius)
     if spec.distances is None:

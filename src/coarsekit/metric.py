@@ -9,6 +9,7 @@ absolute tolerance ``TOL``.  The empty-set distance is ``math.inf``.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -17,9 +18,11 @@ from .errors import PreconditionFailed
 TOL = 1e-9
 INF = math.inf
 
-# Full triple scan up to this size; randomized triples above it.
+# Every triple is scanned up to this size; above it, _SAMPLED_TRIPLES
+# triples from the seeded stdlib generator, in blocks of _TRIPLE_BLOCK.
 _FULL_TRIANGLE_LIMIT = 500
 _SAMPLED_TRIPLES = 100_000
+_TRIPLE_BLOCK = 1 << 14
 
 
 # Symmetry is compared one tile against its mirror tile at a time, so no
@@ -35,6 +38,31 @@ def _tolerance(matrix):
     """Int 0 for an integer matrix, so ``d <= lam + tol`` stays an integer
     compare; TOL otherwise."""
     return 0 if np.issubdtype(matrix.dtype, np.integer) else TOL
+
+
+def _sum_dtype(d):
+    """The type the triangle check adds two entries of d in: d's own for
+    non-integers and for signed integers that hold twice the largest entry,
+    else the narrowest signed integer type that does."""
+    if d.dtype.kind not in "iu":
+        return d.dtype
+    largest = int(d.max())
+    for dtype in (d.dtype, np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)):
+        if dtype.kind == "i" and 2 * largest <= np.iinfo(dtype).max:
+            return dtype
+    raise PreconditionFailed("distances too large for an exact triangle check", largest=largest)
+
+
+def sampled_triples(n, count):
+    """``count`` index triples in [0, n), as uint32 arrays of at most
+    ``_TRIPLE_BLOCK`` rows: little-endian 32-bit words of
+    ``random.Random(0).randbytes``, mod n.  Whole words concatenate, so the
+    blocks read one byte stream; the stdlib generator keeps numpy.random
+    unimported."""
+    rng = random.Random(0)
+    for start in range(0, count, _TRIPLE_BLOCK):
+        m = min(_TRIPLE_BLOCK, count - start)
+        yield np.frombuffer(rng.randbytes(12 * m), dtype="<u4").reshape(m, 3) % n
 
 
 def _is_symmetric(d, tol) -> bool:
@@ -135,32 +163,34 @@ class FiniteMetricSpace:
         if near_zero > len(self.points):
             raise PreconditionFailed("distinct points at distance 0")
         n = len(self.points)
+        work = _sum_dtype(d)
         if n <= _FULL_TRIANGLE_LIMIT:
-            # d[i, k] + d[k, j] (+ tol) and its violations, in reused buffers;
-            # an int tol keeps an integer matrix's buffer integer
-            through_k = np.empty(d.shape, dtype=np.result_type(d, tol))
-            bad = np.empty(d.shape, dtype=bool)
-            for k in range(n):
-                np.add(d[:, k : k + 1], d[k : k + 1, :], out=through_k)
-                if tol:
-                    through_k += tol
-                if np.greater(d, through_k, out=bad).any():
-                    i, j = np.argwhere(bad)[0]
+            # d[i, k] + d[k, j] (+ tol) - d[i, j] in one reused buffer, in a
+            # type that holds the sum; a negative entry is a violation.  fmin
+            # skips NaN (inf - inf), so a NaN hides none
+            w = d if work == d.dtype else d.astype(work)
+            slack = np.empty(d.shape, dtype=np.result_type(work, tol))
+            with np.errstate(invalid="ignore"):
+                for k in range(n):
+                    np.add(w[:, k : k + 1], w[k : k + 1, :], out=slack)
+                    if tol:
+                        slack += tol
+                    slack -= w
+                    if np.fmin.reduce(slack, axis=None) < 0:
+                        i, j = divmod(int(np.argmax(slack < 0)), n)
+                        raise PreconditionFailed(
+                            "triangle inequality fails",
+                            witness=[str(self.points[i]), str(self.points[k]), str(self.points[j])],
+                        )
+        else:
+            for ijk in sampled_triples(n, _SAMPLED_TRIPLES):
+                i, j, k = ijk.T
+                bad = d[i, k] > np.add(d[i, j], d[j, k], dtype=work) + tol
+                if bad.any():
                     raise PreconditionFailed(
                         "triangle inequality fails",
-                        witness=[str(self.points[i]), str(self.points[k]), str(self.points[j])],
+                        witness=[str(self.points[x]) for x in ijk[np.argmax(bad)]],
                     )
-        else:
-            rng = np.random.default_rng(0)
-            ijk = rng.integers(0, n, size=(_SAMPLED_TRIPLES, 3))
-            lhs = d[ijk[:, 0], ijk[:, 2]]
-            rhs = d[ijk[:, 0], ijk[:, 1]] + d[ijk[:, 1], ijk[:, 2]]
-            if np.any(lhs > rhs + tol):
-                row = ijk[np.argmax(lhs > rhs + tol)]
-                raise PreconditionFailed(
-                    "triangle inequality fails",
-                    witness=[str(self.points[i]) for i in row],
-                )
 
     # -- serialization -----------------------------------------------------
 

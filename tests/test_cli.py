@@ -294,15 +294,15 @@ def test_canonical_json_prints_near_integers_as_integers():
     assert canonical_json([15.9999999999, 16.0, -2.0000000001]) == canonical_json([16, 16, -2])
 
 
-def _benchmark_checks():
-    spec = importlib.util.spec_from_file_location("checks", BENCHMARKS / "checks.py")
+def _benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_ball_benchmark_argv_matches_recorded_digests(capsys):
-    checks = _benchmark_checks()
+    checks = _benchmark_module("checks")
     references = checks.load_references()
     argvs = [key.split() for key in references if key.startswith("ball ")]
     assert argvs
@@ -313,7 +313,7 @@ def test_ball_benchmark_argv_matches_recorded_digests(capsys):
 
 
 def test_gromov_benchmark_argv_matches_recorded_rows(capsys):
-    checks = _benchmark_checks()
+    checks = _benchmark_module("checks")
     references = checks.load_references()
     argv = next(key.split() for key in references if key.startswith("gromov --group heisenberg"))
     code, out = run(capsys, *argv)
@@ -323,12 +323,21 @@ def test_gromov_benchmark_argv_matches_recorded_rows(capsys):
 
 @pytest.mark.parametrize("command", ["profile", "certify-a", "embed"])
 def test_benchmark_argv_matches_recorded_fields(capsys, command):
-    checks = _benchmark_checks()
+    checks = _benchmark_module("checks")
     references = checks.load_references()
     argv = next(key.split() for key in references if key.startswith(command + " "))
     code, out = run(capsys, *argv)
     assert code == 0
     assert checks.check(argv, out.encode(), references) == []
+
+
+def test_every_benchmark_argv_passes_its_check(capsys):
+    checks, workloads = _benchmark_module("checks"), _benchmark_module("workloads")
+    references = checks.load_references()
+    for argv in workloads.all_commands():
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        assert checks.check(argv, out.encode(), references) == [], argv
 
 
 def test_schedule_validation(capsys):
@@ -403,6 +412,28 @@ def test_extension_cover_lists_no_r_ball_under_the_cap(capsys):
     assert body["type"] == "BallTooLarge"
     assert body["error"] == "ball enumeration exceeded cap"
     assert (body["group"], body["cap"], body["radius_reached"]) == ("heisenberg", 500, 5)
+
+
+# the 593-point ball validates on sampled triples, and gromov r9 builds a
+# 2,845-point window, a quotient and a kernel
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "--group", "heisenberg", "--radius", "6"],
+        ["gromov", "--group", "heisenberg", "--cap", "6", "--lambda", "1..2", "--radius", "9"],
+    ],
+)
+def test_cli_commands_leave_numpy_random_unimported(argv):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from coarsekit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_cli_import_loads_no_scipy():

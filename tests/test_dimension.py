@@ -91,6 +91,30 @@ def test_independent_audit_recomputes_cover_facts():
     assert diam == cover.max_diameter() == 5
 
 
+# growth rows (ball, greedy, oracle on 9 points), lattice gromov rows and
+# an extension gromov row all re-audit their covers
+@pytest.mark.parametrize(
+    "profile",
+    [
+        lambda: growth_curve("zn:1", [1], [0, 4], 4),
+        lambda: gromov_profile("zn:2", 3, [1], 6),
+        lambda: gromov_profile("heisenberg", 6, [1], 7),
+    ],
+)
+def test_profiles_refuse_a_lebesgue_surrogate_the_cover_disagrees_with(monkeypatch, profile):
+    audit = dimension.independent_audit
+    profile()
+
+    def shifted(cover):
+        mult, lam, diam = audit(cover)
+        return mult, lam + 1, diam
+
+    monkeypatch.setattr(dimension, "independent_audit", shifted)
+    with pytest.raises(AuditFailed, match="independent Lebesgue surrogate") as err:
+        profile()
+    assert err.value.context["independent"] == err.value.context["cover"] + 1
+
+
 def test_gromov_audits_the_projection_once(monkeypatch):
     audit, calls = extension._audit_projection, []
 

@@ -1,7 +1,9 @@
 """Group specs, BFS norms, ball windows, wreath and Heisenberg structure."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from coarsekit.errors import BallTooLarge, NotInKernel, PreconditionFailed
@@ -69,6 +71,19 @@ def test_ball_space_free_group_radius_one():
             assert space.dist(gens[i], gens[j]) == 2
 
 
+# a window distance is at most 2r and validation adds two: int8 while
+# 4r <= 127, int16 while 4r <= 32767; the wreath fill follows the same rule
+@pytest.mark.parametrize(
+    "token, radius, dtype",
+    [
+        ("zn:1", 31, np.int8), ("zn:1", 32, np.int16), ("zn:1", 90, np.int16),
+        ("lamplighter", 2, np.int8), ("heisenberg", 9, np.int8),
+    ],
+)
+def test_window_dtype_holds_a_sum_of_two_distances(token, radius, dtype):
+    assert ball_space(group_from_token(token), radius).d.dtype == dtype
+
+
 def test_heisenberg_polynomial_laws():
     spec = heisenberg_spec()
     assert spec.multiply((1, 0, 0), (0, 1, 0)) == (1, 1, 1)
@@ -96,6 +111,16 @@ def test_group_axioms_per_spec():
         wreath_spec(zn_spec(1), zn_spec(1)),
     ):
         validate_group_axioms(spec)
+
+
+def test_group_axioms_reject_a_non_associative_product():
+    # (a0 + b0, a1 + b1 + a0^2 b0 (a0 + b0)) keeps the unit and the inverse
+    # laws; the radius-3 ball has 25 elements, so 1,500 triples are sampled
+    twisted = dataclasses.replace(
+        zn_spec(2), multiply=lambda a, b: (a[0] + b[0], a[1] + b[1] + a[0] ** 2 * b[0] * (a[0] + b[0]))
+    )
+    with pytest.raises(PreconditionFailed, match="associativity fails"):
+        validate_group_axioms(twisted)
 
 
 def test_wreath_over_a_free_base_is_a_group():

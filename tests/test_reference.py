@@ -26,6 +26,7 @@ must name the same error and witness.
 
 import dataclasses
 import functools
+import random
 import tracemalloc
 from unittest import mock
 
@@ -191,8 +192,13 @@ def ref_complement_distances(cover):
 
 def ref_validate(points, d):
     """(message, witness) of the first failed check of the whole-matrix
-    symmetry test and the triangle loop with float temporaries, or None."""
+    symmetry test and the triangle loop with float temporaries, or None.
+    Integer matrices are widened to int64 first, so no sum wraps; sampled
+    triples are the little-endian 32-bit words of one
+    ``random.Random(0).randbytes`` call, mod n."""
     tol = 0.0 if np.issubdtype(d.dtype, np.integer) else 1e-9
+    if tol == 0:
+        d = d.astype(np.int64)
     symmetric = np.array_equal(d, d.T) if tol == 0 else np.allclose(d, d.T, atol=1e-9, rtol=0)
     if not symmetric:
         return "distance matrix not symmetric", None
@@ -210,7 +216,8 @@ def ref_validate(points, d):
                 i, j = np.argwhere(d > through_k + tol)[0]
                 return "triangle inequality fails", [str(points[i]), str(points[k]), str(points[j])]
     else:
-        ijk = np.random.default_rng(0).integers(0, n, size=(100_000, 3))
+        words = np.frombuffer(random.Random(0).randbytes(12 * 100_000), dtype="<u4")
+        ijk = words.reshape(-1, 3) % n
         lhs = d[ijk[:, 0], ijk[:, 2]]
         rhs = d[ijk[:, 0], ijk[:, 1]] + d[ijk[:, 1], ijk[:, 2]]
         if np.any(lhs > rhs + tol):
@@ -520,7 +527,8 @@ FILL_CASES = [
 def test_fill_matches_bfs_reference(token, radius):
     spec = group_from_token(token)
     space = ball_space(spec, radius)
-    assert space.d.dtype == np.int16
+    # the narrowest signed type that holds 4r, a sum of two window distances
+    assert space.d.dtype == (np.int8 if 4 * radius <= 127 else np.int16)
     assert space.d.tolist() == ref_distances(spec, space.points, radius)
 
 
@@ -821,6 +829,44 @@ def test_validation_matches_the_float_promoted_loop(radius, case):
     }[case]()
     expected = assert_same_validation(points, d)
     assert (expected is None) == (case in ("metric", "within-tol"))
+
+
+@pytest.mark.parametrize(
+    "dtype, points",
+    [(np.int16, [0, 20000, 30000]), (np.int8, [0, 60, 100]), (np.uint8, [0, 100, 200])],
+)
+def test_validation_accepts_lines_whose_sums_overflow_the_dtype(dtype, points):
+    d = np.abs(np.subtract.outer(points, points)).astype(dtype)
+    assert assert_same_validation(points, d) is None
+    # the longest distance one more than the path through the middle point
+    expected = ("triangle inequality fails", [str(points[0]), str(points[1]), str(points[2])])
+    assert assert_same_validation(points, planted(d, [(0, 2), (2, 0)], points[2] + 1)) == expected
+
+
+def wide_metric(n, dtype, lo):
+    """Off-diagonal distances in [lo, 2 lo], which makes any such matrix a
+    metric; with lo near half the dtype's maximum most sums of two exceed it."""
+    i = np.arange(n)
+    d = lo + 7 * np.add.outer(i, i) % (lo + 1)
+    np.fill_diagonal(d, 0)
+    return d.astype(dtype)
+
+
+# 9 points (every triple) and 601 (sampled triples); "planted" moves point
+# n // 3 to distance lo // 2 from all others, so every pair through it breaks
+@pytest.mark.parametrize("n", [9, 601])
+@pytest.mark.parametrize("dtype, lo", [(np.int8, 63), (np.uint8, 127), (np.int16, 16383)])
+@pytest.mark.parametrize("case", ["metric", "planted"])
+def test_validation_of_wide_integer_metrics_matches_reference(n, dtype, lo, case):
+    d = wide_metric(n, dtype, lo)
+    if case == "planted":
+        m = n // 3
+        d[m, :] = d[:, m] = lo // 2
+        d[m, m] = 0
+    expected = assert_same_validation(list(range(n)), d)
+    assert (expected is None) == (case == "metric")
+    if expected is not None:
+        assert expected[1][1] == str(n // 3)
 
 
 @settings(SETTINGS, max_examples=60)
