@@ -11,8 +11,8 @@ from .base import (
     partition_of_unity,
     shrink_to_irreducible,
 )
-from .extension import extension_cover, extension_split, split_along, wreath_kernel_cover
-from .wreath import eval_polynomial, wreath_cover, wreath_lamp_bricks
+from .extension import extension_cover, extension_split, split_along
+from .wreath import eval_polynomial, wreath_cover
 
 __all__ = [
     "Cover",
@@ -31,6 +31,4 @@ __all__ = [
     "shrink_to_irreducible",
     "split_along",
     "wreath_cover",
-    "wreath_kernel_cover",
-    "wreath_lamp_bricks",
 ]

@@ -426,6 +426,12 @@ def _dedupe_nested(groups):
     return picked
 
 
+def _brick_keys(coords, lam, side, j):
+    """Each row's brick in family j of the staggered bricks of side ``side``:
+    family j is shifted by 2*j*lam along the diagonal."""
+    return (coords - j * 2 * lam) // side
+
+
 def _lattice_coords(space):
     coords = np.array(space.points)
     if coords.ndim != 2:
@@ -450,10 +456,9 @@ def brick_cover_zl(space: FiniteMetricSpace, lam, l=None) -> Cover:
         cover = Cover(space, sets, labels, meta={"method": "brick", "lam": 0, "families": [0] * len(sets)})
         return cover
     side = 2 * (l + 1) * lam
-    shift = 2 * lam
     sets, labels, owner = [], [], []
     for j in range(l + 1):
-        keys = (coords - j * shift) // side
+        keys = _brick_keys(coords, lam, side, j)
         uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
         for u in range(len(uniq)):
             members = [space.points[i] for i in np.flatnonzero(inverse == u)]

@@ -5,8 +5,9 @@ the restricted metric, grows a shrunken copy of each kernel member back
 by R, and translates it into each fiber by a deep preimage point.  A
 window point w lies in z N_R(core) exactly when d(z s, w) <= R for some
 core element s, as word metrics are left-invariant; that distance comes
-from the spec's declared metric, and for wreath products (which declare
-none) from the BFS table of the R-ball.  Its three promised statistics
+from the spec's declared metric, so only specs that declare one (Z^n,
+Heisenberg) are served here; wreath products, which declare none, key
+points by lamp class in ``covers.wreath``.  Its three promised statistics
 (Lebesgue, diameter, multiplicity) are all asserted on the computed
 window, with boundary effects quarantined to a reported safe margin
 rather than silently absorbed.  ``split_along``
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AuditFailed, LebesgueTooSmall, PreconditionFailed, WindowTooSmall
-from ..groups import GroupSpec, ball_elements, ball_space, within, wreath_outside, wreath_restrict
+from ..groups import GroupSpec, ball_space, within
 from ..metric import FiniteMetricSpace, point_label, row_blocks, _tolerance
 from .base import Cover, brick_cover_zl, interval_cover_z
 
@@ -69,8 +70,7 @@ class ExtensionSplit:
     ``kernel`` is the subwindow that projects to the quotient unit; each
     caller brings its own kernel cover and takes U from ``quotient_cover``.
     ``key_rank[i]`` is the rank of ``window.points[i]`` in element order,
-    the canonical tie-break.  ``ball_cap`` is the cap the windows were
-    listed under.
+    the canonical tie-break.
     """
 
     spec: GroupSpec
@@ -81,7 +81,6 @@ class ExtensionSplit:
     kernel: FiniteMetricSpace
     pi_idx: np.ndarray
     key_rank: np.ndarray
-    ball_cap: int
 
     def quotient_cover(self, lam):
         """U by the quotient's lattice rank (intervals at 1, bricks above),
@@ -99,7 +98,7 @@ class ExtensionSplit:
 
 
 def split_along(
-    G: GroupSpec, window: FiniteMetricSpace, H: GroupSpec, quotient: FiniteMetricSpace, pi, ball_cap=None
+    G: GroupSpec, window: FiniteMetricSpace, H: GroupSpec, quotient: FiniteMetricSpace, pi
 ) -> ExtensionSplit:
     """Cut a G-window along pi onto an H-window, auditing pi once."""
     pi_idx = _audit_projection(G, window, H, pi, quotient)
@@ -108,7 +107,7 @@ def split_along(
     n = len(window.points)
     key_rank = np.empty(n, dtype=np.intp)
     key_rank[sorted(range(n), key=window.points.__getitem__)] = np.arange(n)
-    return ExtensionSplit(G, H, pi, window, quotient, kernel, pi_idx, key_rank, ball_cap)
+    return ExtensionSplit(G, H, pi, window, quotient, kernel, pi_idx, key_rank)
 
 
 def extension_split(spec: GroupSpec, radius, *, ball_cap=None) -> ExtensionSplit:
@@ -123,7 +122,49 @@ def extension_split(spec: GroupSpec, radius, *, ball_cap=None) -> ExtensionSplit
         quotient_spec, pi = spec.factors[0], lambda w: w.head
     window = ball_space(spec, radius, cap=ball_cap)
     quotient = ball_space(quotient_spec, radius, cap=ball_cap)
-    return split_along(spec, window, quotient_spec, quotient, pi, ball_cap)
+    return split_along(spec, window, quotient_spec, quotient, pi)
+
+
+def _anchors(split: ExtensionSplit, U_cover: Cover):
+    """(i, strip, z) for each quotient member U_i with a nonempty preimage:
+    ``strip`` holds the window indices over U_i and z is the deepest of
+    those points (greatest depth of its image in U_i, then least norm,
+    then element order)."""
+    window, pi_idx = split.window, split.pi_idx
+    comp_u = U_cover.complement_distances()
+    unit = window._index.get(split.spec.unit)
+    norms = window.d[:, unit] if unit is not None else np.zeros(len(window.points))
+    for i in range(len(U_cover)):
+        strip = np.flatnonzero(U_cover.masks[i, pi_idx])
+        if strip.size:
+            deepest = np.lexsort((split.key_rank[strip], norms[strip], -comp_u[i, pi_idx[strip]]))[0]
+            yield i, strip, window.points[strip[deepest]]
+
+
+def _audit_conclusions(cover: Cover, multiplicity_bound, diameter_bound, lam, safe):
+    """Assert the composition's conclusions on the built cover and record
+    them in ``cover.meta["conclusions"]``: multiplicity <= m(U) m(V) and
+    member diameter <= D + 2R everywhere, Lebesgue >= lam on the safe
+    points."""
+    mult = cover.multiplicity()
+    if mult > multiplicity_bound:
+        raise AuditFailed("multiplicity exceeds m(U)m(V)", measured=mult, bound=multiplicity_bound)
+    worst_diam = cover.max_diameter()
+    if worst_diam > diameter_bound:
+        raise AuditFailed("member diameter exceeds D+2R", measured=worst_diam, bound=diameter_bound)
+    lam_w = cover.pointwise_lebesgue(point_mask=safe)
+    if lam_w < lam:
+        raise AuditFailed("Lebesgue surrogate below lam on the safe region", measured=lam_w, lam=lam)
+    cover.meta["conclusions"] = {
+        "multiplicity": mult,
+        "multiplicity_bound": multiplicity_bound,
+        "diameter": worst_diam,
+        "diameter_bound": diameter_bound,
+        "lebesgue_safe": lam_w,
+        "lebesgue_target": lam,
+        "safe_points": int(safe.sum()),
+        "uncovered_boundary_points": int((~cover.covered_mask()).sum()),
+    }
 
 
 def extension_cover(
@@ -131,19 +172,21 @@ def extension_cover(
 ) -> Cover:
     """Cover the split's window by sets z_U * N_R(2R-shrunk V) within each fiber.
 
-    Preconditions (audited): U covers the split's quotient window with
-    Lambda(U) >= lam and diam <= R; V covers its kernel window with
-    Lambda(V) >= 6R in the restricted metric.  Membership is measured with
-    ``groups.within``: the spec's declared metric between the translated
-    core z s and each strip point, or the R-ball table when the spec
-    declares no metric.  Conclusions (asserted):
-    multiplicity <= m(U) m(V) and member diameter <= diam V + 2R
-    everywhere; Lambda >= lam on the safe region.  Points too close to
-    the window edge may end up uncovered; if any point with margin >=
-    safe_margin (default lam) is missed, the window was too small and we
-    say so.
+    The spec must declare ``distances`` (Z^n and Heisenberg do; wreath
+    products go through ``wreath_cover``).  Preconditions (audited): U
+    covers the split's quotient window with Lambda(U) >= lam and diam <= R;
+    V covers its kernel window with Lambda(V) >= 6R in the restricted
+    metric.  Membership is measured with ``groups.within``: the declared
+    metric between the translated core z s and each strip point.
+    Conclusions (asserted): multiplicity <= m(U) m(V) and member diameter
+    <= diam V + 2R everywhere; Lambda >= lam on the safe region.  Points
+    too close to the window edge may end up uncovered; if any point with
+    margin >= safe_margin (default lam) is missed, the window was too
+    small and we say so.
     """
-    G, window, kernel, pi_idx = split.spec, split.window, split.kernel, split.pi_idx
+    G, window, kernel = split.spec, split.window, split.kernel
+    if G.distances is None:
+        raise PreconditionFailed("extension covers need a declared metric", group=G.name)
     if U_cover.space is not split.quotient or V_cover.space is not kernel:
         raise PreconditionFailed("U must cover the split's quotient window and V its kernel window")
 
@@ -160,7 +203,7 @@ def extension_cover(
 
     # w joins the member of (U_i, V_j) when d(z_i s, w) <= R for some s in
     # the 2R-shrunk V_j (in the restricted metric of the kernel window)
-    near = within(G, R, cap=split.ball_cap)
+    near = within(G, R)
     comp_v = V_cover.complement_distances()
     tol = _tolerance(kernel.d)
     cores = [
@@ -168,18 +211,9 @@ def extension_cover(
         for j in range(len(V_cover))
     ]
 
-    # deepest preimage point per quotient member, canonical ties
-    comp_u = U_cover.complement_distances()
     n = len(window.points)
-    norms = window.d[:, window.index(G.unit)] if G.unit in window._index else np.zeros(n)
-
     rows, labels, owners, z_points = [], [], [], {}
-    for i in range(len(U_cover)):
-        strip = np.flatnonzero(U_cover.masks[i, pi_idx])
-        if strip.size == 0:
-            continue
-        deepest = np.lexsort((split.key_rank[strip], norms[strip], -comp_u[i, pi_idx[strip]]))[0]
-        z = window.points[strip[deepest]]
+    for i, strip, z in _anchors(split, U_cover):
         z_points[U_cover.labels[i]] = point_label(z)
         targets = [window.points[wi] for wi in strip]
         for j, core in enumerate(cores):
@@ -225,83 +259,5 @@ def extension_cover(
             requested_margin=float(guard),
         )
 
-    mult = cover.multiplicity()
-    bound = U_cover.multiplicity() * V_cover.multiplicity()
-    if mult > bound:
-        raise AuditFailed("multiplicity exceeds m(U)m(V)", measured=mult, bound=bound)
-    worst_diam = cover.max_diameter()
-    if worst_diam > D + 2 * R:
-        raise AuditFailed("member diameter exceeds D+2R", measured=worst_diam, bound=D + 2 * R)
-    lam_w = cover.pointwise_lebesgue(point_mask=safe)
-    if lam_w < lam:
-        raise AuditFailed("Lebesgue surrogate below lam on the safe region", measured=lam_w, lam=lam)
-
-    cover.meta["conclusions"] = {
-        "multiplicity": mult,
-        "multiplicity_bound": bound,
-        "diameter": worst_diam,
-        "diameter_bound": D + 2 * R,
-        "lebesgue_safe": lam_w,
-        "lebesgue_target": lam,
-        "safe_points": int(safe.sum()),
-        "uncovered_boundary_points": int((~cover.covered_mask()).sum()),
-    }
-    return cover
-
-
-def wreath_kernel_cover(N: GroupSpec, G: GroupSpec, r, kernel_window: FiniteMetricSpace, V_cover: Cover) -> Cover:
-    """Extend a cover of the lamps inside B_r(e) to the whole kernel window.
-
-    Elements sharing an outside-lamp pattern form a class isometric to the
-    inside-lamp block, so each V member translates across classes.  Changing
-    any lamp beyond radius r costs more than r steps, which is what keeps
-    distinct classes far apart; the resulting Lebesgue number is measured,
-    not assumed.
-    """
-    lam_v = V_cover.pointwise_lebesgue()
-    if lam_v < r:
-        raise LebesgueTooSmall("inside cover surrogate below r", measured=lam_v, needed=r)
-    inside_positions = ball_elements(N, r)
-    inside_space = V_cover.space
-
-    classes = {}
-    for w in kernel_window.points:
-        classes.setdefault(wreath_outside(w, inside_positions), []).append(w)
-
-    inside_index = inside_space._index
-    for w in kernel_window.points:
-        if wreath_restrict(w, inside_positions) not in inside_index:
-            raise PreconditionFailed(
-                "restriction of a kernel point is missing from the inside window",
-                point=point_label(w),
-            )
-
-    v_count_at = V_cover.counts()
-    sets, labels = [], []
-    expected_mult = 0
-    for ci, (pattern, members) in enumerate(sorted(classes.items())):
-        inner = [wreath_restrict(w, inside_positions) for w in members]
-        inner_idx = [inside_space.index(x) for x in inner]
-        expected_mult = max(expected_mult, max(int(v_count_at[i]) for i in inner_idx))
-        for j in range(len(V_cover)):
-            chosen = [w for w, ii in zip(members, inner_idx) if V_cover.masks[j, ii]]
-            if chosen:
-                sets.append(chosen)
-                labels.append(f"{V_cover.labels[j]}xz{ci}")
-    cover = Cover(
-        kernel_window,
-        sets,
-        labels,
-        meta={"method": "wreath_kernel", "r": r, "classes": len(classes)},
-    )
-    mult = cover.multiplicity()
-    if mult != expected_mult:
-        raise AuditFailed(
-            "kernel cover multiplicity disagrees with the inside cover",
-            measured=mult,
-            expected=expected_mult,
-        )
-    measured = cover.pointwise_lebesgue()
-    if measured < r:
-        raise AuditFailed("kernel cover surrogate below r", measured=measured, r=r)
+    _audit_conclusions(cover, U_cover.multiplicity() * V_cover.multiplicity(), D + 2 * R, lam, safe)
     return cover

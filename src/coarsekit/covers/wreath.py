@@ -1,18 +1,27 @@
 """End-to-end cover pipeline for restricted wreath products.
 
-Stages: cover the base group window by intervals or bricks, measure its
-diameter R, cover the lamps supported inside B_{6R}(e) (one whole set
-when the lamp group is finite, lamp-coordinate bricks when it is Z),
-spread that over the kernel window by outside-lamp pattern, and extend
-along the head projection.
+Stages: cover the base group window by intervals or bricks and measure
+its diameter R, then key every window point by its lamp class.  For
+each base member U_i with anchor z_i (its deepest preimage), a point w
+over U_i joins the member keyed by x = z_i^{-1} w: the lamps of x at base
+positions outside B_{6R}(e), and, for integer lamps, the staggered brick
+of x's lamp vector inside B_{6R}(e).  This is the kernel cover of the
+Hurewicz-type composition taken on the infinite kernel: changing a lamp
+outside B_{6R}(e) costs more than 12R steps, and |pi(x)| <= R, so x lies
+within R of exactly one outside-lamp class and the key needs no distance.
+No kernel window is cut and no ball is listed, and every window point
+is covered.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import AuditFailed, PreconditionFailed
-from ..groups import ball_elements
-from .base import Cover, _dedupe_nested
-from .extension import ExtensionSplit, extension_cover, wreath_kernel_cover
+from ..groups import WreathElement, ball_elements, word_norm_table
+from ..metric import point_label
+from .base import Cover, _brick_keys, _dedupe_nested
+from .extension import ExtensionSplit, _anchors, _audit_conclusions
 
 
 def eval_polynomial(coeffs, x):
@@ -21,63 +30,94 @@ def eval_polynomial(coeffs, x):
     return sum(c * x**i for i, c in enumerate(coeffs))
 
 
-def wreath_lamp_bricks(inside_window, positions, lam) -> Cover:
-    """Staggered bricks on the lamp-value vectors over a fixed position set.
-
-    Works for integer lamps: every move changes one lamp by 1, so the
-    window metric dominates the l1 metric of the value vectors and the
-    brick depth guarantee carries over.  Sets nested inside another set
-    are dropped; on small windows most shifted families coincide.
-    """
-    positions = sorted(positions)
-    l = len(positions)
-    side = 2 * (l + 1) * lam
-    groups = {}
-    for w in inside_window.points:
-        lamps = {k: v for k, v in w.config}
-        vec = tuple(lamps.get(k, (0,))[0] for k in positions)
-        for j in range(l + 1):
-            key = (j,) + tuple((x + 2 * j * lam) // side for x in vec)
-            groups.setdefault(key, []).append(w)
-    picked = _dedupe_nested(groups)
-    sets = [sorted(m, key=lambda w: inside_window.index(w)) for _, m in picked]
-    labels = [f"brick{k[0]}:{','.join(map(str, k[1:]))}" for k, _ in picked]
-    cover = Cover(inside_window, sets, labels, meta={"method": "lamp_bricks", "lam": lam, "side": side})
-    measured = cover.pointwise_lebesgue()
-    if measured < lam:
-        raise AuditFailed("lamp brick surrogate below target", measured=measured, lam=lam)
-    return cover
+def _finite_diameter(spec):
+    """The largest word norm in a finite group: the last nonempty BFS layer."""
+    r = 1
+    while max(word_norm_table(spec, r).values()) == r:
+        r += 1
+    return r - 1
 
 
 def wreath_cover(split: ExtensionSplit, lam):
-    """Cover a split ball window of N wr G with the quotient-kernel composition.
+    """Cover a split ball window of N wr G by lamp-class keys.
 
-    Returns the cover and a stats dict holding the measured triple next
-    to the theoretical multiplicity envelope (n+1)(m+1)|B_{6R}(e)|.
+    The lamp group's declared fields pick the kernel recipe: ``asdim`` 0
+    (finite lamps) keys by outside lamps alone; ``lattice_rank`` k adds
+    the staggered bricks of side 2(L+1)6R over all L = k|B_{6R}(e)| inside
+    lamp coordinates; any other lamp group has no recipe.  Audited on the
+    returned cover: every window point is covered; multiplicity <= m(U)
+    m(V), with m(V) = L+1 (1 for finite lamps); member diameter <= D + 2R
+    with D = 2(|B_{6R}| - 1) + |B_{6R}| w, w the lamp spread (the lamp
+    group's diameter, or k(side - 1) within a brick); Lebesgue >= lam at
+    every point; and the (n+1)(m+1)|B_{6R}(e)| envelope, reported in the
+    stats dict next to the measured triple.  Members nested in another
+    member of the same class are dropped.
     """
-    N, G = split.spec.factors
+    G, window = split.spec, split.window
+    N, lamp = G.factors
     U, R = split.quotient_cover(lam)
-    r = 6 * R
+    inside = ball_elements(N, 6 * R)
+    slot = {p: s for s, p in enumerate(inside)}
+    # lamp coordinates per position: none for finite lamps, k for Z^k
+    k = 0 if lamp.asdim == 0 else lamp.lattice_rank
+    if k is None:
+        raise PreconditionFailed("no kernel cover recipe for this lamp group", lamp=lamp.name)
+    width = k * len(inside)
+    # at lambda 0, R = 0 and bricks of side 1 are the singletons
+    side = max(1, 2 * (width + 1) * 6 * R)
+    spread = k * (side - 1) if k else _finite_diameter(lamp)
+    # a closed walk along a spanning tree of B_{6R} sets every inside lamp
+    D = 2 * (len(inside) - 1) + len(inside) * spread
 
-    inside_positions = ball_elements(N, r)
-    inside_set = set(inside_positions)
-    kernel_window = split.kernel
-    inside_pts = [w for w in kernel_window.points if all(k in inside_set for k, _ in w.config)]
-    inside_window = kernel_window.subspace(inside_pts)
+    n = len(window.points)
+    rows, labels, keys, z_points = [], [], [], {}
+    for i, strip, z in _anchors(split, U):
+        z_points[U.labels[i]] = point_label(z)
+        z_inv = G.inverse(z)
+        xs = [G.multiply(z_inv, window.points[w]) for w in strip]
+        # x's lamps outside B_{6R}(e), as a kernel element, name its class
+        outside = [WreathElement(tuple(c for c in x.config if c[0] not in slot), N.unit) for x in xs]
+        classes = {}
+        cls = np.array([classes.setdefault(o, len(classes)) for o in outside])
+        lamps = np.zeros((len(xs), width), dtype=np.int64)
+        for vec, x in zip(lamps, xs):
+            for p, v in x.config:
+                if p in slot:
+                    vec[k * slot[p] : k * slot[p] + k] = v
+        # members per class, keyed (family, brick); only the coordinates a
+        # family's bricks cut in this strip can split a class, and a family
+        # that cuts the strip as an earlier one did adds nothing
+        by_class = [{} for _ in classes]
+        seen = set()
+        for j in range(width + 1):
+            bricks = _brick_keys(lamps, 6 * R, side, j)
+            cut = np.flatnonzero((bricks != bricks[:1]).any(axis=0))
+            _, first, inverse = np.unique(
+                np.column_stack([cls, bricks[:, cut]]), axis=0, return_index=True, return_inverse=True
+            )
+            partition = first[inverse].tobytes()
+            if partition in seen:
+                continue
+            seen.add(partition)
+            for g, at in enumerate(first):
+                by_class[cls[at]][(j, tuple(bricks[at].tolist()))] = strip[inverse == g]
+        for o, c in sorted(classes.items()):
+            for (j, bricks), members in _dedupe_nested(by_class[c]):
+                row = np.zeros(n, dtype=bool)
+                row[list(members)] = True
+                rows.append(row)
+                brick = f",brick{j}." + ",".join(map(str, bricks)) if width else ""
+                labels.append(f"W({U.labels[i]},{point_label(o)}{brick})")
+                keys.append((U.labels[i], o, j, bricks))
 
-    if G.asdim == 0:
-        V = Cover(
-            inside_window,
-            [list(inside_window.points)],
-            ["K"],
-            meta={"method": "whole_window"},
-        )
-    else:
-        V = wreath_lamp_bricks(inside_window, inside_positions, r)
-
-    kernel_cover = wreath_kernel_cover(N, G, r, kernel_window, V)
-    cover = extension_cover(split, U, kernel_cover, lam, R)
-    envelope = (N.asdim + 1) * (G.asdim + 1) * len(inside_positions)
+    cover = Cover(
+        window,
+        np.array(rows, dtype=bool).reshape(len(rows), n),
+        labels,
+        meta={"method": "wreath", "keys": keys, "z_points": z_points, "safe_margin": 0},
+    )
+    _audit_conclusions(cover, U.multiplicity() * (width + 1), D + 2 * R, lam, np.ones(n, dtype=bool))
+    envelope = (N.asdim + 1) * (lamp.asdim + 1) * len(inside)
     stats = dict(cover.meta["conclusions"])
     if stats["multiplicity"] > envelope:
         raise AuditFailed(
@@ -87,10 +127,9 @@ def wreath_cover(split: ExtensionSplit, lam):
         )
     stats.update(
         envelope=envelope,
-        r=r,
+        r=6 * R,
         R=R,
         quotient_sets=len(U),
-        kernel_sets=len(kernel_cover),
-        window_points=len(split.window),
+        window_points=n,
     )
     return cover, stats

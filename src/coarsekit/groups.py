@@ -48,7 +48,7 @@ class GroupSpec:
     lattice_rank: int = None        # L when the group is Z^L
     factors: tuple = None           # (base, lamp) of a wreath product
     extension: tuple = None         # (quotient spec, projection, kernel generators)
-    asdim: int = None               # declared value, used only in envelope columns
+    asdim: int = None               # declared value: envelope columns; 0 marks finite wreath lamps
 
     def __repr__(self):
         return f"GroupSpec({self.name})"
@@ -252,6 +252,11 @@ class WreathElement:
     def support(self):
         return tuple(k for k, _ in self.config)
 
+    def __str__(self):
+        """Lamps by position, then the head: ``{(-3):1,(0):1}@(-3)``."""
+        lamps = ",".join(f"{point_label(k)}:{point_label(v)}" for k, v in self.config)
+        return "{" + lamps + "}@" + point_label(self.head)
+
 
 def wreath_element(config_dict, head, lamp_unit) -> WreathElement:
     cleaned = {k: v for k, v in config_dict.items() if v != lamp_unit}
@@ -302,16 +307,6 @@ def project_pi_A(w: WreathElement, positions, base_unit=(0,)):
     allowed = set(positions)
     cfg = tuple((k, v) for k, v in w.config if k in allowed)
     return WreathElement(cfg, w.head)
-
-
-def wreath_restrict(w: WreathElement, positions):
-    allowed = set(positions)
-    return WreathElement(tuple((k, v) for k, v in w.config if k in allowed), w.head)
-
-
-def wreath_outside(w: WreathElement, positions):
-    allowed = set(positions)
-    return tuple((k, v) for k, v in w.config if k not in allowed)
 
 
 # -- BFS norms and ball spaces ------------------------------------------------
@@ -385,25 +380,14 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
     return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
 
 
-def within(spec: GroupSpec, radius: int, cap=None):
+def within(spec: GroupSpec, radius: int):
     """``near(sources, targets)``: the mask of targets within ``radius`` of
-    some source in the word metric.
+    some source in the spec's declared metric.
 
-    A declared metric answers from ``rows(sources, targets)``, exact
-    because word metrics are left-invariant, so no ball is listed; else
-    (wreath products) ``s^{-1} t`` is looked up in the BFS table of the
-    radius ball, listed once here under ``cap``.
+    The answer comes from ``rows(sources, targets)``, exact because word
+    metrics are left-invariant, so no ball is listed.  Wreath products
+    declare no metric; their covers key points by lamp class instead.
     """
-    if spec.distances is None:
-        ball = word_norm_table(spec, radius, cap)
-
-        def near(sources, targets):
-            inverses = [spec.inverse(s) for s in sources]
-            return np.array(
-                [any(spec.multiply(s_inv, t) in ball for s_inv in inverses) for t in targets], dtype=bool
-            )
-
-        return near
 
     def near(sources, targets):
         m = len(sources)

@@ -1,8 +1,9 @@
-"""Extension covers along a projection, the wreath kernel spread, and the
-polynomial diameter policies."""
+"""Extension covers along a projection, wreath covers keyed by lamp class,
+and the polynomial diameter policies."""
 
 import json
 
+import numpy as np
 import pytest
 
 from coarsekit.cli import main
@@ -20,14 +21,14 @@ from coarsekit.covers import (
     interval_cover_z,
     split_along,
     wreath_cover,
-    wreath_kernel_cover,
 )
-from coarsekit.covers.wreath import wreath_lamp_bricks
+from coarsekit.covers.base import _brick_keys
+from coarsekit.dimension import independent_audit
 from coarsekit.groups import (
     ball_elements,
     ball_space,
     cyclic_spec,
-    lamplighter_spec,
+    group_from_token,
     wreath_spec,
     zn_spec,
 )
@@ -133,39 +134,6 @@ def test_extension_audits_the_projection():
     assert "homomorphism" in str(err.value)
 
 
-def lamplighter_kernel_window(radius):
-    W = lamplighter_spec()
-    window = ball_space(W, radius)
-    pts = [w for w in window.points if w.head == (0,)]
-    return window.subspace(pts)
-
-
-def test_wreath_kernel_cover_spreads_inside_cover():
-    kernel = lamplighter_kernel_window(5)
-    r = 1
-    positions = ball_elements(Z, r)
-    inside = kernel.subspace(
-        [w for w in kernel.points if all(k in set(positions) for k, _ in w.config)]
-    )
-    V = Cover(inside, [list(inside.points)], ["K"])
-    cover = wreath_kernel_cover(Z, zn_spec(1), r, kernel, V)
-    assert cover.multiplicity() == 1
-    assert cover.pointwise_lebesgue() >= r
-    assert cover.covered_mask().all()
-    assert cover.meta["classes"] == len(cover)
-
-
-def test_wreath_kernel_cover_rejects_thin_inside_cover():
-    kernel = lamplighter_kernel_window(5)
-    positions = ball_elements(Z, 1)
-    inside = kernel.subspace(
-        [w for w in kernel.points if all(k in set(positions) for k, _ in w.config)]
-    )
-    singletons = Cover(inside, [[p] for p in inside.points])
-    with pytest.raises(LebesgueTooSmall):
-        wreath_kernel_cover(Z, zn_spec(1), 2, kernel, singletons)
-
-
 def test_wreath_cover_lamplighter():
     cover, stats = wreath_cover(extension_split(wreath_spec(Z, cyclic_spec(2)), 5), 1)
     assert stats["envelope"] == 2 * 1 * len(ball_elements(Z, 6))
@@ -182,19 +150,59 @@ def test_wreath_cover_integer_lamps():
     assert stats["r"] == 6 * stats["R"]
 
 
-def test_wreath_lamp_bricks_direct():
-    W = wreath_spec(Z, Z)
-    window = ball_space(W, 3)
-    kernel_pts = [w for w in window.points if w.head == (0,)]
-    kernel = window.subspace(kernel_pts)
-    positions = ball_elements(Z, 1)
-    inside = kernel.subspace(
-        [w for w in kernel.points if all(k in set(positions) for k, _ in w.config)]
+# lamplighter r9 and wreath:zn:1:zn:1 r6 cover the same way, but their
+# window fills alone take seconds
+WREATH_GRID = [("lamplighter", r, (0, 1, 2, 3)) for r in range(4, 9)] + [
+    ("wreath:zn:1:zn:1", r, (0, 1, 2)) for r in (4, 5)
+]
+
+
+@pytest.mark.parametrize("token, radius, lams", WREATH_GRID, ids=[f"{t}-r{r}" for t, r, _ in WREATH_GRID])
+def test_wreath_cover_keys_the_whole_window(token, radius, lams):
+    split = extension_split(group_from_token(token), radius)
+    for lam in lams:
+        cover, stats = wreath_cover(split, lam)
+        assert cover.covered_mask().all()
+        assert stats["uncovered_boundary_points"] == 0
+        assert stats["safe_points"] == stats["window_points"] == len(split.window)
+        assert stats["multiplicity"] <= min(stats["multiplicity_bound"], stats["envelope"])
+        assert stats["diameter"] <= stats["diameter_bound"]
+        assert stats["lebesgue_safe"] >= lam
+        assert independent_audit(cover) == (stats["multiplicity"], stats["lebesgue_safe"], stats["diameter"])
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_wreath_cover_bricks_every_lamp_coordinate(lam):
+    G = group_from_token("wreath:zn:1:zn:2")
+    split = extension_split(G, 3)
+    cover, stats = wreath_cover(split, lam)
+    R = stats["R"]
+    inside = ball_elements(Z, 6 * R)
+    width = 2 * len(inside)
+    # at lambda 0 the bricks are the singletons, so a member is one point
+    side = 2 * (width + 1) * 6 * R or 1
+    assert stats["multiplicity_bound"] == (2 if lam else 1) * (width + 1)
+    assert stats["diameter_bound"] == 2 * (len(inside) - 1) + len(inside) * 2 * (side - 1) + 2 * R
+    # each member holds one brick of the full inside lamp vector of z^{-1} w
+    points = {point_label(p): p for p in split.window.points}
+    for k, (u_label, outside, j, bricks) in enumerate(cover.meta["keys"]):
+        z_inv = G.inverse(points[cover.meta["z_points"][u_label]])
+        for w in cover.set_points(k):
+            lamps = dict(G.multiply(z_inv, w).config)
+            vec = np.array([c for p in inside for c in lamps.get(p, (0, 0))])
+            assert tuple(_brick_keys(vec, 6 * R, side, j).tolist()) == bricks
+
+
+@pytest.mark.parametrize("lamp", ["heisenberg", "free:1"])
+def test_wreath_cover_refuses_lamps_without_a_recipe(capsys, lamp):
+    code = main(
+        ["cover", "--method", "wreath", "--group", f"wreath:zn:1:{lamp}", "--radius", "3", "--lambda", "1"]
     )
-    lam = 2
-    cover = wreath_lamp_bricks(inside, positions, lam)
-    assert cover.pointwise_lebesgue() >= lam
-    assert cover.multiplicity() <= len(positions) + 1
+    body = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert body["type"] == "PreconditionFailed"
+    assert body["error"] == "no kernel cover recipe for this lamp group"
+    assert body["lamp"] == lamp
 
 
 def test_eval_polynomial_contract():

@@ -27,6 +27,7 @@ from coarsekit.groups import (
     zn_spec,
 )
 from coarsekit.covers import ball_cover
+from coarsekit.metric import point_label
 
 
 def test_word_norm_table_on_z():
@@ -190,6 +191,19 @@ def test_wreath_shift_moves_lamp_support():
     shifted = spec.multiply(t, s)
     assert shifted == wreath_element({(1,): 1}, (1,), 0)
     assert spec.unit.config == () and spec.unit.head == (0,)
+
+
+def test_wreath_labels_are_compact_and_injective():
+    spec = lamplighter_spec()
+    lamp, shift = spec.generators[0], spec.generators[1]
+    assert point_label(spec.unit) == "{}@(0)"
+    assert point_label(lamp) == "{(0):1}@(0)"
+    assert point_label(shift) == "{}@(1)"
+    assert point_label(wreath_element({(-3,): 1, (0,): 1}, (-3,), 0)) == "{(-3):1,(0):1}@(-3)"
+    assert point_label(wreath_element({(0,): (2,)}, (-1,), (0,))) == "{(0):(2)}@(-1)"
+    for token, radius in [("lamplighter", 6), ("wreath:zn:1:zn:1", 4)]:
+        points = ball_elements(group_from_token(token), radius)
+        assert len({point_label(p) for p in points}) == len(points)
 
 
 def test_kernel_projection():

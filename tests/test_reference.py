@@ -12,10 +12,12 @@ integer arrays (the same payload with every array turned into lists
 first).  The cover audits have one too: `independent_audit` and the
 subset oracle must return exactly what their full-row and per-cell forms
 return, and the cityblock metrics of Z^k and cyclic windows match a loop
-over pairs.  The extension cover built by each of its three callers must
-have the masks and z points of a per-point loop over the same inputs,
-which tests membership in the BFS table of the R-ball where the library
-reads the declared metric, and
+over pairs.  The extension cover built by each of its callers must have
+the masks and z points of a per-point loop over the same inputs, which
+tests membership in the BFS table of the R-ball where the library reads
+the declared metric; the lamplighter cover keyed by lamp class must have
+the members and z points of the same loop, which reads each point's
+class off the kernel points within R of it in that table; and
 `shrink_to_irreducible` must keep the cores its old restart loop kept.
 The dense passes keep their earlier forms as oracles: the int64
 `np.select` Heisenberg kernel, full rows for the half-triangle fill, the
@@ -310,32 +312,39 @@ def ref_cityblock(points, m=None):
     return out
 
 
+def ref_anchors(G, window, pi, U):
+    """(i, strip, z) per U member with a nonempty preimage, z the deepest
+    strip point by comparing (-depth, norm, key) tuples."""
+    quotient, comp_u = U.space, U.complement_distances()
+    unit = window._index.get(G.unit)
+    for i in range(len(U)):
+        strip = [w for w in window.points if U.masks[i, quotient.index(pi(w))]]
+        if strip:
+            z = min(
+                strip,
+                key=lambda w: (
+                    -comp_u[i, quotient.index(pi(w))],
+                    0 if unit is None else window.d[window.index(w), unit],
+                    w,
+                ),
+            )
+            yield i, strip, z
+
+
 def ref_extension(G, window, pi, U, V, R):
     """Sets and z points of the extension cover, by per-point loops: the
     deepest preimage of each U member by comparing (-depth, norm, key)
     tuples, and each strip point tested against every core element by
     looking s^{-1} z^{-1} w up in the BFS table of the R-ball."""
-    quotient, kernel = U.space, V.space
+    kernel = V.space
     small_ball = set(word_norm_table(G, R))
-    comp_u, comp_v = U.complement_distances(), V.complement_distances()
+    comp_v = V.complement_distances()
     cores = [
         [s for k, s in enumerate(kernel.points) if V.masks[j, k] and comp_v[j, k] > 2 * R]
         for j in range(len(V))
     ]
-    unit = window._index.get(G.unit)
     sets, z_points = [], {}
-    for i in range(len(U)):
-        strip = [w for w in window.points if U.masks[i, quotient.index(pi(w))]]
-        if not strip:
-            continue
-        z = min(
-            strip,
-            key=lambda w: (
-                -comp_u[i, quotient.index(pi(w))],
-                0 if unit is None else window.d[window.index(w), unit],
-                w,
-            ),
-        )
+    for i, strip, z in ref_anchors(G, window, pi, U):
         z_points[U.labels[i]] = point_label(z)
         for core in cores:
             members = tuple(
@@ -962,7 +971,6 @@ EXTENSION_CALLERS = {
     ),
     "gromov-heisenberg": ("coarsekit.dimension", lambda: gromov_profile("heisenberg", 6, [1, 2], 7)),
     "gromov-heisenberg-r9": ("coarsekit.dimension", lambda: gromov_profile("heisenberg", 6, [1, 2], 9)),
-    "wreath-lamplighter": ("coarsekit.covers.wreath", lambda: wreath_cover(extension_split(lamplighter_spec(), 4), 1)),
 }
 
 
@@ -989,7 +997,8 @@ def test_extension_cover_matches_reference(monkeypatch, capsys, caller):
         assert cover.meta["z_points"] == z_points
 
 
-@pytest.mark.parametrize("spec, bfs_runs", [(heisenberg_spec(), 0), (zn_spec(2), 0), (lamplighter_spec(), 1)])
+# a spec without a declared metric is refused before any ball is listed
+@pytest.mark.parametrize("spec, bfs_runs", [(heisenberg_spec(), 0), (zn_spec(2), 0), (lamplighter_spec(), None)])
 def test_extension_membership_lists_a_ball_only_without_a_declared_metric(monkeypatch, spec, bfs_runs):
     split = extension_split(spec, 5)
     U, R = split.quotient_cover(1)
@@ -1001,5 +1010,59 @@ def test_extension_membership_lists_a_ball_only_without_a_declared_metric(monkey
         return word_norm_table(spec, radius, cap)
 
     monkeypatch.setattr(groups, "word_norm_table", counting)
-    extension_cover(split, U, V, 1, R)
-    assert tables == [R] * bfs_runs
+    if bfs_runs is None:
+        with pytest.raises(PreconditionFailed) as err:
+            extension_cover(split, U, V, 1, R)
+        assert err.value.context["group"] == spec.name
+    else:
+        extension_cover(split, U, V, 1, R)
+    assert tables == []
+
+
+@functools.lru_cache(maxsize=None)
+def lamplighter_split(radius):
+    return extension_split(lamplighter_spec(), radius)
+
+
+def ref_wreath(G, split, U, R):
+    """Members and z points of the lamp-class cover, by per-point loops: x =
+    z^{-1} w lies within R of the kernel points x b^{-1} (b in the R-ball
+    of the BFS table with the head of x), which must show one pattern of
+    lamps outside B_{6R}(e); the members are the points over each U
+    member grouped by that pattern, keyed (U label, pattern)."""
+    base = G.factors[0]
+    inside = set(ball_elements(base, 6 * R))
+    near_kernel = {}
+    for b in word_norm_table(G, R):
+        near_kernel.setdefault(b.head, []).append(G.inverse(b))
+    sets, keys, z_points = [], [], {}
+    for i, strip, z in ref_anchors(G, split.window, split.pi, U):
+        z_points[U.labels[i]] = point_label(z)
+        classes = {}
+        for w in strip:
+            x = G.multiply(G.inverse(z), w)
+            patterns = {
+                tuple((p, v) for p, v in G.multiply(x, b_inv).config if p not in inside)
+                for b_inv in near_kernel[x.head]
+            }
+            assert len(patterns) == 1
+            classes.setdefault(patterns.pop(), []).append(w)
+        for pattern in sorted(classes):
+            sets.append(classes[pattern])
+            keys.append((U.labels[i], pattern))
+    return sets, keys, z_points
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+@pytest.mark.parametrize("radius", [4, 5, 6])
+def test_lamplighter_keys_match_the_bfs_oracle(radius, lam):
+    G, split = lamplighter_spec(), lamplighter_split(radius)
+    cover, _ = wreath_cover(split, lam)
+    U, R = split.quotient_cover(lam)
+    sets, keys, z_points = ref_wreath(G, split, U, R)
+    masks = np.zeros((len(sets), len(cover.space)), dtype=bool)
+    for k, members in enumerate(sets):
+        masks[k, cover.space.indices(members)] = True
+    assert np.array_equal(cover.masks, masks)
+    assert cover.meta["z_points"] == z_points
+    assert [(u, outside.config) for u, outside, _, _ in cover.meta["keys"]] == keys
