@@ -4,13 +4,15 @@ Outputs must be byte-identical across reruns: keys sorted, floats rounded
 to 9 significant digits, infinities spelled "inf" (JSON has no literal
 for them), containers emitted in deterministic order.  Integer arrays
 are rendered directly and spliced into the text, with the layout
-``json.dumps`` gives their ``tolist()``.
+``json.dumps`` gives their ``tolist()``; a text bound for a stream is
+written in batches as it is made.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -23,6 +25,10 @@ SCHEMA = "coarsekit/1"
 # and point labels never hold NUL, so no payload string looks like it.
 _SLOT = "\x00array{}\x00"
 _SLOT_TEXT = re.compile(r'"\\u0000array(\d+)\\u0000"')
+
+# A streamed text reaches its sink in batches of at most this many
+# characters, which are bytes too: the text is ASCII.
+_BATCH_CHARS = 1 << 20
 
 
 def _canonical(value, arrays):
@@ -53,29 +59,53 @@ def _canonical(value, arrays):
     return value
 
 
-def canonical_json(obj) -> str:
+def canonical_json(obj, write=None):
+    """The canonical text of ``obj``: returned whole, or, when ``write`` is
+    given, passed to it with a closing newline in batches of at most
+    ``_BATCH_CHARS`` as they are made.  Integer arrays render one row at a
+    time, so a streamed array is never held as text all at once.  Everything
+    that can fail (NaN, a payload string that looks like a slot) runs before
+    the first write, and both ways give the same text."""
     arrays = []
     text = json.dumps(_canonical(obj, arrays), sort_keys=True, separators=(", ", ": "), indent=1)
-    if not arrays:
-        return text
-    # sort_keys reorders entries, so slots appear in text order, not k order
-    pieces = _SLOT_TEXT.split(text)
-    order = [int(k) for k in pieces[1::2]]
-    if sorted(order) != list(range(len(arrays))):
-        raise ValueError("a payload string collides with an array slot")
-    out = [pieces[0]]
-    for k, after in zip(order, pieces[2::2]):
+    pieces, order = [text], []
+    if arrays:
+        # sort_keys reorders entries, so slots appear in text order, not k order
+        pieces = _SLOT_TEXT.split(text)
+        order = [int(k) for k in pieces[1::2]]
+        if sorted(order) != list(range(len(arrays))):
+            raise ValueError("a payload string collides with an array slot")
+    chunks = _spliced(pieces[::2], order, arrays)
+    if write is None:
+        return "".join(chunks)
+    batch, size = [], 0
+    for chunk in itertools.chain(chunks, ["\n"]):
+        while size + len(chunk) > _BATCH_CHARS:
+            cut = _BATCH_CHARS - size
+            batch.append(chunk[:cut])
+            write("".join(batch))
+            batch, size, chunk = [], 0, chunk[cut:]
+        batch.append(chunk)
+        size += len(chunk)
+    write("".join(batch))
+
+
+def _spliced(texts, order, arrays):
+    """The text pieces around the slots, with slot number ``order[i]``
+    between ``texts[i]`` and ``texts[i + 1]`` rendered in place."""
+    yield texts[0]
+    for before, k, after in zip(texts, order, texts[1:]):
         # the slot opens a line as a list item or a key's value; that
         # line's indent is the array's nesting level
-        line = out[-1][out[-1].rfind("\n") + 1 :]
-        _render_ints(arrays[k], len(line) - len(line.lstrip(" ")), out)
-        out.append(after)
-    return "".join(out)
+        line = before[before.rfind("\n") + 1 :]
+        yield from _render_ints(arrays[k], len(line) - len(line.lstrip(" ")))
+        yield after
 
 
-def _render_ints(array, level, out):
-    """Append the text ``json.dumps(array.tolist(), indent=1,
-    separators=(", ", ": "))`` writes at nesting ``level``."""
+def _render_ints(array, level):
+    """The text ``json.dumps(array.tolist(), indent=1, separators=(", ",
+    ": "))`` writes at nesting ``level``, in pieces of at most one row of
+    the last axis."""
     lo, hi = (int(array.min()), int(array.max())) if array.size else (0, 0)
     if hi - lo < array.size:
         # a table of every value in range is no larger than the array
@@ -86,20 +116,20 @@ def _render_ints(array, level, out):
 
     def render(sub, level):
         if len(sub) == 0:
-            out.append("[]")
+            yield "[]"
             return
         inner = "\n" + " " * (level + 1)
-        out.append("[" + inner)
+        yield "[" + inner
         if sub.ndim == 1:
-            out.append((", " + inner).join(strings(sub)))
+            yield (", " + inner).join(strings(sub))
         else:
             for k, child in enumerate(sub):
                 if k:
-                    out.append(", " + inner)
-                render(child, level + 1)
-        out.append("\n" + " " * level + "]")
+                    yield ", " + inner
+                yield from render(child, level + 1)
+        yield "\n" + " " * level + "]"
 
-    render(array, level)
+    return render(array, level)
 
 
 def format_cell(value) -> str:

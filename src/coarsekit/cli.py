@@ -122,12 +122,12 @@ def _parse_p(text):
 
 
 def _emit(obj):
-    print(canonical_json(obj))
+    canonical_json(obj, sys.stdout.write)
 
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        fh.write(canonical_json(obj) + "\n")
+        canonical_json(obj, fh.write)
 
 
 # -- ball ----------------------------------------------------------------------

@@ -103,6 +103,7 @@ class Cover:
         inf rows mark sets equal to the whole space."""
         if self._comp is None:
             d = self.space.d
+            top = np.iinfo(d.dtype).max if np.issubdtype(d.dtype, np.integer) else INF
             comp = np.zeros(self.masks.shape)
             for i, row in enumerate(self.masks):
                 outside = np.flatnonzero(~row)
@@ -110,13 +111,17 @@ class Cover:
                     comp[i] = INF
                     continue
                 inside = np.flatnonzero(row)
-                # gather the rows of the smaller side; d is audited symmetric
+                # read whole rows of the smaller side; d is audited symmetric
                 if inside.size <= outside.size:
-                    mins = [block.min(axis=1) for block in row_blocks(d, inside, outside)]
+                    mins = []
+                    for block in row_blocks(d, inside):
+                        # the member's own columns can no longer win the min
+                        block[:, inside] = top
+                        mins.append(block.min(axis=1))
                     comp[i, inside] = np.concatenate(mins)
                 else:
-                    mins = (block.min(axis=0) for block in row_blocks(d, outside, inside))
-                    comp[i, inside] = functools.reduce(np.minimum, mins)
+                    mins = (block.min(axis=0) for block in row_blocks(d, outside))
+                    comp[i, inside] = functools.reduce(np.minimum, mins)[inside]
             self._comp = comp
         return self._comp
 
@@ -137,10 +142,12 @@ class Cover:
 
     def diameters(self):
         if self._diam is None:
-            self._diam = tuple(
-                max(block.max() for block in row_blocks(self.space.d, idx, idx)).item()
-                for idx in map(np.flatnonzero, self.masks)
-            )
+            diam = []
+            for idx in map(np.flatnonzero, self.masks):
+                # each column's largest entry over the member's rows, read at its columns
+                most = functools.reduce(np.maximum, (block.max(axis=0) for block in row_blocks(self.space.d, idx)))
+                diam.append(most[idx].max().item())
+            self._diam = tuple(diam)
         return self._diam
 
     def max_diameter(self):
@@ -522,10 +529,11 @@ def coordinate_interval_cover(space: FiniteMetricSpace, axis, lam) -> Cover:
         b, offsets = 4 * lam, [0, 2 * lam]
     sets, labels = [], []
     for oi, off in enumerate(offsets):
-        keys = (xs - off) // b
-        for key in np.unique(keys):
-            members = [space.points[i] for i in np.flatnonzero(keys == key)]
-            sets.append(members)
+        keys, inverse = np.unique((xs - off) // b, return_inverse=True)
+        # a stable sort lists each block's points in window order
+        blocks = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+        for key, idx in zip(keys.tolist(), blocks):
+            sets.append([space.points[i] for i in idx])
             labels.append(f"I{oi}.{key}")
     cover = Cover(space, sets, labels, meta={"method": "interval", "lam": lam, "block": b})
     measured = cover.pointwise_lebesgue()

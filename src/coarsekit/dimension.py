@@ -20,13 +20,10 @@ from .covers.extension import extension_cover, extension_split
 from .covers.wreath import eval_polynomial, wreath_cover
 from .errors import AuditFailed, Infeasible, PreconditionFailed, TooLarge, WindowTooSmall
 from .groups import ball_space, group_from_token
-from .metric import INF, point_label, _tolerance
+from .metric import INF, block_rows, point_label, _tolerance
 
 ORACLE_MAX_POINTS = 9
 ORACLE_NODE_CAP = 10_000_000
-
-# Cells of d per chunk of member rows in independent_audit.
-_AUDIT_CELLS = 1 << 20
 
 CSV_HEADER = (
     "group",
@@ -267,8 +264,8 @@ def independent_audit(cover):
     """Recompute (multiplicity, Lebesgue surrogate, diameter) from raw masks.
 
     A point outside a set lies in its complement, so only member rows can
-    raise a depth above 0; each set reads just its own rows of ``d``, a
-    chunk of at most ``_AUDIT_CELLS`` cells at a time.
+    raise a depth above 0; each set reads just its own rows of ``d``, one
+    block (``metric._BLOCK_BYTES``) of whole rows at a time.
     """
     d = cover.space.d
     masks = cover.masks
@@ -276,16 +273,21 @@ def independent_audit(cover):
     mult = int(masks.sum(axis=0).max())
     depth = np.zeros(n)
     diam = 0.0
-    step = max(1, _AUDIT_CELLS // n)
+    step = block_rows(n * d.itemsize)
+    # stands in for the member's own distances, so a row's min is over the rest
+    top = np.iinfo(d.dtype).max if d.dtype.kind in "iu" else INF
     for row in masks:
         inside = np.flatnonzero(row)
-        outside = ~row
         for start in range(0, len(inside), step):
             chunk = inside[start : start + step]
             block = d[chunk]
-            dist = block[:, outside].min(axis=1) if len(inside) < n else INF
+            diam = max(diam, float(block.max(axis=0)[inside].max()))
+            if len(inside) < n:
+                block[:, inside] = top
+                dist = block.min(axis=1)
+            else:
+                dist = INF
             depth[chunk] = np.maximum(depth[chunk], dist)
-            diam = max(diam, float(block[:, inside].max()))
     return mult, float(depth.min()), diam
 
 

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditFailed, BallTooLarge, NotInKernel, PreconditionFailed
-from .metric import INF, FiniteMetricSpace, point_label, sampled_triples
+from .metric import INF, FiniteMetricSpace, block_rows, point_label, sampled_triples
 
 DEFAULT_BALL_CAP = 5_000_000
 
-# Distance cells computed per strip of window rows; bounds the temporaries
-# of a closed-form fill to a few MB whatever the window size.
-_CHUNK_ELEMENTS = 1 << 16
+# Bytes per cell that a declared metric's temporaries take at most: every
+# kernel below works on (rows, cols) arrays of int64 or narrower, plus the
+# intp positions of the Heisenberg kernel's far cells.
+_KERNEL_CELL_BYTES = 8
 
 
 def ball_cap(explicit=None) -> int:
@@ -95,7 +96,16 @@ def zn_spec(n: int) -> GroupSpec:
 
     def distances(points):
         x = np.array(points)
-        return lambda block, cols: np.abs(x[block, None] - x[cols]).sum(axis=2)
+
+        def rows(block, cols):
+            # one coordinate at a time, so no temporary has a third axis
+            d = np.abs(x[cols, 0] - x[block, 0, None])
+            for k in range(1, n):
+                step = x[cols, k] - x[block, k, None]
+                d += np.abs(step, out=step)
+            return d
+
+        return rows
 
     return GroupSpec(
         name=f"zn:{n}",
@@ -140,10 +150,15 @@ def _free_distances(points):
         row[: len(w)] = w
 
     def rows(block, cols):
-        same = words[block, None, :] == words[None, cols, :]
-        lcp = np.logical_and.accumulate(same, axis=2).sum(axis=2)
+        shorter = np.minimum.outer(lengths[block], lengths[cols])
+        # one letter position at a time, so no temporary has a third axis
+        same = np.ones(shorter.shape, dtype=bool)
+        lcp = np.zeros(shorter.shape, dtype=np.int64)
+        for k in range(words.shape[1]):
+            same &= words[block, k, None] == words[cols, k]
+            lcp += same
         # padding matches padding, so a common prefix stops at the shorter word
-        lcp = np.minimum(lcp, np.minimum.outer(lengths[block], lengths[cols]))
+        lcp = np.minimum(lcp, shorter)
         return lengths[block, None] + lengths[cols] - 2 * lcp
 
     return rows
@@ -179,14 +194,19 @@ def free_spec(k: int) -> GroupSpec:
 
 
 def _heisenberg_distances(points):
-    """Blachère's exact word length (Colloq. Math. 95, 2003) of x_i^{-1} x_j."""
+    """Blachère's exact word length (Colloq. Math. 95, 2003) of x_i^{-1} x_j.
+
+    With |a|, |b| <= A and |c| <= C over the points, no value the kernel
+    forms exceeds 4 (6 A^2 + 2 C) = 8 (3 A^2 + C).  The kernel runs in the
+    narrowest signed type that holds that bound: int16 while it is below
+    2^15 (every ball window up to r = 35), else int32; beyond int32 the
+    points are refused."""
     x = np.array(points, dtype=np.int64)
-    # with |a|, |b| <= A and |c| <= C in the window, no value below exceeds
-    # 4 (6 A^2 + 2 C), so the kernel runs in int32
     A, C = int(np.abs(x[:, :2]).max()), int(np.abs(x[:, 2]).max())
-    if 8 * (3 * A * A + C) >= 2**31:
+    bound = 8 * (3 * A * A + C)
+    if bound >= 2**31:
         raise PreconditionFailed("Heisenberg window too wide for the int32 word length", a_b=A, c=C)
-    x = x.astype(np.int32)
+    x = x.astype(np.int16 if bound < 2**15 else np.int32)
 
     def rows(block, cols):
         # x_i^{-1} x_j = (a_j - a_i, b_j - b_i, c_j - c_i - a_i (b_j - b_i))
@@ -208,7 +228,7 @@ def _heisenberg_distances(points):
         c, lo, hi = c.ravel()[far], lo.ravel()[far], hi.ravel()[far]
         top = np.flatnonzero(c > hi * hi)
         far_d = 2 * -(-c // np.maximum(hi, 1)) + hi - lo
-        far_d[top] = 2 * np.ceil(np.sqrt(4 * c[top])).astype(np.int32) - lo[top] - hi[top]
+        far_d[top] = 2 * np.ceil(np.sqrt(4.0 * c[top])).astype(x.dtype) - lo[top] - hi[top]
         d.ravel()[far] = far_d
         return d
 
@@ -368,7 +388,7 @@ def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
         d = np.empty((n, n), dtype=dtype)
         start = 0
         while start < n:
-            stop = min(n, start + max(1, _CHUNK_ELEMENTS // (n - start)))
+            stop = min(n, start + block_rows(_KERNEL_CELL_BYTES * (n - start)))
             d[start:stop, start:] = rows(slice(start, stop), slice(start, None))
             d[start:, start:stop] = d[start:stop, start:].T
             start = stop
@@ -393,7 +413,7 @@ def within(spec: GroupSpec, radius: int):
         m = len(sources)
         rows = spec.distances(list(sources) + list(targets))
         hit = np.zeros(len(targets), dtype=bool)
-        step = max(1, _CHUNK_ELEMENTS // max(1, len(targets)))
+        step = block_rows(_KERNEL_CELL_BYTES * len(targets))
         for start in range(0, m, step):
             hit |= (rows(slice(start, min(m, start + step)), slice(m, None)) <= radius).any(axis=0)
         return hit

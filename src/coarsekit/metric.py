@@ -19,19 +19,21 @@ TOL = 1e-9
 INF = math.inf
 
 # Every triple is scanned up to this size; above it, _SAMPLED_TRIPLES
-# triples from the seeded stdlib generator, in blocks of _TRIPLE_BLOCK.
+# triples from the seeded stdlib generator, one block at a time.
 _FULL_TRIANGLE_LIMIT = 500
 _SAMPLED_TRIPLES = 100_000
-_TRIPLE_BLOCK = 1 << 14
+
+# The one block budget of every blocked pass (window fill, membership,
+# gathers, audits, pair scans): no single temporary of one block takes more
+# than these bytes, so a pass holds its matrix plus one small block whatever
+# the space size, and the block's buffers are reused, not faulted in anew.
+_BLOCK_BYTES = 1 << 17
 
 
-# Symmetry is compared one tile against its mirror tile at a time, so no
-# pass strides through the whole transpose.
-_SYMMETRY_TILE = 256
-
-# Cells per block of the row-then-column gathers; bounds their temporaries
-# to a few MB whatever the space size.
-_GATHER_CELLS = 1 << 20
+def block_rows(row_bytes):
+    """How many rows of ``row_bytes`` bytes one block holds within
+    ``_BLOCK_BYTES``; at least one."""
+    return max(1, _BLOCK_BYTES // max(1, row_bytes))
 
 
 def _tolerance(matrix):
@@ -54,23 +56,28 @@ def _sum_dtype(d):
 
 
 def sampled_triples(n, count):
-    """``count`` index triples in [0, n), as uint32 arrays of at most
-    ``_TRIPLE_BLOCK`` rows: little-endian 32-bit words of
-    ``random.Random(0).randbytes``, mod n.  Whole words concatenate, so the
-    blocks read one byte stream; the stdlib generator keeps numpy.random
+    """``count`` index triples in [0, n), as uint32 arrays of one block of
+    rows each: little-endian 32-bit words of ``random.Random(0).randbytes``,
+    mod n.  Whole words concatenate, so the blocks read one byte stream
+    whatever their size; the stdlib generator keeps numpy.random
     unimported."""
     rng = random.Random(0)
-    for start in range(0, count, _TRIPLE_BLOCK):
-        m = min(_TRIPLE_BLOCK, count - start)
+    step = block_rows(12)  # three 32-bit words a triple
+    for start in range(0, count, step):
+        m = min(step, count - start)
         yield np.frombuffer(rng.randbytes(12 * m), dtype="<u4").reshape(m, 3) % n
 
 
 def _is_symmetric(d, tol) -> bool:
+    """Each square tile against its mirror tile, so no pass strides through
+    the whole transpose.  A tile's compare temporaries fit one block: bools
+    for an integer matrix, floats otherwise."""
     n = len(d)
-    for s in range(0, n, _SYMMETRY_TILE):
-        for t in range(s, n, _SYMMETRY_TILE):
-            tile = d[s : s + _SYMMETRY_TILE, t : t + _SYMMETRY_TILE]
-            mirror = d[t : t + _SYMMETRY_TILE, s : s + _SYMMETRY_TILE].T
+    side = math.isqrt(block_rows(1 if tol == 0 else 8))
+    for s in range(0, n, side):
+        for t in range(s, n, side):
+            tile = d[s : s + side, t : t + side]
+            mirror = d[t : t + side, s : s + side].T
             # integer matrices are compared exactly, without float temporaries
             same = np.array_equal(tile, mirror) if tol == 0 else np.allclose(tile, mirror, atol=TOL, rtol=0)
             if not same:
@@ -213,12 +220,17 @@ def point_label(point) -> str:
 # -- set operations ---------------------------------------------------------
 
 
-def row_blocks(d, rows, cols):
-    """d[rows][:, cols] one block of rows at a time: whole rows first, then
-    the columns, which is faster than one np.ix_ gather."""
-    step = max(1, _GATHER_CELLS // max(d.shape[1], len(cols)))
+def row_blocks(d, rows, cols=None):
+    """d[rows][:, cols] one block of rows at a time, each a fresh array:
+    whole rows first, then the columns, which is faster than one np.ix_
+    gather; with no ``cols``, the whole rows.  Every block and its whole
+    rows fit ``_BLOCK_BYTES``.  Reductions over a block's rows run best on
+    whole rows: a column gather leaves its result in column order."""
+    width = d.shape[1] if cols is None else max(d.shape[1], len(cols))
+    step = block_rows(width * d.itemsize)
     for start in range(0, len(rows), step):
-        yield d[rows[start : start + step]][:, cols]
+        block = d[rows[start : start + step]]
+        yield block if cols is None else block[:, cols]
 
 
 def set_distance(space, A, B):

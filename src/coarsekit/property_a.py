@@ -10,6 +10,7 @@ the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +22,10 @@ from .errors import (
     PreconditionFailed,
     SubsequenceUnavailable,
 )
-from .metric import INF, FiniteMetricSpace, lp_distance, point_label, _tolerance
+from .metric import INF, FiniteMetricSpace, block_rows, lp_distance, point_label, _tolerance
 
 CERT_TOL = 1e-9
 PAIR_CAP = 20_000_000
-# Pair scans gather at most this many row entries per side at once.
-_CHUNK_ELEMENTS = 1 << 16
 
 
 class PropertyAFamily:
@@ -186,18 +185,28 @@ def holder_conversion_gap(u, v, p):
     return lhs, rhs
 
 
-def _chunks(idx, width):
-    """Consecutive runs of the index pairs idx, sized so that gathering
-    their rows holds at most _CHUNK_ELEMENTS entries per side."""
-    step = max(1, _CHUNK_ELEMENTS // max(1, width))
+def _chunks(idx, rows):
+    """Consecutive runs of the index pairs idx, sized so that the rows
+    gathered for either side fit one block."""
+    step = block_rows(rows.shape[1] * rows.itemsize)
     for start in range(0, len(idx), step):
         yield idx[start : start + step]
 
 
 def _audit_pairs(space, limit=400):
-    pairs = np.column_stack(np.triu_indices(len(space.points), k=1))
-    stride = max(1, len(pairs) // limit)
-    return pairs[::stride]
+    """Every stride-th pair (i, j), i < j, of the row-major upper triangle,
+    the stride chosen so about ``limit`` pairs remain.  Pair k is found from
+    the end of the order: the last t + 1 rows hold t (t + 1) / 2 pairs, so
+    an exact integer root inverts that count."""
+    n = len(space.points)
+    total = n * (n - 1) // 2
+    stride = max(1, total // limit)
+    pairs = []
+    for k in range(0, total, stride):
+        m = total - 1 - k
+        t = (math.isqrt(8 * m + 1) - 1) // 2
+        pairs.append((n - 2 - t, n - 1 - (m - t * (t + 1) // 2)))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def _audit_conversion(family, gap, message):
@@ -205,7 +214,7 @@ def _audit_conversion(family, gap, message):
     pts = family.space.points
     pairs = _audit_pairs(family.space)
     for n, rows in family.levels.items():
-        for chunk in _chunks(pairs, rows.shape[1]):
+        for chunk in _chunks(pairs, rows):
             lhs, rhs = gap(rows[chunk[:, 0]], rows[chunk[:, 1]])
             bad = np.flatnonzero(lhs > rhs + CERT_TOL)
             if bad.size:
@@ -279,7 +288,7 @@ def _pair_distances(rows, idx, p):
     """||rows[i] - rows[j]||_p for every index pair (i, j) of idx, in order."""
     out = np.empty(len(idx))
     start = 0
-    for chunk in _chunks(idx, rows.shape[1]):
+    for chunk in _chunks(idx, rows):
         out[start : start + len(chunk)] = lp_distance(rows[chunk[:, 0]], rows[chunk[:, 1]], p)
         start += len(chunk)
     return out

@@ -406,6 +406,32 @@ def test_cli_commands_leave_numpy_random_unimported(argv):
     assert out.stdout.split() == ["0", "False"]
 
 
+def test_interval_cover_leaves_numpy_ma_unimported(tmp_path):
+    out_path = tmp_path / "cover.json"
+    argv = ["cover", "--method", "interval", "--group", "zn:1", "--radius", "20", "--lambda", "2", "--out", str(out_path)]
+    probe = (
+        "import sys\n"
+        "from coarsekit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+    *payload, flags = out.stdout.strip().split("\n")
+    assert flags.split() == ["0", "False"]
+    stats = {"boundary_margin": 0, "diameter": 7, "lebesgue_pointwise": 3, "multiplicity": 2}
+    assert json.loads("\n".join(payload))["stats"] == stats
+    # blocks of 4 lam = 8 at offsets 0 and 2 lam, members in window order
+    window = sorted(range(-20, 21), key=lambda x: (abs(x), x))
+    expected = [
+        (f"I{k}.{key}", [f"({x})" for x in window if (x - offset) // 8 == key])
+        for k, offset in enumerate((0, 4))
+        for key in sorted({(x - offset) // 8 for x in window})
+    ]
+    body = json.loads(out_path.read_text())
+    assert list(zip(body["labels"], body["sets"])) == expected
+
+
 def test_cli_import_loads_no_scipy():
     probe = "import coarsekit.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -3,6 +3,7 @@ coarse embedding built from them."""
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from coarsekit.errors import (
 )
 from coarsekit.covers import Cover, ball_cover, shrink_to_irreducible
 from coarsekit.groups import ball_space, zn_spec
-from coarsekit import property_a
+from coarsekit import metric
 from coarsekit.metric import INF, FiniteMetricSpace, lp_distance
 from coarsekit.property_a import (
     PropertyAFamily,
+    _audit_pairs,
     a_infinity_family,
     certificate,
     coarse_embedding,
@@ -289,5 +291,25 @@ def test_scans_do_not_depend_on_chunk_size(monkeypatch):
         return report.measured, result.audit, result.displacement
 
     whole = scan()
-    monkeypatch.setattr(property_a, "_CHUNK_ELEMENTS", 1)  # one pair per chunk
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 1)  # one pair per chunk
     assert scan() == whole
+
+
+def triangle_pairs(n, limit=400):
+    """Every stride-th row of the stacked upper-triangle index pairs."""
+    i, j = np.triu_indices(n, k=1)
+    stride = max(1, len(i) // limit)
+    return np.column_stack((i[::stride], j[::stride]))
+
+
+def test_audit_pairs_match_the_triangle_construction():
+    for n in range(2, 81):
+        pairs = _audit_pairs(SimpleNamespace(points=range(n)))
+        assert pairs.tolist() == triangle_pairs(n).tolist()
+
+
+def test_audit_pairs_on_the_zn2_r40_window():
+    # 3,281 points: 5,380,840 pairs, of which 401 are kept
+    pairs = _audit_pairs(SimpleNamespace(points=range(3281)))
+    assert len(pairs) == 401
+    assert pairs.tolist() == triangle_pairs(3281).tolist()

@@ -26,8 +26,10 @@ whole-matrix symmetry test with the float-promoted triangle loop, which
 must name the same error and witness.
 """
 
+import contextlib
 import dataclasses
 import functools
+import hashlib
 import random
 import tracemalloc
 from unittest import mock
@@ -37,8 +39,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from coarsekit import cli, dimension, groups, metric
-from coarsekit._jsonutil import canonical_json
+from coarsekit import _jsonutil, cli, groups, metric
+from coarsekit._jsonutil import SCHEMA, canonical_json
 from coarsekit.covers import (
     Cover,
     ball_cover,
@@ -547,15 +549,16 @@ def test_heisenberg_fill_matches_reference(radius):
 
 
 # At r=3 Heisenberg and free:2 have 53 points, zn:2 25 and cyclic:7 7.
-# Chunk 1 fills one row per block; chunk 21 does too, but takes 3, 3, 1
-# rows in cyclic:7; chunk 212 takes 13 blocks of 4 rows and then 1 in
-# Heisenberg and free:2, 3 of 8 and then 1 in zn:2, all 7 in cyclic:7.
+# A strip holds the budget over 8 bytes a kernel cell.  Chunk 1 fills one
+# row per block; chunk 21 does too, but takes 3, 3, 1 rows in cyclic:7;
+# chunk 212 takes 13 blocks of 4 rows and then 1 in Heisenberg and free:2,
+# 3 of 8 and then 1 in zn:2, all 7 in cyclic:7.
 @pytest.mark.parametrize("chunk", [1, 3 * 7, 4 * 53])
 def test_fill_does_not_depend_on_block_size(monkeypatch, chunk):
     for spec in (heisenberg_spec(), free_spec(2), zn_spec(2), cyclic_spec(7)):
         whole = ball_space(spec, 3).d
         with monkeypatch.context() as patched:
-            patched.setattr(groups, "_CHUNK_ELEMENTS", chunk)
+            patched.setattr(metric, "_BLOCK_BYTES", 8 * chunk)
             assert np.array_equal(ball_space(spec, 3).d, whole)
 
 
@@ -615,6 +618,19 @@ def test_heisenberg_kernel_matches_the_select_kernel_on_hall_triples(points):
     assert rows(slice(half, None), slice(half, None)).tolist() == whole[half:, half:].tolist()
 
 
+# 8 (3 A^2 + C) is 32,760 at A = 36, C = 207, the last window the int16
+# kernel takes, and 2^15 one step of C past it
+@pytest.mark.parametrize("A, C, dtype", [(36, 207, np.int16), (36, 208, np.int32)])
+def test_heisenberg_kernel_types_match_the_select_kernel(A, C, dtype):
+    rng = random.Random(C)
+    corners = [(a, b, c) for a in (-A, 0, A) for b in (-A, 0, A) for c in (-C, 0, C)]
+    inner = [(rng.randint(-A, A), rng.randint(-A, A), rng.randint(-C, C)) for _ in range(300)]
+    points = sorted(set(corners + inner))
+    d = heisenberg_spec().distances(points)(slice(None), slice(None))
+    assert d.dtype == dtype
+    assert d.tolist() == ref_heisenberg_rows(points)(slice(None)).tolist()
+
+
 def test_heisenberg_kernel_refuses_coordinates_that_overflow_int32():
     with pytest.raises(PreconditionFailed):
         heisenberg_spec().distances([(0, 0, 0), (0, 0, 300_000_000)])
@@ -635,7 +651,7 @@ def test_symmetric_fill_matches_full_rows(monkeypatch, token, radius, first_stri
     n = len(points)
     full = spec.distances(points)(slice(None), slice(None))
     chunk = 1 if first_strip == 1 else n * (n if first_strip == "n" else first_strip)
-    monkeypatch.setattr(groups, "_CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * chunk)  # 8 bytes a kernel cell
     d = ball_space(spec, radius).d
     assert d.tolist() == full.tolist()
 
@@ -673,6 +689,82 @@ def test_array_emission_matches_lists(obj):
 def test_array_emission_refuses_a_string_that_looks_like_a_slot():
     with pytest.raises(ValueError):
         canonical_json({"a": np.arange(2), "b": "\x00array0\x00"})
+
+
+def streamed(obj):
+    writes = []
+    canonical_json(obj, writes.append)
+    return writes
+
+
+# batches from one character up to the default
+@settings(SETTINGS, max_examples=200)
+@given(obj=payloads, batch=st.sampled_from([1, 7, 1 << 20]))
+def test_streamed_emission_matches_the_returned_text(obj, batch):
+    with mock.patch.object(_jsonutil, "_BATCH_CHARS", batch):
+        writes = streamed(obj)
+        assert "".join(writes) == canonical_json(obj) + "\n"
+    assert max(map(len, writes)) <= batch
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"plain": [1, 2.5, "x", None, {"inf": float("inf")}]},
+        np.arange(24, dtype=np.int16).reshape(2, 3, 4),
+        [np.zeros(0, dtype=int), np.zeros((2, 0), dtype=int), np.zeros((0, 3), dtype=np.int8)],
+        {"a": {"b": [np.arange(-3, 3), {"c": np.arange(6).reshape(3, 2)}]}, "d": np.array([7])},
+    ],
+)
+def test_streamed_emission_of_nested_and_empty_arrays(obj):
+    for batch in (1, 5, 1 << 20):
+        with mock.patch.object(_jsonutil, "_BATCH_CHARS", batch):
+            assert "".join(streamed(obj)) == canonical_json(ref_lists(obj)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"a": np.arange(3), "b": float("nan")},
+        [np.arange(2), {"c": np.array([1.0, float("nan")])}],
+        {"a": np.arange(2), "b": "\x00array0\x00"},
+    ],
+)
+def test_streamed_emission_writes_nothing_before_it_raises(obj):
+    writes = []
+    with pytest.raises(ValueError):
+        canonical_json(obj, writes.append)
+    assert writes == []
+
+
+class HashingSink:
+    """A stdout that keeps only the length and the digest of its text."""
+
+    def __init__(self):
+        self.chars, self.digest = 0, hashlib.sha256()
+
+    def write(self, text):
+        self.chars += len(text)
+        self.digest.update(text.encode())
+
+
+def test_emit_streams_the_r8_ball_within_a_few_mb():
+    # the payload of `ball --group heisenberg --radius 8`: 1,793 points,
+    # 24 MB of text from a 3.2 MB matrix
+    space = ball_space(heisenberg_spec(), 8)
+    payload = {"schema": SCHEMA, "group": "heisenberg", "radius": 8, **space.to_json()}
+    sink = HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            cli._emit(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    text = canonical_json(payload) + "\n"
+    assert sink.chars == len(text) > 24_000_000
+    assert sink.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
 
 
 AUDIT_TOKENS = ["heisenberg", "zn:1", "zn:2"]
@@ -725,7 +817,7 @@ def test_independent_audit_matches_reference():
 @pytest.mark.parametrize("rows_per_chunk", [1, 2, 7])
 def test_independent_audit_chunks_match_reference(monkeypatch, rows_per_chunk):
     space = window("zn:2")
-    monkeypatch.setattr(dimension, "_AUDIT_CELLS", rows_per_chunk * len(space))
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", rows_per_chunk * len(space) * space.d.itemsize)
     pts = space.points
     for cover in (ball_cover(space, 1), Cover(space, [pts[:-1], pts[-2:]]), Cover(space, [pts])):
         assert independent_audit(cover) == ref_independent_audit(cover)
@@ -778,11 +870,28 @@ def test_complement_distances_match_the_ix_gather(data, token):
     expected = ref_complement_distances(cover_from_masks(space, rows))
     diameters = tuple(space.d[np.ix_(idx, idx)].max().item() for idx in map(np.flatnonzero, rows))
     # whole members in one block of rows, and one row per block
-    for cells in (metric._GATHER_CELLS, 1):
-        with mock.patch.object(metric, "_GATHER_CELLS", cells):
+    for budget in (metric._BLOCK_BYTES, 1):
+        with mock.patch.object(metric, "_BLOCK_BYTES", budget):
             cover = cover_from_masks(space, rows)
             assert np.array_equal(cover.complement_distances(), expected)
             assert cover.diameters() == diameters
+
+
+# one row (or one pair, or one triple) per block, against the default budget
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gromov", "--group", "heisenberg", "--cap", "6", "--lambda", "1..2", "--radius", "5"],
+        ["certify-a", "--group", "zn:2", "--radius", "6", "--p", "2", "--n", "2..4", "--K", "1,2"],
+        ["embed", "--group", "zn:1", "--radius", "40", "--p", "2", "--levels", "3,7,15,28", "--budget", "4"],
+    ],
+)
+def test_outputs_do_not_depend_on_the_block_budget(monkeypatch, capsys, argv):
+    assert cli.main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 1)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == whole
 
 
 def assert_same_validation(points, d):
@@ -940,8 +1049,8 @@ def test_cyclic_metric_matches_reference(m):
 
 
 # a sign flip beyond |e| = 2 keeps every distance to the unit, so the first
-# stretched pair sits in row 1 ((-1) against (-3)); blocks of 17 cells (the
-# quotient window's width) take one row each, 34 two rows, 153 all nine
+# stretched pair sits in row 1 ((-1) against (-3)); blocks of 17 int8 cells
+# (the quotient window's width) take one row each, 34 two rows, 153 all nine
 @pytest.mark.parametrize("cells", [17, 34, 153])
 def test_projection_audit_names_the_first_stretched_pair(monkeypatch, cells):
     Z = zn_spec(1)
@@ -952,7 +1061,8 @@ def test_projection_audit_names_the_first_stretched_pair(monkeypatch, cells):
 
     idx = quotient.indices([flip(w) for w in window.points])
     i, j = np.argwhere(quotient.d[np.ix_(idx, idx)] > window.d)[0]
-    monkeypatch.setattr(metric, "_GATHER_CELLS", cells)
+    assert quotient.d.itemsize == 1
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", cells)
     with pytest.raises(PreconditionFailed) as err:
         split_along(Z, window, Z, quotient, flip)
     assert err.value.context["pair"] == (point_label(window.points[i]), point_label(window.points[j]))
