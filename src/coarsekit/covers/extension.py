@@ -5,14 +5,13 @@ the restricted metric, grows a shrunken copy of each kernel member back
 by R, and translates it into each fiber by a deep preimage point.  A
 window point w lies in z N_R(core) exactly when d(z s, w) <= R for some
 core element s, as word metrics are left-invariant; that distance comes
-from the spec's declared metric, so only specs that declare one (Z^n,
-Heisenberg) are served here; wreath products, which declare none, key
-points by lamp class in ``covers.wreath``.  Its three promised statistics
+from the spec's declared metric.  Its three promised statistics
 (Lebesgue, diameter, multiplicity) are all asserted on the computed
 window, with boundary effects quarantined to a reported safe margin
-rather than silently absorbed.  ``split_along``
-cuts a window along an audited quotient map, and ``extension_split``
-cuts a ball window along a spec's declared one.
+rather than silently absorbed.  Wreath products take the same split but
+key points by lamp class in ``covers.wreath``.  ``split_along`` cuts a
+window along an audited quotient map, and ``extension_split`` cuts a
+ball window along a spec's declared one.
 """
 
 from __future__ import annotations
@@ -172,12 +171,11 @@ def extension_cover(
 ) -> Cover:
     """Cover the split's window by sets z_U * N_R(2R-shrunk V) within each fiber.
 
-    The spec must declare ``distances`` (Z^n and Heisenberg do; wreath
-    products go through ``wreath_cover``).  Preconditions (audited): U
-    covers the split's quotient window with Lambda(U) >= lam and diam <= R;
-    V covers its kernel window with Lambda(V) >= 6R in the restricted
-    metric.  Membership is measured with ``groups.within``: the declared
-    metric between the translated core z s and each strip point.
+    Preconditions (audited): U covers the split's quotient window with
+    Lambda(U) >= lam and diam <= R; V covers its kernel window with
+    Lambda(V) >= 6R in the restricted metric.  Membership is measured
+    with ``groups.within``: the declared metric between the translated
+    core z s and each strip point.
     Conclusions (asserted): multiplicity <= m(U) m(V) and member diameter
     <= diam V + 2R everywhere; Lambda >= lam on the safe region.  Points
     too close to the window edge may end up uncovered; if any point with
@@ -185,8 +183,6 @@ def extension_cover(
     small and we say so.
     """
     G, window, kernel = split.spec, split.window, split.kernel
-    if G.distances is None:
-        raise PreconditionFailed("extension covers need a declared metric", group=G.name)
     if U_cover.space is not split.quotient or V_cover.space is not kernel:
         raise PreconditionFailed("U must cover the split's quotient window and V its kernel window")
 

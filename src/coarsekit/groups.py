@@ -3,13 +3,14 @@
 A group is a :class:`GroupSpec`: unit, multiplication, inversion and a
 symmetric generating tuple, all on hashable canonical element
 representations.  Balls and norms come from breadth-first search over
-the Cayley graph; a spec may declare a batched closed-form metric for
-its windows.  Structure that constructions use (lattice rank, wreath
-factors, a central extension) is declared in typed fields by the
-constructors here; the name is only a label.
+the Cayley graph, and every spec declares its word metric in closed
+form, batched over a window's points.  Structure that constructions use
+(lattice rank, wreath factors, a central extension, a tree Cayley graph)
+is declared in typed fields by the constructors here; the name is only
+a label.
 Built-ins: Z^n, finite cyclic groups, free groups, the discrete
 Heisenberg group in Hall coordinates, and restricted wreath products
-(lamp configurations over a base).
+(lamp configurations over a base whose Cayley graph is a tree).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ DEFAULT_BALL_CAP = 5_000_000
 
 # Bytes per cell that a declared metric's temporaries take at most: every
 # kernel below works on (rows, cols) arrays of int64 or narrower, plus the
-# intp positions of the Heisenberg kernel's far cells.
+# intp positions of the Heisenberg kernel's far cells and of the wreath
+# kernel's gathers.
 _KERNEL_CELL_BYTES = 8
 
 
@@ -45,7 +47,8 @@ class GroupSpec:
     multiply: callable
     inverse: callable
     generators: tuple
-    distances: callable = None      # a window's point list -> rows(block, cols) -> d[block, cols]
+    distances: callable             # a window's point list -> rows(block, cols) -> d[block, cols]
+    tree: bool = False              # the Cayley graph is a tree, and sorted elements list it depth-first
     lattice_rank: int = None        # L when the group is Z^L
     factors: tuple = None           # (base, lamp) of a wreath product
     extension: tuple = None         # (quotient spec, projection, kernel generators)
@@ -114,6 +117,7 @@ def zn_spec(n: int) -> GroupSpec:
         inverse=lambda a: tuple(-x for x in a),
         generators=tuple(gens),
         distances=distances,
+        tree=n == 1,
         lattice_rank=n,
         extension=(zn_spec(n - 1), lambda a: a[: n - 1], tuple(gens[-2:])) if n >= 2 else None,
         asdim=n,
@@ -137,6 +141,7 @@ def cyclic_spec(m: int) -> GroupSpec:
         inverse=lambda a: (-a) % m,
         generators=gens,
         distances=distances,
+        tree=m == 2,
         asdim=0,
     )
 
@@ -182,6 +187,7 @@ def free_spec(k: int) -> GroupSpec:
         inverse=lambda a: tuple(-x for x in reversed(a)),
         generators=tuple((s,) for s in letters),
         distances=_free_distances,
+        tree=True,
         asdim=1,
     )
 
@@ -269,9 +275,6 @@ class WreathElement:
     config: tuple
     head: object
 
-    def support(self):
-        return tuple(k for k, _ in self.config)
-
     def __str__(self):
         """Lamps by position, then the head: ``{(-3):1,(0):1}@(-3)``."""
         lamps = ",".join(f"{point_label(k)}:{point_label(v)}" for k, v in self.config)
@@ -283,7 +286,74 @@ def wreath_element(config_dict, head, lamp_unit) -> WreathElement:
     return WreathElement(tuple(sorted(cleaned.items())), head)
 
 
+def _wreath_distances(base: GroupSpec, lamp: GroupSpec):
+    """The word metric of a wreath product over a tree base (Parry, Trans.
+    AMS 331, 1992; Cleary-Taback, Q. J. Math. 56, 2005).
+
+    For x = (f, a) and y = (g, b), a shortest word for x^{-1} y walks the
+    base from a to b through Q = {p : f(p) != g(p)} | {a, b} and sets each
+    lamp on the way, so with T the subtree spanning Q,
+    |x^{-1} y| = 2 |T| - d_N(a, b) + sum_p d_L(f(p), g(p)).  Sorting lists
+    the tree depth-first, so 2 |T| is the cyclic sum of d_N over Q in
+    sorted order.  The kernel walks the window's sorted positions once,
+    keeping each cell's first and last position of Q and its running sum,
+    in the narrowest signed type that holds the positions, the lamp values
+    and |Q| times the largest base plus lamp distance."""
+
+    def distances(points):
+        positions = sorted({w.head for w in points}.union(p for w in points for p, _ in w.config))
+        values = list(dict.fromkeys([lamp.unit] + [v for w in points for _, v in w.config]))
+        P = len(positions)
+        dn = base.distances(positions)(slice(None), slice(None))
+        dl = lamp.distances(values)(slice(None), slice(None))
+        bound = max((P + 1) * (int(dn.max()) + int(dl.max())), P + 1, len(values))
+        dtype = np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
+        # index P is "no position yet", at distance 0 from everything
+        dn_none = np.zeros((P + 1, P + 1), dtype=dtype)
+        dn_none[:P, :P] = dn
+        dl = dl.astype(dtype)
+        at = {p: k for k, p in enumerate(positions)}
+        value_at = {v: k for k, v in enumerate(values)}
+        heads = np.array([at[w.head] for w in points], dtype=dtype)
+        lamps = np.zeros((len(points), P), dtype=dtype)
+        for row, w in zip(lamps, points):
+            for p, v in w.config:
+                row[at[p]] = value_at[v]
+        lit = lamps.any(axis=0)
+
+        def rows(block, cols):
+            fb, fc, hb, hc = lamps[block], lamps[cols], heads[block], heads[cols]
+            d = np.zeros((len(hb), len(hc)), dtype=dtype)
+            first = np.full(d.shape, P, dtype=dtype)
+            last = np.full(d.shape, P, dtype=dtype)
+            for k in range(P):
+                if lit[k]:
+                    # where the lamps differ at k: pay their distance, walk to k
+                    lamp_d = dl[fb[:, k]][:, fc[:, k]]
+                    d += lamp_d
+                    moved = lamp_d != 0
+                    np.add(d, dn_none[k].take(last), out=d, where=moved)
+                    np.copyto(first, k, where=moved & (last == P))
+                    np.copyto(last, k, where=moved)
+                # the rows and columns whose head is at k walk there; a
+                # second visit at k adds 0
+                for cells in (np.flatnonzero(hb == k), (slice(None), np.flatnonzero(hc == k))):
+                    was = last[cells]
+                    d[cells] += dn_none[k].take(was)
+                    first[cells] = np.where(was == P, k, first[cells])
+                    last[cells] = k
+            d += dn_none[last, first]
+            d -= dn_none[hb[:, None], hc]
+            return d
+
+        return rows
+
+    return distances
+
+
 def wreath_spec(base: GroupSpec, lamp: GroupSpec) -> GroupSpec:
+    if not base.tree:
+        raise PreconditionFailed("wreath products need a base whose Cayley graph is a tree", base=base.name)
     unit = WreathElement((), base.unit)
 
     def mul(a: WreathElement, b: WreathElement):
@@ -312,6 +382,7 @@ def wreath_spec(base: GroupSpec, lamp: GroupSpec) -> GroupSpec:
         multiply=mul,
         inverse=inv,
         generators=tuple(gens),
+        distances=_wreath_distances(base, lamp),
         factors=(base, lamp),
     )
 
@@ -356,47 +427,44 @@ def word_norm_table(spec: GroupSpec, radius: int, cap=None):
     return norms
 
 
-def _by_norm(table, radius):
-    """Elements of norm <= radius, by (norm, element)."""
-    return sorted((e for e, n in table.items() if n <= radius), key=lambda e: (table[e], e))
+def _by_norm(table):
+    """The table's elements, by (norm, element)."""
+    return sorted(table, key=lambda e: (table[e], e))
 
 
 def ball_elements(spec: GroupSpec, radius: int, cap=None):
-    return _by_norm(word_norm_table(spec, radius, cap), radius)
+    return _by_norm(word_norm_table(spec, radius, cap))
 
 
 def ball_space(spec: GroupSpec, radius: int, cap=None) -> FiniteMetricSpace:
     """The closed ball around the unit with the restricted word metric.
 
-    Pairwise distances are norms of x^{-1} y.  They come from the declared
-    batched metric, one strip of the upper triangle at a time mirrored
-    below the diagonal, checked on the unit row against the BFS norms
-    that listed the window; else (wreath products) from the radius-2r BFS
-    table, one lookup per pair.  Window metadata is attached for margin
-    audits.  The matrix has the narrowest signed integer type that holds a
-    sum of two of its distances: int8 up to r = 31, int16 up to r = 8191.
+    BFS lists the ball, so the cap counts the window itself.  Pairwise
+    distances, norms of x^{-1} y, come from the spec's declared metric,
+    one strip of the upper triangle at a time mirrored below the
+    diagonal, and are checked on the unit row against the BFS norms.
+    Window metadata is attached for margin audits.  The matrix has the
+    narrowest signed integer type that holds a sum of two of its
+    distances: int8 up to r = 31, int16 up to r = 8191.
     """
     # a distance in the radius-r ball is at most 2r, and validation adds two
     dtype = np.int8 if 4 * radius <= 127 else np.int16 if 4 * radius <= 32767 else np.int32
-    table = word_norm_table(spec, 2 * radius if spec.distances is None else radius, cap)
-    points = _by_norm(table, radius)
-    if spec.distances is None:
-        d = _pairwise_distances(spec, table, points, dtype)
-    else:
-        rows = spec.distances(points)
-        n = len(points)
-        d = np.empty((n, n), dtype=dtype)
-        start = 0
-        while start < n:
-            stop = min(n, start + block_rows(_KERNEL_CELL_BYTES * (n - start)))
-            d[start:stop, start:] = rows(slice(start, stop), slice(start, None))
-            d[start:, start:stop] = d[start:stop, start:].T
-            start = stop
-        # points[0] is the unit, so row 0 holds the norms BFS measured
-        wrong = np.flatnonzero(d[0] != [table[p] for p in points])
-        if wrong.size:
-            point = point_label(points[wrong[0]])
-            raise AuditFailed("window distance disagrees with the BFS norm", group=spec.name, point=point)
+    table = word_norm_table(spec, radius, cap)
+    points = _by_norm(table)
+    rows = spec.distances(points)
+    n = len(points)
+    d = np.empty((n, n), dtype=dtype)
+    start = 0
+    while start < n:
+        stop = min(n, start + block_rows(_KERNEL_CELL_BYTES * (n - start)))
+        d[start:stop, start:] = rows(slice(start, stop), slice(start, None))
+        d[start:, start:stop] = d[start:stop, start:].T
+        start = stop
+    # points[0] is the unit, so row 0 holds the norms BFS measured
+    wrong = np.flatnonzero(d[0] != [table[p] for p in points])
+    if wrong.size:
+        point = point_label(points[wrong[0]])
+        raise AuditFailed("window distance disagrees with the BFS norm", group=spec.name, point=point)
     return FiniteMetricSpace(points, d, center=spec.unit, window_radius=radius)
 
 
@@ -405,8 +473,7 @@ def within(spec: GroupSpec, radius: int):
     some source in the spec's declared metric.
 
     The answer comes from ``rows(sources, targets)``, exact because word
-    metrics are left-invariant, so no ball is listed.  Wreath products
-    declare no metric; their covers key points by lamp class instead.
+    metrics are left-invariant, so no ball is listed.
     """
 
     def near(sources, targets):
@@ -419,20 +486,6 @@ def within(spec: GroupSpec, radius: int):
         return hit
 
     return near
-
-
-def _pairwise_distances(spec: GroupSpec, table, points, dtype):
-    """d[i, j] = table[x_i^{-1} x_j], one pair at a time."""
-    n = len(points)
-    mul = spec.multiply
-    inverses = [spec.inverse(p) for p in points]
-    d = np.zeros((n, n), dtype=dtype)
-    for i in range(n):
-        gi = inverses[i]
-        row = d[i]
-        for j in range(i + 1, n):
-            row[j] = table[mul(gi, points[j])]
-    return d + d.T
 
 
 # -- distortion ---------------------------------------------------------------

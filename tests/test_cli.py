@@ -368,6 +368,32 @@ def test_ball_cap_exit_code(capsys):
     assert body["type"] == "BallTooLarge"
 
 
+def test_wreath_ball_cap_counts_the_window(capsys):
+    # the 155 points of the lamplighter r6 window fit 300; 100 trips in the
+    # layer after radius 5
+    argv = ("ball", "--group", "lamplighter", "--radius", "6")
+    code, body = run_json(capsys, *argv, "--ball-cap", "300")
+    assert code == 0
+    assert len(body["points"]) == 155
+    code, body = run_json(capsys, *argv, "--ball-cap", "100")
+    assert code == 3
+    assert body["type"] == "BallTooLarge"
+    assert (body["group"], body["cap"], body["radius_reached"]) == ("wreath:zn:1:cyclic:2", 100, 5)
+
+
+@pytest.mark.parametrize("token, base", [
+    ("wreath:zn:2:cyclic:2", "zn:2"),
+    ("wreath:cyclic:3:cyclic:2", "cyclic:3"),
+    ("wreath:heisenberg:cyclic:2", "heisenberg"),
+])
+def test_wreath_over_a_non_tree_base_is_refused(capsys, token, base):
+    code, body = run_json(capsys, "ball", "--group", token, "--radius", "2")
+    assert code == 2
+    assert body["type"] == "PreconditionFailed"
+    assert body["error"] == "wreath products need a base whose Cayley graph is a tree"
+    assert body["base"] == base
+
+
 def test_extension_cover_lists_no_r_ball_under_the_cap(capsys):
     # membership reads the declared metric, so only the window's own BFS
     # counts against the cap: 593 points fit 1000 (R = 10 lists no ball)

@@ -114,6 +114,62 @@ def test_group_axioms_per_spec():
         validate_group_axioms(spec)
 
 
+def bfs_parents(spec, radius):
+    """Each element of the radius ball mapped to the element BFS first
+    reached it from (None for the unit)."""
+    parent = {spec.unit: None}
+    frontier = [spec.unit]
+    for _ in range(radius):
+        nxt = []
+        for g in frontier:
+            for s in spec.generators:
+                h = spec.multiply(g, s)
+                if h not in parent:
+                    parent[h] = g
+                    nxt.append(h)
+        frontier = nxt
+    return parent
+
+
+def first_tree_mismatch(spec, radius=4, trials=300):
+    """A sorted subset Q of B_radius whose cyclic sum of ``distances``
+    differs from twice the edge count of the subtree of the BFS tree that
+    spans Q, or None when ``trials`` random subsets show none."""
+    parent = bfs_parents(spec, radius)
+    elements = sorted(parent)
+    d = spec.distances(elements)(slice(None), slice(None))
+    rng = random.Random(0)
+    for _ in range(trials):
+        q = sorted(rng.sample(range(len(elements)), rng.randint(1, min(6, len(elements)))))
+        cyclic = sum(int(d[a, b]) for a, b in zip(q, q[1:] + q[:1]))
+        paths = []
+        for i in q:
+            path, e = [], elements[i]
+            while e is not None:
+                path.append(e)
+                e = parent[e]
+            paths.append(path[::-1])
+        edges = {(p[j - 1], p[j]) for p in paths for j in range(1, len(p))}
+        # the root paths share the edges above the deepest common ancestor
+        shared = 0
+        while all(len(p) > shared + 1 for p in paths) and len({p[shared + 1] for p in paths}) == 1:
+            shared += 1
+        if cyclic != 2 * (len(edges) - shared):
+            return [elements[i] for i in q]
+    return None
+
+
+@pytest.mark.parametrize("token", [
+    "zn:1", "zn:2", "zn:3", "cyclic:2", "cyclic:3", "cyclic:7", "free:0", "free:1", "free:2", "free:3",
+    "heisenberg", "lamplighter",
+])
+def test_tree_declaration_matches_the_cyclic_sum(token):
+    # over a tree listed depth-first the cyclic sum walks each spanning edge
+    # twice; any other Cayley graph shows a subset where it does not
+    spec = group_from_token(token)
+    assert spec.tree == (first_tree_mismatch(spec) is None)
+
+
 def test_group_axioms_reject_a_non_associative_product():
     # (a0 + b0, a1 + b1 + a0^2 b0 (a0 + b0)) keeps the unit and the inverse
     # laws; the radius-3 ball has 25 elements, so 1,500 triples are sampled

@@ -5,9 +5,9 @@ and distance-to-complement rows come straight from their definitions,
 and every sup, slack and conversion gap is a plain loop.  The library's
 variation reports, embedding audit and conversion gaps must agree with it
 to 1e-12 on small windows of four groups.  Two more array paths have a
-plain reference here: the window fill of every group but wreath products
-(the closed forms of Z^n, cyclic, free and Heisenberg groups, against a
-loop over pairs looking norms up in the BFS table) and the emission of
+plain reference here: the window fill of every group (the closed forms
+of Z^n, cyclic, free, Heisenberg and wreath groups, against a loop over
+pairs looking norms up in the BFS table) and the emission of
 integer arrays (the same payload with every array turned into lists
 first).  The cover audits have one too: `independent_audit` and the
 subset oracle must return exactly what their full-row and per-cell forms
@@ -531,6 +531,11 @@ FILL_CASES = [
     # radius below and above m // 2
     ("cyclic:2", 0), ("cyclic:2", 2), ("cyclic:3", 0), ("cyclic:3", 2), ("cyclic:7", 2), ("cyclic:7", 4),
     ("free:0", 2), ("free:1", 3), ("free:2", 3), ("free:3", 2),
+    # wreath products over each tree base, with finite, integer, free and
+    # wreath lamps
+    ("lamplighter", 4), ("lamplighter", 6), ("wreath:zn:1:zn:1", 4), ("wreath:free:2:cyclic:2", 3),
+    ("wreath:zn:1:free:2", 3), ("wreath:free:1:cyclic:2", 4), ("wreath:zn:1:cyclic:3", 4),
+    ("wreath:cyclic:2:zn:1", 4), ("wreath:zn:1:lamplighter", 3),
 ]
 
 
@@ -548,14 +553,18 @@ def test_heisenberg_fill_matches_reference(radius):
     test_fill_matches_bfs_reference("heisenberg", radius)
 
 
-# At r=3 Heisenberg and free:2 have 53 points, zn:2 25 and cyclic:7 7.
-# A strip holds the budget over 8 bytes a kernel cell.  Chunk 1 fills one
-# row per block; chunk 21 does too, but takes 3, 3, 1 rows in cyclic:7;
-# chunk 212 takes 13 blocks of 4 rows and then 1 in Heisenberg and free:2,
-# 3 of 8 and then 1 in zn:2, all 7 in cyclic:7.
+# At r=3 Heisenberg and free:2 have 53 points, zn:2 25, cyclic:7 7, the
+# lamplighter 22 and wreath:free:2:cyclic:2 106.  A strip of the upper
+# triangle holds the budget over 8 bytes a kernel cell, so strips widen as
+# their rows shorten.  Chunk 1 fills one row per strip; chunk 21 does too
+# until the last rows (cyclic:7 takes 3 and then 4); chunk 212 takes strips
+# of 4 to 12 rows and then 5 in Heisenberg and free:2, 8, 12 and 5 in zn:2,
+# all 7 in cyclic:7, 9 and 13 in the lamplighter, and 2 to 13 in
+# wreath:free:2:cyclic:2.
 @pytest.mark.parametrize("chunk", [1, 3 * 7, 4 * 53])
 def test_fill_does_not_depend_on_block_size(monkeypatch, chunk):
-    for spec in (heisenberg_spec(), free_spec(2), zn_spec(2), cyclic_spec(7)):
+    wreaths = (lamplighter_spec(), group_from_token("wreath:free:2:cyclic:2"))
+    for spec in (heisenberg_spec(), free_spec(2), zn_spec(2), cyclic_spec(7), *wreaths):
         whole = ball_space(spec, 3).d
         with monkeypatch.context() as patched:
             patched.setattr(metric, "_BLOCK_BYTES", 8 * chunk)
@@ -569,6 +578,23 @@ def test_fill_rejects_distances_that_disagree_with_bfs():
     with pytest.raises(AuditFailed) as err:
         ball_space(wrong, 2)
     assert err.value.context["point"] == "(-1,-1,1)"
+
+
+@pytest.mark.parametrize(
+    "token, radius", [("lamplighter", 5), ("wreath:free:2:cyclic:2", 3), ("wreath:zn:1:lamplighter", 3)]
+)
+def test_wreath_kernel_matches_reference_on_any_points_and_order(token, radius):
+    # membership tests hand the kernel translated cores, not a ball in order
+    spec = group_from_token(token)
+    points = ball_elements(spec, radius)
+    rng = random.Random(radius)
+    for _ in range(10):
+        sub = rng.sample(points, rng.randint(1, 30))
+        ref = ref_distances(spec, sub, radius)
+        block = rng.sample(range(len(sub)), rng.randint(1, len(sub)))
+        cols = rng.sample(range(len(sub)), rng.randint(1, len(sub)))
+        d = spec.distances(sub)(np.array(block), np.array(cols))
+        assert d.tolist() == [[ref[i][j] for j in cols] for i in block]
 
 
 def test_heisenberg_closed_form_matches_bfs_both_ways():
@@ -1107,8 +1133,8 @@ def test_extension_cover_matches_reference(monkeypatch, capsys, caller):
         assert cover.meta["z_points"] == z_points
 
 
-# a spec without a declared metric is refused before any ball is listed
-@pytest.mark.parametrize("spec, bfs_runs", [(heisenberg_spec(), 0), (zn_spec(2), 0), (lamplighter_spec(), None)])
+# membership reads the declared metric, so no ball is listed
+@pytest.mark.parametrize("spec, bfs_runs", [(heisenberg_spec(), 0), (zn_spec(2), 0)])
 def test_extension_membership_lists_a_ball_only_without_a_declared_metric(monkeypatch, spec, bfs_runs):
     split = extension_split(spec, 5)
     U, R = split.quotient_cover(1)
@@ -1120,13 +1146,8 @@ def test_extension_membership_lists_a_ball_only_without_a_declared_metric(monkey
         return word_norm_table(spec, radius, cap)
 
     monkeypatch.setattr(groups, "word_norm_table", counting)
-    if bfs_runs is None:
-        with pytest.raises(PreconditionFailed) as err:
-            extension_cover(split, U, V, 1, R)
-        assert err.value.context["group"] == spec.name
-    else:
-        extension_cover(split, U, V, 1, R)
-    assert tables == []
+    extension_cover(split, U, V, 1, R)
+    assert len(tables) == bfs_runs
 
 
 @functools.lru_cache(maxsize=None)
