@@ -23,7 +23,7 @@ from ..errors import (
     PreconditionFailed,
     TooLarge,
 )
-from ..metric import INF, FiniteMetricSpace, point_label, row_blocks, set_distance, _tolerance
+from ..metric import INF, FiniteMetricSpace, point_label, row_blocks, _tolerance
 
 
 class Cover:
@@ -245,17 +245,13 @@ class Cover:
 # -- constructions ------------------------------------------------------------
 
 
-def ball_cover(space: FiniteMetricSpace, lam, centers=None) -> Cover:
-    """Closed lam-balls around every center (default: all points)."""
+def ball_cover(space: FiniteMetricSpace, lam) -> Cover:
+    """Closed lam-balls around every point."""
     if lam < 0:
         raise PreconditionFailed("ball cover needs lam >= 0", lam=lam)
-    if centers is None:
-        centers = list(space.points)
     tol = _tolerance(space.d)
-    # row c of d is column c, as d is audited symmetric
-    inside = space.d[space.indices(centers)] <= lam + tol
-    labels = [f"B{lam}({point_label(c)})" for c in centers]
-    return Cover(space, inside, labels, meta={"method": "ball", "radius": lam})
+    labels = [f"B{lam}({point_label(c)})" for c in space.points]
+    return Cover(space, space.d <= lam + tol, labels, meta={"method": "ball", "radius": lam})
 
 
 def families_to_cover(space: FiniteMetricSpace, families, r, lam) -> Cover:
@@ -267,11 +263,11 @@ def families_to_cover(space: FiniteMetricSpace, families, r, lam) -> Cover:
     """
     if not r > 2 * lam:
         raise PreconditionFailed("need r > 2*lam for disjointness to survive growth", r=r, lam=lam)
-    for fi, family in enumerate(families):
-        members = [list(s) for s in family]
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                gap = set_distance(space, members[a], members[b])
+    members = [[space.indices(list(s)) for s in family] for family in families]
+    for fi, family in enumerate(members):
+        for a in range(len(family)):
+            for b in range(a + 1, len(family)):
+                gap = space.d[family[a]][:, family[b]].min().item()
                 if gap < r:
                     raise NotDisjoint(
                         "family members closer than r",
@@ -280,23 +276,22 @@ def families_to_cover(space: FiniteMetricSpace, families, r, lam) -> Cover:
                         distance=gap,
                     )
     covered = np.zeros(len(space.points), dtype=bool)
-    for family in families:
-        for s in family:
-            covered[space.indices(list(s))] = True
+    for family in members:
+        for idx in family:
+            covered[idx] = True
     if not covered.all():
         missing = np.flatnonzero(~covered)[0]
         raise NotCovering("original families do not cover", witness=point_label(space.points[missing]))
 
     tol = _tolerance(space.d)
-    sets, labels, owner = [], [], []
-    for fi, family in enumerate(families):
-        for si, s in enumerate(family):
-            dist = space.d[:, space.indices(list(s))].min(axis=1)
-            grown = [p for p, ok in zip(space.points, dist <= lam + tol) if ok]
-            sets.append(grown)
+    rows, labels, owner = [], [], []
+    for fi, family in enumerate(members):
+        for si, idx in enumerate(family):
+            rows.append(space.d[:, idx].min(axis=1) <= lam + tol)
             labels.append(f"F{fi}.{si}")
             owner.append(fi)
-    cover = Cover(space, sets, labels, meta={"method": "families", "family": owner, "r": r, "lam": lam})
+    masks = np.array(rows, dtype=bool).reshape(len(rows), len(space.points))
+    cover = Cover(space, masks, labels, meta={"method": "families", "family": owner, "r": r, "lam": lam})
     if cover.multiplicity() > len(families):
         raise AuditFailed(
             "multiplicity exceeds family count",
@@ -420,17 +415,29 @@ def audit_irreducible(cover: Cover):
 # -- lattice constructions -----------------------------------------------------
 
 
-def _dedupe_nested(groups):
-    """Sorted (key, frozenset) pairs of groups, skipping every set nested
-    inside another; on small windows many shifted families coincide."""
-    picked = []
-    for key in sorted(groups):
-        members = frozenset(groups[key])
-        if any(members <= other for _, other in picked):
+def _keyed_rows(keys):
+    """The distinct rows of the integer array ``keys``, in sorted order,
+    and a mask row for each: the points whose key row it is."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return uniq, inverse.reshape(-1) == np.arange(len(uniq))[:, None]
+
+
+def _drop_nested(rows):
+    """Indices, in order, of the mask rows nested in no other row; of equal
+    rows the first is kept.  On small windows many shifted families
+    coincide.  A row that contains another contains its first point, so
+    each row is compared only with the kept rows that could hold it or
+    that it could hold."""
+    first = rows.argmax(axis=1)
+    kept = np.zeros(len(rows), dtype=bool)
+    for i, row in enumerate(rows):
+        outer = np.flatnonzero(kept & rows[:, first[i]])
+        if (rows[outer] >= row).all(axis=1).any():
             continue
-        picked = [(k, m) for k, m in picked if not m <= members]
-        picked.append((key, members))
-    return picked
+        inner = np.flatnonzero(kept & row[first])
+        kept[inner[(row >= rows[inner]).all(axis=1)]] = False
+        kept[i] = True
+    return np.flatnonzero(kept)
 
 
 def _brick_keys(coords, lam, side, j):
@@ -446,7 +453,7 @@ def _lattice_coords(space):
     return coords
 
 
-def brick_cover_zl(space: FiniteMetricSpace, lam, l=None) -> Cover:
+def brick_cover_zl(space: FiniteMetricSpace, lam) -> Cover:
     """l+1 shifted brick partitions of a Z^l window.
 
     Bricks have side 2(l+1)*lam and consecutive families shift by 2*lam
@@ -455,24 +462,21 @@ def brick_cover_zl(space: FiniteMetricSpace, lam, l=None) -> Cover:
     partition.  Multiplicity <= l+1 and the Lebesgue bound are audited.
     """
     coords = _lattice_coords(space)
-    if l is None:
-        l = coords.shape[1]
+    l = coords.shape[1]
     if lam == 0:
-        sets = [[p] for p in space.points]
+        n = len(space.points)
         labels = [f"pt{point_label(p)}" for p in space.points]
-        cover = Cover(space, sets, labels, meta={"method": "brick", "lam": 0, "families": [0] * len(sets)})
-        return cover
+        meta = {"method": "brick", "lam": 0, "families": [0] * n}
+        return Cover(space, np.eye(n, dtype=bool), labels, meta=meta)
     side = 2 * (l + 1) * lam
-    sets, labels, owner = [], [], []
+    masks, labels, owner = [], [], []
     for j in range(l + 1):
-        keys = _brick_keys(coords, lam, side, j)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        for u in range(len(uniq)):
-            members = [space.points[i] for i in np.flatnonzero(inverse == u)]
-            sets.append(members)
-            labels.append(f"brick{j}." + ",".join(str(v) for v in uniq[u]))
-            owner.append(j)
-    cover = Cover(space, sets, labels, meta={"method": "brick", "lam": lam, "side": side, "families": owner})
+        keys, rows = _keyed_rows(_brick_keys(coords, lam, side, j))
+        masks.append(rows)
+        labels += [f"brick{j}." + ",".join(map(str, key)) for key in keys.tolist()]
+        owner += [j] * len(keys)
+    meta = {"method": "brick", "lam": lam, "side": side, "families": owner}
+    cover = Cover(space, np.concatenate(masks), labels, meta=meta)
     if cover.multiplicity() > l + 1:
         raise AuditFailed("brick multiplicity exceeds l+1", multiplicity=cover.multiplicity(), l=l)
     measured = cover.pointwise_lebesgue()
@@ -527,15 +531,12 @@ def coordinate_interval_cover(space: FiniteMetricSpace, axis, lam) -> Cover:
         b, offsets = 2, [0, 1]
     else:
         b, offsets = 4 * lam, [0, 2 * lam]
-    sets, labels = [], []
+    masks, labels = [], []
     for oi, off in enumerate(offsets):
-        keys, inverse = np.unique((xs - off) // b, return_inverse=True)
-        # a stable sort lists each block's points in window order
-        blocks = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-        for key, idx in zip(keys.tolist(), blocks):
-            sets.append([space.points[i] for i in idx])
-            labels.append(f"I{oi}.{key}")
-    cover = Cover(space, sets, labels, meta={"method": "interval", "lam": lam, "block": b})
+        keys, rows = _keyed_rows(((xs - off) // b)[:, None])
+        masks.append(rows)
+        labels += [f"I{oi}.{key}" for key in keys[:, 0].tolist()]
+    cover = Cover(space, np.concatenate(masks), labels, meta={"method": "interval", "lam": lam, "block": b})
     measured = cover.pointwise_lebesgue()
     if measured < lam:
         raise AuditFailed("interval cover below requested Lebesgue", measured=measured, lam=lam)

@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import AuditFailed, PreconditionFailed
 from ..groups import WreathElement, ball_elements, word_norm_table
 from ..metric import point_label
-from .base import Cover, _brick_keys, _dedupe_nested
+from .base import Cover, _brick_keys, _drop_nested, _keyed_rows
 from .extension import ExtensionSplit, _anchors, _audit_conclusions
 
 
@@ -77,45 +77,36 @@ def wreath_cover(split: ExtensionSplit, lam):
         xs = [G.multiply(z_inv, window.points[w]) for w in strip]
         # x's lamps outside B_{6R}(e), as a kernel element, name its class
         outside = [WreathElement(tuple(c for c in x.config if c[0] not in slot), N.unit) for x in xs]
-        classes = {}
-        cls = np.array([classes.setdefault(o, len(classes)) for o in outside])
+        classes = sorted(set(outside))
+        rank = {o: c for c, o in enumerate(classes)}
+        cls = np.array([[rank[o]] for o in outside])
         lamps = np.zeros((len(xs), width), dtype=np.int64)
         for vec, x in zip(lamps, xs):
             for p, v in x.config:
                 if p in slot:
                     vec[k * slot[p] : k * slot[p] + k] = v
-        # members per class, keyed (family, brick); only the coordinates a
-        # family's bricks cut in this strip can split a class, and a family
-        # that cuts the strip as an earlier one did adds nothing
-        by_class = [{} for _ in classes]
-        seen = set()
+        # members keyed (class, family, brick) and listed in that order; only
+        # the coordinates a family's bricks cut in this strip can split a class
+        strip_keys, cells = [], []
         for j in range(width + 1):
             bricks = _brick_keys(lamps, 6 * R, side, j)
             cut = np.flatnonzero((bricks != bricks[:1]).any(axis=0))
-            _, first, inverse = np.unique(
-                np.column_stack([cls, bricks[:, cut]]), axis=0, return_index=True, return_inverse=True
-            )
-            partition = first[inverse].tobytes()
-            if partition in seen:
-                continue
-            seen.add(partition)
-            for g, at in enumerate(first):
-                by_class[cls[at]][(j, tuple(bricks[at].tolist()))] = strip[inverse == g]
-        for o, c in sorted(classes.items()):
-            for (j, bricks), members in _dedupe_nested(by_class[c]):
-                row = np.zeros(n, dtype=bool)
-                row[list(members)] = True
-                rows.append(row)
-                brick = f",brick{j}." + ",".join(map(str, bricks)) if width else ""
-                labels.append(f"W({U.labels[i]},{point_label(o)}{brick})")
-                keys.append((U.labels[i], o, j, bricks))
+            key, cell = _keyed_rows(np.hstack([cls, bricks[:, cut]]))
+            strip_keys.append(np.column_stack([key[:, 0], np.full(len(key), j), bricks[cell.argmax(axis=1)]]))
+            cells.append(cell)
+        strip_keys, cells = np.concatenate(strip_keys), np.concatenate(cells)
+        order = np.lexsort(strip_keys.T[::-1])
+        kept = order[_drop_nested(cells[order])]
+        members = np.zeros((len(kept), n), dtype=bool)
+        members[:, strip] = cells[kept]
+        rows.append(members)
+        for c, j, *bricks in strip_keys[kept].tolist():
+            brick = f",brick{j}." + ",".join(map(str, bricks)) if width else ""
+            labels.append(f"W({U.labels[i]},{point_label(classes[c])}{brick})")
+            keys.append((U.labels[i], classes[c], j, tuple(bricks)))
 
-    cover = Cover(
-        window,
-        np.array(rows, dtype=bool).reshape(len(rows), n),
-        labels,
-        meta={"method": "wreath", "keys": keys, "z_points": z_points, "safe_margin": 0},
-    )
+    meta = {"method": "wreath", "keys": keys, "z_points": z_points, "safe_margin": 0}
+    cover = Cover(window, np.concatenate(rows), labels, meta=meta)
     _audit_conclusions(cover, U.multiplicity() * (width + 1), D + 2 * R, lam, np.ones(n, dtype=bool))
     envelope = (N.asdim + 1) * (lamp.asdim + 1) * len(inside)
     stats = dict(cover.meta["conclusions"])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonutil import csv_text
-from .covers.base import Cover, _dedupe_nested, ball_cover, brick_cover_zl
+from .covers.base import Cover, _drop_nested, _keyed_rows, _lattice_coords, ball_cover, brick_cover_zl
 from .covers.extension import extension_cover, extension_split
 from .covers.wreath import eval_polynomial, wreath_cover
 from .errors import AuditFailed, Infeasible, PreconditionFailed, TooLarge, WindowTooSmall
@@ -119,9 +119,7 @@ def oracle_min_multiplicity(space, lam, D, node_cap=ORACLE_NODE_CAP):
     for bound in range(1, upper + 1):
         solution = dfs([], [0] * n, bound)
         if solution is not None:
-            sets = [
-                [space.points[i] for i in range(n) if m >> i & 1] for m in solution
-            ]
+            sets = (np.array(solution)[:, None] >> np.arange(n) & 1).astype(bool)
             witness = Cover(space, sets, meta={"method": "oracle", "lam": lam, "D": D})
             if not witness.exact_lebesgue_at_least(lam):
                 raise AuditFailed("oracle witness failed its own containment check")
@@ -168,18 +166,12 @@ def _chain_cover(space, lam, D):
     step = D + 1 - lam
     if step <= 0:
         return None
-    xs = [p[0] for p in space.points]
-    lo, hi = min(xs), max(xs)
-    order = {p: i for i, p in enumerate(space.points)}
-    groups = {}
-    k = 0
-    while lo + k * step <= hi:
-        members = [p for p in space.points if lo + k * step <= p[0] <= lo + k * step + D]
-        if members:
-            groups[k] = members
-        k += 1
-    sets = [sorted(m, key=order.get) for _, m in _dedupe_nested(groups)]
-    return Cover(space, sets, meta={"method": "chain", "length": D + 1, "step": step})
+    xs = _lattice_coords(space)[:, 0]
+    starts = np.arange(xs.min(), xs.max() + 1, step)[:, None]
+    windows = (xs >= starts) & (xs <= starts + D)
+    windows = windows[windows.any(axis=1)]
+    meta = {"method": "chain", "length": D + 1, "step": step}
+    return Cover(space, windows[_drop_nested(windows)], meta=meta)
 
 
 def _rotated_brick_cover(space, lam, D):
@@ -190,18 +182,13 @@ def _rotated_brick_cover(space, lam, D):
     guarantee.  Shift spacing t >= lam+1 lets a small set cross at most
     one family's boundary per coordinate.
     """
-    order = {p: i for i, p in enumerate(space.points)}
+    x, y = _lattice_coords(space).T
+    uv = np.column_stack([x + y, x - y])
     for s in range(3 * (lam + 1), D + 2):
         t = s // 3
-        groups = {}
-        for p in space.points:
-            u, v = p[0] + p[1], p[0] - p[1]
-            for j in range(3):
-                groups.setdefault(
-                    (j, (u + j * t) // s, (v + j * t) // s), []
-                ).append(p)
-        sets = [sorted(m, key=order.get) for _, m in _dedupe_nested(groups)]
-        cover = Cover(space, sets, meta={"method": "rotated_bricks", "side": s, "shift": t})
+        cells = np.concatenate([_keyed_rows((uv + j * t) // s)[1] for j in range(3)])
+        meta = {"method": "rotated_bricks", "side": s, "shift": t}
+        cover = Cover(space, cells[_drop_nested(cells)], meta=meta)
         if _cover_is_valid(cover, lam, D):
             return cover
     return None
@@ -222,12 +209,10 @@ def greedy_min_multiplicity(space, lam, D, *, ball=None):
         raise PreconditionFailed("ball must be the lam-ball cover of this space", lam=lam)
     candidates = []
     if space.diameter() <= D:
-        whole = Cover(space, [list(space.points)], ["X"], meta={"method": "whole"})
+        whole = Cover(space, np.ones((1, len(space)), dtype=bool), ["X"], meta={"method": "whole"})
         return 1, whole
     if lam == 0 and D >= 0:
-        single = Cover(
-            space, [[p] for p in space.points], meta={"method": "singletons"}
-        )
+        single = Cover(space, np.eye(len(space), dtype=bool), meta={"method": "singletons"})
         return 1, single
 
     dim = _lattice_dim(space)
@@ -388,8 +373,8 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
     profile because no default is meaningful.  Methods: the ball cover
     with its exact max-ball-size envelope, the greedy catalog, the
     oracle when the window is tiny, and the wreath pipeline on wreath
-    tokens.  Every witness is re-audited from scratch before its row is
-    emitted.
+    tokens.  Every witness is re-audited from scratch, and its row is
+    emitted only when its diameter meets D(lambda).
     """
     spec = group_from_token(token)
     if spec.factors is not None:
@@ -451,10 +436,11 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
             mult, diam = _reaudit(w_cover)
             if mult != stats["multiplicity"]:
                 raise AuditFailed("wreath witness failed re-audit", mult=mult)
-            profile.add_row(
-                lam, D, mult, "construction", stats["envelope"],
-                w_cover.meta["safe_margin"], "wreath",
-            )
+            if diam <= D:
+                profile.add_row(
+                    lam, D, mult, "construction", stats["envelope"],
+                    w_cover.meta["safe_margin"], "wreath",
+                )
 
     profile.assert_monotone()
     return profile
@@ -500,10 +486,10 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
             raise Infeasible("extension needs multiplicity budget 6", cap=cap)
         split = extension_split(spec, ball_radius, ball_cap=ball_cap)
         window, kernel = split.window, split.kernel
-        V = Cover(kernel, [list(kernel.points)], ["Z"], meta={"method": "whole_window"})
+        V = Cover(kernel, np.ones((1, len(kernel)), dtype=bool), ["Z"], meta={"method": "whole_window"})
         for lam in sorted(lam_schedule):
             if lam == 0:
-                single = Cover(window, [[p] for p in window.points], meta={"method": "singletons"})
+                single = Cover(window, np.eye(len(window), dtype=bool), meta={"method": "singletons"})
                 profile.add_row(0, 0, 1, "singletons", None, single.stats()["boundary_margin"])
                 continue
             U, R = split.quotient_cover(lam)
@@ -532,7 +518,7 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
 
 def _lattice_gromov_cover(space, l, lam, cap):
     if lam == 0:
-        return Cover(space, [[p] for p in space.points], meta={"method": "singletons"})
+        return Cover(space, np.eye(len(space), dtype=bool), meta={"method": "singletons"})
     if l == 1:
         cover = _chain_cover(space, lam, 2 * lam - 1)
         if cover is None or not _cover_is_valid(cover, lam, 2 * lam - 1):

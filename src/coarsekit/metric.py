@@ -3,7 +3,7 @@
 Everything downstream runs on a :class:`FiniteMetricSpace`: a finite point
 list with an exact pairwise distance matrix.  Word metrics are stored as
 integers and compared exactly; derived real-valued metrics are compared at
-absolute tolerance ``TOL``.  The empty-set distance is ``math.inf``.
+absolute tolerance ``TOL``.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def point_label(point) -> str:
     return str(point)
 
 
-# -- set operations ---------------------------------------------------------
+# -- blocked gathers --------------------------------------------------------
 
 
 def row_blocks(d, rows, cols=None):
@@ -231,14 +231,6 @@ def row_blocks(d, rows, cols=None):
     for start in range(0, len(rows), step):
         block = d[rows[start : start + step]]
         yield block if cols is None else block[:, cols]
-
-
-def set_distance(space, A, B):
-    """min d(a, b) over a in A, b in B; inf when either side is empty."""
-    A, B = list(A), list(B)
-    if not A or not B:
-        return INF
-    return space.d[space.indices(A)][:, space.indices(B)].min().item()
 
 
 # -- l_p distances -----------------------------------------------------------

@@ -144,9 +144,9 @@ def test_wreath_profile_lists_its_window_once(monkeypatch):
 def test_growth_curve_builds_one_ball_cover_per_lambda(monkeypatch):
     built = []
 
-    def counting(space, lam, centers=None):
+    def counting(space, lam):
         built.append(lam)
-        return ball_cover(space, lam, centers)
+        return ball_cover(space, lam)
 
     monkeypatch.setattr(dimension, "ball_cover", counting)
     profile = growth_curve("zn:2", [1, 2, 3], [0, 4], 6)
@@ -187,10 +187,13 @@ def test_growth_curve_includes_oracle_on_tiny_windows():
 
 
 def test_growth_curve_on_a_wreath_token():
-    profile = growth_curve("lamplighter", [1], [0, 4], 4)
+    profile = growth_curve("lamplighter", [1], [0, 8], 4)
     rows = [r for r in profile.rows if r["method"] == "construction"]
     assert len(rows) == 1
     assert rows[0]["multiplicity"] <= rows[0]["theoretical_envelope"]
+    # the witness has diameter 8, so a budget of 4 emits no construction row
+    profile = growth_curve("lamplighter", [1], [0, 4], 4)
+    assert [r for r in profile.rows if r["method"] == "construction"] == []
 
 
 def test_growth_csv_shape():

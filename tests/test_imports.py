@@ -1,11 +1,17 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and every
+function, class and method the package defines is named somewhere.
 
 A static scan with ``ast``: a name bound by an import statement must be
 read somewhere in the same file.  Package ``__init__.py`` files re-export
 on purpose and are skipped, as are names a module lists in ``__all__``.
+A name defined under ``src`` must appear, as a word, on some line of the
+package, its tests, demos or benchmarks other than its own ``def`` or
+``class`` line; dunder methods are called by Python itself and are exempt.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +57,34 @@ def test_no_unused_imports():
     )
     assert files
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def defined_names(tree):
+    """(name, line) for every module-level function and class and every
+    method of a module-level class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds):
+                    yield item.name, item.lineno
+
+
+def test_every_definition_is_named_elsewhere():
+    lines = {
+        path: path.read_text().splitlines()
+        for folder in ("src", "tests", "demos", "benchmarks")
+        for path in (ROOT / folder).rglob("*.py")
+    }
+    words = Counter(word for text in lines.values() for line in text for word in re.findall(r"\w+", line))
+    orphans = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(lines)
+        if path.is_relative_to(ROOT / "src")
+        for name, line in defined_names(ast.parse("\n".join(lines[path]), filename=str(path)))
+        if not (name.startswith("__") and name.endswith("__"))
+        and words[name] == re.findall(r"\w+", lines[path][line - 1]).count(name)
+    ]
+    assert orphans == []

@@ -14,7 +14,6 @@ from coarsekit.metric import (
     FiniteMetricSpace,
     _tolerance,
     lp_distance,
-    set_distance,
 )
 
 
@@ -53,14 +52,6 @@ def test_integer_validation_allocates_no_float_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 2 * space.d.nbytes
-
-
-def test_set_distance_examples():
-    space = z_segment(10)
-    assert set_distance(space, {0, 1}, {5}) == 4
-    assert set_distance(space, {3}, {3}) == 0
-    assert set_distance(space, {0}, set()) == INF
-    assert set_distance(space, set(), set()) == INF
 
 
 def test_lp_distance_examples():

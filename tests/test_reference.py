@@ -19,6 +19,11 @@ the declared metric; the lamplighter cover keyed by lamp class must have
 the members and z points of the same loop, which reads each point's
 class off the kernel points within R of it in that table; and
 `shrink_to_irreducible` must keep the cores its old restart loop kept.
+Every cover construction keeps its point-list form: the bricks,
+intervals, chains, rotated bricks, grown families and lamp-class
+members built from integer keys must have the masks, labels, set order
+and meta of the same points grouped one at a time into lists and
+deduplicated as frozensets.
 The dense passes keep their earlier forms as oracles: the int64
 `np.select` Heisenberg kernel, full rows for the half-triangle fill, the
 `np.ix_` gathers for complement distances and diameters, and the
@@ -39,18 +44,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from coarsekit import _jsonutil, cli, groups, metric
+from coarsekit import _jsonutil, cli, dimension, groups, metric
 from coarsekit._jsonutil import SCHEMA, canonical_json
 from coarsekit.covers import (
     Cover,
     ball_cover,
     brick_cover_zl,
+    brick_families_zl,
+    coordinate_interval_cover,
     extension_cover,
     extension_split,
+    families_to_cover,
     shrink_to_irreducible,
     split_along,
     wreath_cover,
 )
+from coarsekit.covers.base import _drop_nested
 from coarsekit.dimension import gromov_profile, independent_audit
 from coarsekit.errors import AuditFailed, PreconditionFailed, SubsequenceUnavailable, TooLarge
 from coarsekit.groups import (
@@ -1197,3 +1206,182 @@ def test_lamplighter_keys_match_the_bfs_oracle(radius, lam):
     assert np.array_equal(cover.masks, masks)
     assert cover.meta["z_points"] == z_points
     assert [(u, outside.config) for u, outside, _, _ in cover.meta["keys"]] == keys
+
+
+def dedupe_nested(groups):
+    """Sorted (key, frozenset) pairs of groups, skipping every set nested
+    inside another: the point-list form of ``_drop_nested``."""
+    picked = []
+    for key in sorted(groups):
+        members = frozenset(groups[key])
+        if any(members <= other for _, other in picked):
+            continue
+        picked = [(k, m) for k, m in picked if not m <= members]
+        picked.append((key, members))
+    return picked
+
+
+def grouped(points, key):
+    """The points sharing each key, keys in sorted order."""
+    groups = {}
+    for p in points:
+        groups.setdefault(key(p), []).append(p)
+    return sorted(groups.items())
+
+
+def ref_brick(space, lam):
+    """Sets, labels and meta of the staggered brick cover, grouped per point."""
+    if lam == 0:
+        labels = [f"pt{point_label(p)}" for p in space.points]
+        return [[p] for p in space.points], labels, {"method": "brick", "lam": 0, "families": [0] * len(space)}
+    l = len(space.points[0])
+    side = 2 * (l + 1) * lam
+    sets, labels, owner = [], [], []
+    for j in range(l + 1):
+        for key, members in grouped(space.points, lambda p: tuple((c - j * 2 * lam) // side for c in p)):
+            sets.append(members)
+            labels.append(f"brick{j}." + ",".join(map(str, key)))
+            owner.append(j)
+    return sets, labels, {"method": "brick", "lam": lam, "side": side, "families": owner}
+
+
+def ref_interval(space, axis, lam):
+    b, offsets = (1, [0]) if lam == 0 else (2, [0, 1]) if lam == 1 else (4 * lam, [0, 2 * lam])
+    sets, labels = [], []
+    for oi, off in enumerate(offsets):
+        for key, members in grouped(space.points, lambda p: (p[axis] - off) // b):
+            sets.append(members)
+            labels.append(f"I{oi}.{key}")
+    return sets, labels, {"method": "interval", "lam": lam, "block": b}
+
+
+def ref_families(space, families, r, lam):
+    """Each member grown by lam, by a min over its points per window point."""
+    sets, labels, owner = [], [], []
+    for fi, family in enumerate(families):
+        for si, s in enumerate(family):
+            sets.append([p for p in space.points if min(space.dist(p, q) for q in s) <= lam])
+            labels.append(f"F{fi}.{si}")
+            owner.append(fi)
+    return sets, labels, {"method": "families", "family": owner, "r": r, "lam": lam}
+
+
+def ref_chain(space, lam, D):
+    step = D + 1 - lam
+    if step <= 0:
+        return None
+    lo, hi = min(p[0] for p in space.points), max(p[0] for p in space.points)
+    groups = {}
+    for k in range((hi - lo) // step + 1):
+        start = lo + k * step
+        members = [p for p in space.points if start <= p[0] <= start + D]
+        if members:
+            groups[k] = members
+    return [list(m) for _, m in dedupe_nested(groups)], None, {"method": "chain", "length": D + 1, "step": step}
+
+
+def ref_rotated(space, lam, D):
+    """The first side whose three rotated square families pass the same
+    validity check, each point keyed (family, cell) one at a time."""
+    for s in range(3 * (lam + 1), D + 2):
+        t = s // 3
+        groups = {}
+        for x, y in space.points:
+            for j in range(3):
+                groups.setdefault((j, (x + y + j * t) // s, (x - y + j * t) // s), []).append((x, y))
+        sets = [list(m) for _, m in dedupe_nested(groups)]
+        meta = {"method": "rotated_bricks", "side": s, "shift": t}
+        if dimension._cover_is_valid(Cover(space, sets, meta=meta), lam, D):
+            return sets, None, meta
+    return None
+
+
+def ref_wreath_groupings(split, lam):
+    """Members of the lamp-class cover grouped per point: each strip point
+    keyed by (outside lamps, family, brick of its inside lamp vector) for
+    every family, then each class deduplicated on its own."""
+    G, window = split.spec, split.window
+    N, lamp = G.factors
+    U, R = split.quotient_cover(lam)
+    slot = {p: s for s, p in enumerate(ball_elements(N, 6 * R))}
+    k = 0 if lamp.asdim == 0 else lamp.lattice_rank
+    width = k * len(slot)
+    side = max(1, 2 * (width + 1) * 6 * R)
+    sets, labels, keys, z_points = [], [], [], {}
+    for i, strip, z in ref_anchors(G, window, split.pi, U):
+        z_points[U.labels[i]] = point_label(z)
+        by_class = {}
+        for w in strip:
+            x = G.multiply(G.inverse(z), w)
+            outside = groups.WreathElement(tuple(c for c in x.config if c[0] not in slot), N.unit)
+            vec = [0] * width
+            for p, v in x.config:
+                if k and p in slot:
+                    vec[k * slot[p] : k * slot[p] + k] = v
+            for j in range(width + 1):
+                bricks = tuple((v - j * 2 * 6 * R) // side for v in vec)
+                by_class.setdefault(outside, {}).setdefault((j, bricks), []).append(w)
+        for outside in sorted(by_class):
+            for (j, bricks), members in dedupe_nested(by_class[outside]):
+                sets.append(list(members))
+                brick = f",brick{j}." + ",".join(map(str, bricks)) if width else ""
+                labels.append(f"W({U.labels[i]},{point_label(outside)}{brick})")
+                keys.append((U.labels[i], outside, j, bricks))
+    return sets, labels, {"method": "wreath", "keys": keys, "z_points": z_points, "safe_margin": 0}
+
+
+def assert_same_cover(cover, ref):
+    """Same masks, labels and meta (compared by repr, so a numpy scalar
+    standing in for an int shows) as the cover of the reference lists."""
+    sets, labels, meta = ref
+    expected = Cover(cover.space, sets, labels, meta=meta)
+    assert np.array_equal(cover.masks, expected.masks)
+    assert cover.labels == expected.labels
+    built = {key: value for key, value in cover.meta.items() if key != "conclusions"}
+    assert repr(built) == repr(expected.meta)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(
+    rows=arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, max_side=10)),
+    repeats=st.lists(st.integers(0, 9)),
+)
+def test_drop_nested_keeps_the_sets_of_the_point_list_dedupe(rows, repeats):
+    rows = rows[rows.any(axis=1)]
+    rows = np.concatenate([rows, rows[[i for i in repeats if i < len(rows)]]])
+    kept = [key for key, _ in dedupe_nested({i: frozenset(np.flatnonzero(row)) for i, row in enumerate(rows)})]
+    assert _drop_nested(rows).tolist() == kept
+
+
+# the constructions that also take a diameter budget D, by lattice rank
+BUDGETED = {1: (dimension._chain_cover, ref_chain), 2: (dimension._rotated_brick_cover, ref_rotated)}
+
+
+@pytest.mark.parametrize("rank, radius", [(1, 14), (2, 6), (3, 3)])
+def test_lattice_covers_match_the_point_list_groupings(rank, radius):
+    space = ball_space(zn_spec(rank), radius)
+    for lam in range(5):
+        assert_same_cover(brick_cover_zl(space, lam), ref_brick(space, lam))
+        for axis in range(rank):
+            assert_same_cover(coordinate_interval_cover(space, axis, lam), ref_interval(space, axis, lam))
+        if lam:
+            families = brick_families_zl(space, lam)
+            r = 2 * lam + 1
+            assert_same_cover(families_to_cover(space, families, r, lam), ref_families(space, families, r, lam))
+        if rank not in BUDGETED:
+            continue
+        built, ref = BUDGETED[rank]
+        for D in range(4 * lam + 3):
+            cover, expected = built(space, lam, D), ref(space, lam, D)
+            assert (cover is None) == (expected is None)
+            if cover is not None:
+                assert_same_cover(cover, expected)
+
+
+@pytest.mark.parametrize(
+    "token, radius, lam", [("lamplighter", 5, 1), ("lamplighter", 5, 2), ("wreath:zn:1:zn:1", 4, 1)]
+)
+def test_wreath_members_match_the_point_list_groupings(token, radius, lam):
+    split = extension_split(group_from_token(token), radius)
+    cover, _ = wreath_cover(split, lam)
+    assert_same_cover(cover, ref_wreath_groupings(split, lam))
