@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: ball, cover, certify-a, embed, profile, gromov, distortion.
-Output is canonical JSON (key-sorted, 9 significant digits) or fixed-order
-CSV, so identical invocations are byte-identical.  Exit codes: 0 when every
+Each command reads its parsed arguments and nothing else, every option
+checked where argparse converts it, and its output is canonical JSON
+(key-sorted, 9 significant digits) or fixed-order CSV, so identical
+invocations are byte-identical.  Exit codes: 0 when every
 audit passes, 2 on precondition/audit failures (payload on stdout), 3 when
 a resource cap is hit.
 """
@@ -13,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from ._jsonutil import SCHEMA, canonical_json, csv_text
 from .covers import (
@@ -49,49 +50,6 @@ from .property_a import (
 )
 
 
-@dataclass
-class RunConfig:
-    """One command's validated inputs; everything downstream is a pure
-    function of this, which is what makes reruns byte-identical."""
-
-    command: str
-    group: str = ""
-    radius: int = 0
-    lam: int = 0
-    lam_schedule: tuple = ()
-    n_schedule: tuple = ()
-    k_schedule: tuple = ()
-    level_schedule: tuple = ()
-    p: float = 2
-    budget: int = 1
-    cap: int = 0
-    diam_policy: tuple = ()
-    out: str = None
-    csv_path: str = None
-    norm_csv: str = None
-    ball_cap: int = None
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("lam_schedule", "n_schedule", "k_schedule", "level_schedule"):
-            sched = getattr(self, name)
-            if sched and list(sched) != sorted(set(sched)):
-                raise PreconditionFailed(
-                    "schedule must be strictly increasing", which=name, values=list(sched)
-                )
-        if not self.p >= 1:  # nan too
-            raise PreconditionFailed("p must lie in [1, inf]", p="nan" if math.isnan(self.p) else self.p)
-        if self.radius < 0:
-            raise PreconditionFailed("radius must be nonnegative", radius=self.radius)
-        if self.budget < 1:
-            raise PreconditionFailed("budget must be at least 1", budget=self.budget)
-        for path in (self.out, self.csv_path, self.norm_csv):
-            if path is not None:
-                parent = os.path.dirname(os.path.abspath(path))
-                if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-                    raise PreconditionFailed("output path not writable", path=path)
-
-
 def _number(token, text, kind=int):
     """``kind(token)``, or a payload naming the whole option ``text``."""
     try:
@@ -100,16 +58,43 @@ def _number(token, text, kind=int):
         raise PreconditionFailed("expected a number", text=text) from None
 
 
-def _parse_schedule(text):
-    """Either an inclusive range "2..8" or an explicit list "1,2,4"."""
-    lo, dots, hi = text.partition("..")
-    if dots:
-        values = list(range(_number(lo, text), _number(hi, text) + 1))
-    else:
-        values = [_number(tok, text) for tok in text.split(",") if tok != ""]
-    if not values:
-        raise PreconditionFailed("empty schedule", text=text)
-    return tuple(values)
+# -- option converters -----------------------------------------------------------
+# A converter refuses with PreconditionFailed (a payload on stdout, exit 2);
+# a ValueError becomes argparse's own usage error (stderr, exit 2).
+
+
+def _schedule(which, least=None):
+    """Converter for a strictly increasing schedule, either an inclusive
+    range "2..8" or an explicit list "1,2,4"; ``which`` names it in payloads."""
+
+    def parse(text):
+        lo, dots, hi = text.partition("..")
+        if dots:
+            values = list(range(_number(lo, text), _number(hi, text) + 1))
+        else:
+            values = [_number(tok, text) for tok in text.split(",") if tok != ""]
+        if not values:
+            raise PreconditionFailed("empty schedule", text=text)
+        if values != sorted(set(values)):
+            raise PreconditionFailed("schedule must be strictly increasing", which=which, values=values)
+        if least is not None and values[0] < least:
+            raise PreconditionFailed("schedule below its least value", which=which, least=least, values=values)
+        return tuple(values)
+
+    return parse
+
+
+def _int_at_least(key, least, message):
+    """Converter for an integer option of least value ``least``."""
+
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise PreconditionFailed(message, **{key: value})
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _parse_coeffs(text):
@@ -118,7 +103,17 @@ def _parse_coeffs(text):
 
 def _parse_p(text):
     value = _number(text, text, float)  # float reads "inf" too
-    return int(value) if value.is_integer() else value
+    value = int(value) if value.is_integer() else value
+    if not value >= 1:  # nan too
+        raise PreconditionFailed("p must lie in [1, inf]", p="nan" if math.isnan(value) else value)
+    return value
+
+
+def _writable(path):
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise PreconditionFailed("output path not writable", path=path)
+    return path
 
 
 def _emit(obj):
@@ -133,28 +128,28 @@ def _write_json(path, obj):
 # -- ball ----------------------------------------------------------------------
 
 
-def cmd_ball(config: RunConfig):
-    spec = group_from_token(config.group)
-    space = ball_space(spec, config.radius, cap=config.ball_cap)
-    space_json = {"schema": SCHEMA, "group": config.group, "radius": config.radius}
+def cmd_ball(args):
+    spec = group_from_token(args.group)
+    space = ball_space(spec, args.radius, cap=args.ball_cap)
+    space_json = {"schema": SCHEMA, "group": args.group, "radius": args.radius}
     space_json.update(space.to_json())
-    if config.norm_csv is not None:
+    if args.norm_csv is not None:
         # points[0] is the unit, so row 0 holds every word norm
         norms = zip(map(point_label, space.points), space.d[0].tolist())
         rows = sorted(norms, key=lambda r: (r[1], r[0]))
-        with open(config.norm_csv, "w", newline="") as fh:
+        with open(args.norm_csv, "w", newline="") as fh:
             fh.write(csv_text(("element", "norm"), rows))
-    if config.out is not None:
-        _write_json(config.out, space_json)
+    if args.out is not None:
+        _write_json(args.out, space_json)
         _emit(
             {
                 "schema": SCHEMA,
                 "command": "ball",
-                "group": config.group,
-                "radius": config.radius,
+                "group": args.group,
+                "radius": args.radius,
                 "points": len(space),
                 "diameter": space.diameter(),
-                "out": config.out,
+                "out": args.out,
             }
         )
     else:
@@ -165,52 +160,50 @@ def cmd_ball(config: RunConfig):
 # -- cover ---------------------------------------------------------------------
 
 
-def _extension_cover(spec, config: RunConfig):
+def _extension_cover(spec, args):
     """U from the declared quotient; V the staggered intervals on the
     kernel's last coordinate, wide enough for the 6R Lebesgue hypothesis
     (or --kernel-lambda to see the hypothesis fail)."""
     if spec.extension is None:
-        raise PreconditionFailed("the extension method needs a declared extension", group=config.group)
-    split = extension_split(spec, config.radius, ball_cap=config.ball_cap)
-    U, R = split.quotient_cover(config.lam)
-    kernel_lam = config.extras.get("kernel_lam")
+        raise PreconditionFailed("the extension method needs a declared extension", group=args.group)
+    split = extension_split(spec, args.radius, ball_cap=args.ball_cap)
+    U, R = split.quotient_cover(args.lam)
+    kernel_lam = args.kernel_lam
     if kernel_lam is None:
         kernel_lam = 6 * R
     V = coordinate_interval_cover(split.kernel, -1, kernel_lam)
-    return extension_cover(split, U, V, config.lam, R)
+    return extension_cover(split, U, V, args.lam, R)
 
 
-def cmd_cover(config: RunConfig):
-    method = config.extras["method"]
-    spec = group_from_token(config.group)
+def cmd_cover(args):
+    method = args.method
+    spec = group_from_token(args.group)
     try:
         if method == "wreath":
             if spec.factors is None:
-                raise PreconditionFailed("cannot split wreath token", token=config.group)
-            split = extension_split(spec, config.radius, ball_cap=config.ball_cap)
-            cover, stats = wreath_cover(split, config.lam)
+                raise PreconditionFailed("cannot split wreath token", token=args.group)
+            split = extension_split(spec, args.radius, ball_cap=args.ball_cap)
+            cover, stats = wreath_cover(split, args.lam)
         else:
             if method == "extension":
-                cover = _extension_cover(spec, config)
+                cover = _extension_cover(spec, args)
                 stats = dict(cover.meta["conclusions"])
             else:
-                space = ball_space(spec, config.radius, cap=config.ball_cap)
+                space = ball_space(spec, args.radius, cap=args.ball_cap)
                 if method == "ball":
-                    cover = ball_cover(space, config.lam)
+                    cover = ball_cover(space, args.lam)
                 elif method == "interval":
-                    cover = interval_cover_z(space, config.lam)
+                    cover = interval_cover_z(space, args.lam)
                 elif method == "bricks":
-                    cover = brick_cover_zl(space, config.lam)
-                elif method == "families":
-                    families = brick_families_zl(space, config.lam)
+                    cover = brick_cover_zl(space, args.lam)
+                else:  # families; argparse's choices admit no other method
+                    families = brick_families_zl(space, args.lam)
                     cover = families_to_cover(
-                        space, families, 2 * config.lam + 1, config.lam
+                        space, families, 2 * args.lam + 1, args.lam
                     )
-                else:
-                    raise PreconditionFailed("unknown cover method", method=method)
                 stats = cover.stats()
     except WindowTooSmall as err:
-        if not config.extras.get("allow_boundary"):
+        if not args.allow_boundary:
             raise
         _emit({"schema": SCHEMA, "command": "cover", "warning": err.payload()})
         return 0
@@ -218,14 +211,14 @@ def cmd_cover(config: RunConfig):
         "schema": SCHEMA,
         "command": "cover",
         "method": method,
-        "group": config.group,
-        "radius": config.radius,
-        "lambda": config.lam,
+        "group": args.group,
+        "radius": args.radius,
+        "lambda": args.lam,
         "stats": stats,
     }
-    if config.out is not None:
-        _write_json(config.out, {"schema": SCHEMA, **cover.to_json()})
-        result["out"] = config.out
+    if args.out is not None:
+        _write_json(args.out, {"schema": SCHEMA, **cover.to_json()})
+        result["out"] = args.out
     _emit(result)
     return 0
 
@@ -233,22 +226,22 @@ def cmd_cover(config: RunConfig):
 # -- certify-a -------------------------------------------------------------------
 
 
-def cmd_certify_a(config: RunConfig):
-    spec = group_from_token(config.group)
-    space = ball_space(spec, config.radius, cap=config.ball_cap)
-    kind = config.extras.get("family")
+def cmd_certify_a(args):
+    spec = group_from_token(args.group)
+    space = ball_space(spec, args.radius, cap=args.ball_cap)
+    kind = args.family
     if kind is None:
-        kind = "tents" if config.p == INF else "covers"
-    if config.p == INF and kind != "tents":
+        kind = "tents" if args.p == INF else "covers"
+    if args.p == INF and kind != "tents":
         raise PreconditionFailed("p=inf certificates use the tent family", family=kind)
     if kind == "covers":
         covers = {}
-        for n in config.n_schedule:
+        for n in args.n:
             covers[n] = shrink_to_irreducible(ball_cover(space, 2 * n), n)
-        family = family_from_covers(covers, config.p)
+        family = family_from_covers(covers, args.p)
     else:
-        family = a_infinity_family(space, config.n_schedule, config.p)
-    target = config.extras.get("convert_to")
+        family = a_infinity_family(space, args.n, args.p)
+    target = args.convert_to
     if target is not None and target != family.p:
         if target == 1:
             family = convert_down_to_1(family)
@@ -258,18 +251,18 @@ def cmd_certify_a(config: RunConfig):
             raise PreconditionFailed(
                 "conversion must raise p or go down to 1", have=family.p, want=target
             )
-    report = variation_report(family, config.k_schedule)
+    report = variation_report(family, args.K)
     cert = certificate(family, report)
     cert.update(
         {
             "schema": SCHEMA,
             "command": "certify-a",
-            "group": config.group,
-            "radius": config.radius,
+            "group": args.group,
+            "radius": args.radius,
         }
     )
-    if config.out is not None:
-        _write_json(config.out, cert)
+    if args.out is not None:
+        _write_json(args.out, cert)
     _emit(cert)
     return 0 if cert["audit"]["pass"] else 2
 
@@ -277,13 +270,13 @@ def cmd_certify_a(config: RunConfig):
 # -- embed -----------------------------------------------------------------------
 
 
-def cmd_embed(config: RunConfig):
-    spec = group_from_token(config.group)
-    space = ball_space(spec, config.radius, cap=config.ball_cap)
-    family = a_infinity_family(space, config.level_schedule, config.p)
+def cmd_embed(args):
+    spec = group_from_token(args.group)
+    space = ball_space(spec, args.radius, cap=args.ball_cap)
+    family = a_infinity_family(space, args.levels, args.p)
     result = coarse_embedding(
-        family, space.center, config.budget,
-        safe_margin=config.extras.get("safe_margin"),
+        family, space.center, args.budget,
+        safe_margin=args.safe_margin,
     )
     bucket_rows = [
         {
@@ -300,13 +293,13 @@ def cmd_embed(config: RunConfig):
         {
             "schema": SCHEMA,
             "command": "embed",
-            "group": config.group,
-            "radius": config.radius,
+            "group": args.group,
+            "radius": args.radius,
             "buckets": bucket_rows,
         }
     )
-    if config.out is not None:
-        _write_json(config.out, out)
+    if args.out is not None:
+        _write_json(args.out, out)
     _emit(out)
     return 0 if result.audit["pass"] else 2
 
@@ -314,57 +307,57 @@ def cmd_embed(config: RunConfig):
 # -- profiles ----------------------------------------------------------------------
 
 
-def _emit_profile(config: RunConfig, profile):
+def _emit_profile(args, profile):
     text = profile.to_csv()
     sys.stdout.write(text)
-    if config.csv_path is not None:
-        with open(config.csv_path, "w", newline="") as fh:
+    if args.csv_path is not None:
+        with open(args.csv_path, "w", newline="") as fh:
             fh.write(text)
-    if config.out is not None:
-        _write_json(config.out, {"schema": SCHEMA, **profile.to_json()})
+    if args.out is not None:
+        _write_json(args.out, {"schema": SCHEMA, **profile.to_json()})
     return 0
 
 
-def cmd_profile(config: RunConfig):
+def cmd_profile(args):
     profile = growth_curve(
-        config.group, config.lam_schedule, config.diam_policy, config.radius,
-        ball_cap=config.ball_cap,
+        args.group, args.lam_schedule, args.diam_policy, args.radius,
+        ball_cap=args.ball_cap,
     )
-    return _emit_profile(config, profile)
+    return _emit_profile(args, profile)
 
 
-def cmd_gromov(config: RunConfig):
+def cmd_gromov(args):
     profile = gromov_profile(
-        config.group, config.cap, config.lam_schedule, config.radius,
-        ball_cap=config.ball_cap,
+        args.group, args.cap, args.lam_schedule, args.radius,
+        ball_cap=args.ball_cap,
     )
-    return _emit_profile(config, profile)
+    return _emit_profile(args, profile)
 
 
-def cmd_distortion(config: RunConfig):
-    spec = group_from_token(config.group)
+def cmd_distortion(args):
+    spec = group_from_token(args.group)
     if spec.extension is None:
-        raise PreconditionFailed("distortion profiling needs a declared extension", group=config.group)
+        raise PreconditionFailed("distortion profiling needs a declared extension", group=args.group)
     member, sub_generators = extension_kernel(spec)
     pairs = distortion_profile(
-        spec, member, sub_generators, config.radius,
-        cap=config.ball_cap, inner_cap=config.extras.get("inner_cap"),
+        spec, member, sub_generators, args.radius,
+        cap=args.ball_cap, inner_cap=args.inner_cap,
     )
     slope = log_log_slope(pairs)
-    if config.csv_path is not None:
-        with open(config.csv_path, "w", newline="") as fh:
+    if args.csv_path is not None:
+        with open(args.csv_path, "w", newline="") as fh:
             fh.write(csv_text(("inner_norm", "ambient_norm"), pairs))
     out = {
         "schema": SCHEMA,
         "command": "distortion",
-        "group": config.group,
-        "radius": config.radius,
+        "group": args.group,
+        "radius": args.radius,
         "pairs": len(pairs),
         "max_inner_norm": max(i for i, _ in pairs),
         "slope": slope,
     }
-    if config.out is not None:
-        _write_json(config.out, out)
+    if args.out is not None:
+        _write_json(args.out, out)
     _emit(out)
     return 0
 
@@ -372,113 +365,77 @@ def cmd_distortion(config: RunConfig):
 # -- argument plumbing ----------------------------------------------------------
 
 
-def _common(sub, *, radius=True, out=True):
+def _common(sub, run):
+    sub.set_defaults(run=run)
     sub.add_argument("--group", required=True)
-    if radius:
-        sub.add_argument("--radius", required=True, type=int)
+    sub.add_argument("--radius", required=True, type=_int_at_least("radius", 0, "radius must be nonnegative"))
     sub.add_argument("--ball-cap", type=int, default=None)
-    if out:
-        sub.add_argument("--out", default=None)
+    sub.add_argument("--out", type=_writable, default=None)
 
 
 def build_parser():
+    """The parser, built per call, so each subcommand's ``run`` is the
+    module's ``cmd_*`` binding at that time, a wrapper bound after import
+    included."""
     parser = argparse.ArgumentParser(prog="coarsekit")
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("ball", help="materialize a word-metric ball window")
-    _common(s)
-    s.add_argument("--norm-csv", default=None)
+    _common(s, cmd_ball)
+    s.add_argument("--norm-csv", type=_writable, default=None)
 
     s = subs.add_parser("cover", help="build and audit a cover of a window")
-    _common(s)
+    _common(s, cmd_cover)
     s.add_argument(
         "--method", required=True,
         choices=["ball", "interval", "bricks", "families", "wreath", "extension"],
     )
-    s.add_argument("--lambda", dest="lam", required=True, type=int)
+    s.add_argument("--lambda", dest="lam", required=True, type=_int_at_least("lambda", 0, "lambda must be nonnegative"))
     s.add_argument("--kernel-lambda", dest="kernel_lam", type=int, default=None)
     s.add_argument("--allow-boundary", action="store_true")
 
     s = subs.add_parser("certify-a", help="variation certificate for a function family")
-    _common(s)
-    s.add_argument("--p", required=True)
-    s.add_argument("--n", required=True, help="level schedule, e.g. 2..8")
-    s.add_argument("--K", required=True, help="displacement schedule, e.g. 1,2,4")
+    _common(s, cmd_certify_a)
+    s.add_argument("--p", required=True, type=_parse_p)
+    s.add_argument("--n", required=True, type=_schedule("n_schedule"), help="level schedule, e.g. 2..8")
+    s.add_argument("--K", required=True, type=_schedule("k_schedule"), help="displacement schedule, e.g. 1,2,4")
     s.add_argument("--family", choices=["covers", "tents"], default=None)
     s.add_argument("--convert-to", dest="convert_to", type=int, default=None)
 
     s = subs.add_parser("embed", help="coarse embedding with two-sided audit")
-    _common(s)
-    s.add_argument("--p", required=True)
-    s.add_argument("--levels", required=True)
-    s.add_argument("--budget", required=True, type=int)
+    _common(s, cmd_embed)
+    s.add_argument("--p", required=True, type=_parse_p)
+    s.add_argument("--levels", required=True, type=_schedule("level_schedule"))
+    s.add_argument("--budget", required=True, type=_int_at_least("budget", 1, "budget must be at least 1"))
     s.add_argument("--safe-margin", dest="safe_margin", type=int, default=None)
 
     s = subs.add_parser("profile", help="multiplicity growth under a diameter policy")
-    _common(s)
-    s.add_argument("--lambda", dest="lam_schedule", required=True)
-    s.add_argument("--diam-policy", dest="diam_policy", required=True,
+    _common(s, cmd_profile)
+    s.add_argument("--lambda", dest="lam_schedule", required=True, type=_schedule("lam_schedule", least=0))
+    s.add_argument("--diam-policy", dest="diam_policy", required=True, type=_parse_coeffs,
                    help="ascending polynomial coefficients, e.g. 0,4")
-    s.add_argument("--csv", dest="csv_path", default=None)
+    s.add_argument("--csv", dest="csv_path", type=_writable, default=None)
 
     s = subs.add_parser("gromov", help="achieved diameter under a multiplicity cap")
-    _common(s)
-    s.add_argument("--lambda", dest="lam_schedule", required=True)
+    _common(s, cmd_gromov)
+    s.add_argument("--lambda", dest="lam_schedule", required=True, type=_schedule("lam_schedule", least=0))
     s.add_argument("--cap", required=True, type=int)
-    s.add_argument("--csv", dest="csv_path", default=None)
+    s.add_argument("--csv", dest="csv_path", type=_writable, default=None)
 
     s = subs.add_parser("distortion", help="subgroup distortion profile")
-    _common(s)
+    _common(s, cmd_distortion)
     s.add_argument("--inner-cap", dest="inner_cap", type=int, default=None)
-    s.add_argument("--csv", dest="csv_path", default=None)
+    s.add_argument("--csv", dest="csv_path", type=_writable, default=None)
 
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    extras = {}
-    for key in ("method", "allow_boundary", "kernel_lam", "family",
-                "convert_to", "safe_margin", "inner_cap"):
-        if hasattr(args, key):
-            extras[key] = getattr(args, key)
-    return RunConfig(
-        command=args.command,
-        group=getattr(args, "group", ""),
-        radius=getattr(args, "radius", 0),
-        lam=getattr(args, "lam", 0),
-        lam_schedule=_parse_schedule(args.lam_schedule) if hasattr(args, "lam_schedule") else (),
-        n_schedule=_parse_schedule(args.n) if hasattr(args, "n") else (),
-        k_schedule=_parse_schedule(args.K) if hasattr(args, "K") else (),
-        level_schedule=_parse_schedule(args.levels) if hasattr(args, "levels") else (),
-        p=_parse_p(args.p) if hasattr(args, "p") else 2,
-        budget=getattr(args, "budget", 1),
-        cap=getattr(args, "cap", 0),
-        diam_policy=_parse_coeffs(args.diam_policy) if hasattr(args, "diam_policy") else (),
-        out=getattr(args, "out", None),
-        csv_path=getattr(args, "csv_path", None),
-        norm_csv=getattr(args, "norm_csv", None),
-        ball_cap=getattr(args, "ball_cap", None),
-        extras=extras,
-    )
-
-
-_DISPATCH = {
-    "ball": cmd_ball,
-    "cover": cmd_cover,
-    "certify-a": cmd_certify_a,
-    "embed": cmd_embed,
-    "profile": cmd_profile,
-    "gromov": cmd_gromov,
-    "distortion": cmd_distortion,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[config.command](config)
+        # argparse lets a converter's PreconditionFailed through: it turns
+        # only ArgumentTypeError, TypeError and ValueError into usage errors
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except CoarseKitError as err:
         _emit({"schema": SCHEMA, **err.payload()})
         return err.exit_code

@@ -214,21 +214,19 @@ class Cover:
 
     # -- reporting -----------------------------------------------------------
 
-    def boundary_margin(self, point_mask=None):
+    def boundary_margin(self):
         margins = self.space.margins()
-        if point_mask is not None:
-            margins = margins[point_mask]
         if margins.size == 0:
             return INF
         m = margins.min()
         return float(m) if np.isfinite(m) else INF
 
-    def stats(self, point_mask=None):
+    def stats(self):
         return {
             "multiplicity": self.multiplicity(),
-            "lebesgue_pointwise": self.pointwise_lebesgue(point_mask),
+            "lebesgue_pointwise": self.pointwise_lebesgue(),
             "diameter": self.max_diameter(),
-            "boundary_margin": self.boundary_margin(point_mask),
+            "boundary_margin": self.boundary_margin(),
         }
 
     def to_json(self):
@@ -264,6 +262,10 @@ def families_to_cover(space: FiniteMetricSpace, families, r, lam) -> Cover:
     if not r > 2 * lam:
         raise PreconditionFailed("need r > 2*lam for disjointness to survive growth", r=r, lam=lam)
     members = [[space.indices(list(s)) for s in family] for family in families]
+    for fi, family in enumerate(members):
+        for si, idx in enumerate(family):
+            if not len(idx):
+                raise PreconditionFailed("family member is empty", family=fi, member=si)
     for fi, family in enumerate(members):
         for a in range(len(family)):
             for b in range(a + 1, len(family)):

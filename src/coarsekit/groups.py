@@ -16,7 +16,6 @@ Heisenberg group in Hall coordinates, and restricted wreath products
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +30,6 @@ DEFAULT_BALL_CAP = 5_000_000
 # intp positions of the Heisenberg kernel's far cells and of the wreath
 # kernel's gathers.
 _KERNEL_CELL_BYTES = 8
-
-
-def ball_cap(explicit=None) -> int:
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("COARSEKIT_BALL_CAP")
-    return int(env) if env else DEFAULT_BALL_CAP
 
 
 @dataclass(frozen=True)
@@ -405,7 +397,7 @@ def project_pi_A(w: WreathElement, positions, base_unit=(0,)):
 
 def word_norm_table(spec: GroupSpec, radius: int, cap=None):
     """Word norms of every element in the closed ball, by layered BFS."""
-    cap = ball_cap(cap)
+    cap = DEFAULT_BALL_CAP if cap is None else cap
     norms = {spec.unit: 0}
     frontier = [spec.unit]
     for r in range(1, radius + 1):

@@ -129,6 +129,10 @@ def family_from_covers(covers, p) -> PropertyAFamily:
         radii[n] = cover.max_diameter()
         mults[n] = cover.multiplicity()
 
+    low = min(levels)
+    if low < 1:  # the bound divides by the level
+        raise PreconditionFailed("levels start at 1", level=low)
+
     def bound(n, K):
         return 8.0 * K * mults[n] ** (1.0 / p) / n
 
@@ -276,11 +280,11 @@ def convert_down_to_1(family: PropertyAFamily) -> PropertyAFamily:
 # -- variation reports --------------------------------------------------------
 
 
-def _pairs_within(space, K, cap=PAIR_CAP):
-    """Upper-triangle index pairs at distance <= K, strided past the cap."""
+def _pairs_within(space, K):
+    """Upper-triangle index pairs at distance <= K, strided past PAIR_CAP."""
     close = np.triu(space.d <= K + _tolerance(space.d), k=1)
     idx = np.argwhere(close)
-    stride = max(1, -(-len(idx) // cap))
+    stride = max(1, -(-len(idx) // PAIR_CAP))
     return idx[::stride], stride
 
 
@@ -306,27 +310,25 @@ class VariationReport:
     measured: dict          # K -> {n: sup}
     bounds: dict            # K -> {n: bound}, absent when no bound is attached
     strides: dict           # K -> sampling stride (1 = exact)
-    decay: dict = field(default=None)
-    within_bounds: dict = field(default=None)
+    decay: dict = field(init=False)
+    within_bounds: dict = field(init=False)
 
     def __post_init__(self):
-        if self.decay is None:
-            self.decay = {
-                K: all(
-                    self.measured[K][b] <= self.measured[K][a] + CERT_TOL
-                    for a, b in zip(self.levels, self.levels[1:])
-                )
-                for K in self.Ks
-            }
-        if self.within_bounds is None:
-            self.within_bounds = {
-                K: (
-                    all(self.measured[K][n] <= self.bounds[K][n] + CERT_TOL for n in self.levels)
-                    if K in self.bounds
-                    else None
-                )
-                for K in self.Ks
-            }
+        self.decay = {
+            K: all(
+                self.measured[K][b] <= self.measured[K][a] + CERT_TOL
+                for a, b in zip(self.levels, self.levels[1:])
+            )
+            for K in self.Ks
+        }
+        self.within_bounds = {
+            K: (
+                all(self.measured[K][n] <= self.bounds[K][n] + CERT_TOL for n in self.levels)
+                if K in self.bounds
+                else None
+            )
+            for K in self.Ks
+        }
 
     def ok(self):
         return all(self.decay.values()) and all(v is not False for v in self.within_bounds.values())
@@ -354,6 +356,9 @@ def variation_report(family: PropertyAFamily, Ks) -> VariationReport:
     stride, recorded per K so a certificate never passes silently on a
     sample it did not declare.
     """
+    for K in Ks:
+        if K < 1:
+            raise PreconditionFailed("displacements start at 1", K=K)
     space = family.space
     levels = family.schedule()
     measured, bounds, strides = {}, {}, {}

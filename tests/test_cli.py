@@ -1,6 +1,8 @@
 """The command-line surface: happy paths, audited failures as exit codes,
 and byte-stable reruns."""
 
+import argparse
+import ast
 import importlib.util
 import json
 import os
@@ -342,6 +344,58 @@ def test_malformed_numbers_exit_2(capsys, argv, key, text):
     assert body[key] == text
     if key == "p":
         assert body["error"] == "p must lie in [1, inf]"
+
+
+# scales outside the paper's ranges: lambda >= 0, levels n >= 1, K >= 1
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("certify-a --group zn:1 --radius 8 --p 2 --n=0..2 --K 1", "levels start at 1"),
+        ("certify-a --group zn:1 --radius 8 --p 2 --n=2..3 --K=-1,1", "displacements start at 1"),
+        ("cover --method interval --group zn:1 --radius 4 --lambda -1", "lambda must be nonnegative"),
+        ("cover --method bricks --group zn:1 --radius 4 --lambda -1", "lambda must be nonnegative"),
+        ("cover --method extension --group zn:2 --radius 4 --lambda -1", "lambda must be nonnegative"),
+        ("cover --method wreath --group lamplighter --radius 4 --lambda -1", "lambda must be nonnegative"),
+        ("gromov --group zn:2 --cap 6 --lambda=-1,1 --radius 6", "schedule below its least value"),
+        ("gromov --group heisenberg --cap 6 --lambda=-1,1 --radius 6", "schedule below its least value"),
+        ("profile --group zn:1 --lambda=-1,1 --diam-policy 0,4 --radius 6", "schedule below its least value"),
+    ],
+)
+def test_scales_out_of_range_exit_2(capsys, argv, error):
+    code, body = run_json(capsys, *argv.split())
+    assert code == 2
+    assert body["type"] == "PreconditionFailed"
+    assert body["error"] == error
+
+
+def test_every_option_is_read_and_every_read_is_an_option():
+    # commands read the parsed namespace as ``args``; a misspelt option
+    # name would otherwise fail only on the path that reads it
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = set()
+    for sub in subs.choices.values():
+        declared |= {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        declared |= set(sub._defaults)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            assert [a.arg for a in node.args.args] == ["args"], node.name
+    reads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+    assert reads == declared
+
+
+def test_the_environment_sets_no_ball_cap():
+    argv = [sys.executable, "-m", "coarsekit.cli", "ball", "--group", "zn:1", "--radius", "5"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True)
+    capped = subprocess.run(argv, env={**env, "COARSEKIT_BALL_CAP": "3"}, capture_output=True, text=True)
+    assert plain.returncode == capped.returncode == 0
+    assert capped.stdout == plain.stdout
 
 
 def test_readme_examples_exit_0(capsys, monkeypatch, tmp_path):

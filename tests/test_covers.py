@@ -181,6 +181,14 @@ def test_families_to_cover_audits():
         families_to_cover(space, [sparse], 3, 1)
 
 
+def test_families_to_cover_refuses_an_empty_member():
+    space = ball_space(zn_spec(1), 4)
+    points = list(space.points)
+    with pytest.raises(PreconditionFailed) as err:
+        families_to_cover(space, [[[(0,)], []], [points]], 3, 1)
+    assert err.value.context == {"family": 0, "member": 1}
+
+
 def test_partition_of_unity_formula_values():
     space = z_segment(4)
     cover = Cover(space, [[0, 1, 2], [1, 2, 3]])

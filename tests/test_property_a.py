@@ -17,7 +17,7 @@ from coarsekit.errors import (
 )
 from coarsekit.covers import Cover, ball_cover, shrink_to_irreducible
 from coarsekit.groups import ball_space, zn_spec
-from coarsekit import metric
+from coarsekit import metric, property_a
 from coarsekit.metric import INF, FiniteMetricSpace, lp_distance
 from coarsekit.property_a import (
     PropertyAFamily,
@@ -104,6 +104,29 @@ def test_family_from_covers_needs_private_points():
     redundant = Cover(space, [pts[:9], pts[4:], pts[3:7]])
     with pytest.raises(NotIrreducible):
         family_from_covers({0: redundant}, 2)
+
+
+def test_family_from_covers_levels_start_at_one():
+    # the cover bound 8K m^(1/p)/n divides by the level
+    space = ball_space(zn_spec(1), 8)
+    cover = shrink_to_irreducible(ball_cover(space, 0), 0)
+    with pytest.raises(PreconditionFailed) as err:
+        family_from_covers({0: cover}, 2)
+    assert err.value.context == {"level": 0}
+
+
+def test_variation_report_strides_past_the_pair_cap(monkeypatch):
+    space = ball_space(zn_spec(2), 6)
+    family = a_infinity_family(space, [2, 3])
+    exact = variation_report(family, [1, 2])
+    assert exact.strides == {1: 1, 2: 1}
+    monkeypatch.setattr(property_a, "PAIR_CAP", 50)
+    sampled = variation_report(family, [1, 2])
+    assert sampled.strides == {1: 3, 2: 9}
+    assert certificate(family, sampled)["strides"] == {"1": 3, "2": 9}
+    for K in (1, 2):
+        for n in (2, 3):
+            assert sampled.measured[K][n] <= exact.measured[K][n]
 
 
 def test_whole_window_cover_gives_constant_family():
