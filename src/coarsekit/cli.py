@@ -30,7 +30,7 @@ from .covers import (
     wreath_cover,
 )
 from .dimension import gromov_profile, growth_curve
-from .errors import CoarseKitError, PreconditionFailed, WindowTooSmall
+from .errors import CoarseKitError, PreconditionFailed
 from .groups import (
     ball_space,
     distortion_profile,
@@ -162,51 +162,38 @@ def cmd_ball(args):
 
 def _extension_cover(spec, args):
     """U from the declared quotient; V the staggered intervals on the
-    kernel's last coordinate, wide enough for the 6R Lebesgue hypothesis
-    (or --kernel-lambda to see the hypothesis fail)."""
+    kernel's last coordinate, wide enough for the 6R Lebesgue hypothesis."""
     if spec.extension is None:
         raise PreconditionFailed("the extension method needs a declared extension", group=args.group)
     split = extension_split(spec, args.radius, ball_cap=args.ball_cap)
     U, R = split.quotient_cover(args.lam)
-    kernel_lam = args.kernel_lam
-    if kernel_lam is None:
-        kernel_lam = 6 * R
-    V = coordinate_interval_cover(split.kernel, -1, kernel_lam)
+    V = coordinate_interval_cover(split.kernel, -1, 6 * R)
     return extension_cover(split, U, V, args.lam, R)
 
 
 def cmd_cover(args):
     method = args.method
     spec = group_from_token(args.group)
-    try:
-        if method == "wreath":
-            if spec.factors is None:
-                raise PreconditionFailed("cannot split wreath token", token=args.group)
-            split = extension_split(spec, args.radius, ball_cap=args.ball_cap)
-            cover, stats = wreath_cover(split, args.lam)
-        else:
-            if method == "extension":
-                cover = _extension_cover(spec, args)
-                stats = dict(cover.meta["conclusions"])
-            else:
-                space = ball_space(spec, args.radius, cap=args.ball_cap)
-                if method == "ball":
-                    cover = ball_cover(space, args.lam)
-                elif method == "interval":
-                    cover = interval_cover_z(space, args.lam)
-                elif method == "bricks":
-                    cover = brick_cover_zl(space, args.lam)
-                else:  # families; argparse's choices admit no other method
-                    families = brick_families_zl(space, args.lam)
-                    cover = families_to_cover(
-                        space, families, 2 * args.lam + 1, args.lam
-                    )
-                stats = cover.stats()
-    except WindowTooSmall as err:
-        if not args.allow_boundary:
-            raise
-        _emit({"schema": SCHEMA, "command": "cover", "warning": err.payload()})
-        return 0
+    if method == "wreath":
+        if spec.factors is None:
+            raise PreconditionFailed("cannot split wreath token", token=args.group)
+        split = extension_split(spec, args.radius, ball_cap=args.ball_cap)
+        cover, stats = wreath_cover(split, args.lam)
+    elif method == "extension":
+        cover = _extension_cover(spec, args)
+        stats = dict(cover.meta["conclusions"])
+    else:
+        space = ball_space(spec, args.radius, cap=args.ball_cap)
+        if method == "ball":
+            cover = ball_cover(space, args.lam)
+        elif method == "interval":
+            cover = interval_cover_z(space, args.lam)
+        elif method == "bricks":
+            cover = brick_cover_zl(space, args.lam)
+        else:  # families; argparse's choices admit no other method
+            families = brick_families_zl(space, args.lam)
+            cover = families_to_cover(space, families, 2 * args.lam + 1, args.lam)
+        stats = cover.stats()
     result = {
         "schema": SCHEMA,
         "command": "cover",
@@ -274,10 +261,7 @@ def cmd_embed(args):
     spec = group_from_token(args.group)
     space = ball_space(spec, args.radius, cap=args.ball_cap)
     family = a_infinity_family(space, args.levels, args.p)
-    result = coarse_embedding(
-        family, space.center, args.budget,
-        safe_margin=args.safe_margin,
-    )
+    result = coarse_embedding(family, space.center, args.budget)
     bucket_rows = [
         {
             "distance": int(t),
@@ -339,10 +323,7 @@ def cmd_distortion(args):
     if spec.extension is None:
         raise PreconditionFailed("distortion profiling needs a declared extension", group=args.group)
     member, sub_generators = extension_kernel(spec)
-    pairs = distortion_profile(
-        spec, member, sub_generators, args.radius,
-        cap=args.ball_cap, inner_cap=args.inner_cap,
-    )
+    pairs = distortion_profile(spec, member, sub_generators, args.radius, cap=args.ball_cap)
     slope = log_log_slope(pairs)
     if args.csv_path is not None:
         with open(args.csv_path, "w", newline="") as fh:
@@ -391,8 +372,6 @@ def build_parser():
         choices=["ball", "interval", "bricks", "families", "wreath", "extension"],
     )
     s.add_argument("--lambda", dest="lam", required=True, type=_int_at_least("lambda", 0, "lambda must be nonnegative"))
-    s.add_argument("--kernel-lambda", dest="kernel_lam", type=int, default=None)
-    s.add_argument("--allow-boundary", action="store_true")
 
     s = subs.add_parser("certify-a", help="variation certificate for a function family")
     _common(s, cmd_certify_a)
@@ -407,7 +386,6 @@ def build_parser():
     s.add_argument("--p", required=True, type=_parse_p)
     s.add_argument("--levels", required=True, type=_schedule("level_schedule"))
     s.add_argument("--budget", required=True, type=_int_at_least("budget", 1, "budget must be at least 1"))
-    s.add_argument("--safe-margin", dest="safe_margin", type=int, default=None)
 
     s = subs.add_parser("profile", help="multiplicity growth under a diameter policy")
     _common(s, cmd_profile)
@@ -424,7 +402,6 @@ def build_parser():
 
     s = subs.add_parser("distortion", help="subgroup distortion profile")
     _common(s, cmd_distortion)
-    s.add_argument("--inner-cap", dest="inner_cap", type=int, default=None)
     s.add_argument("--csv", dest="csv_path", type=_writable, default=None)
 
     return parser

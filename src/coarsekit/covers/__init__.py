@@ -1,6 +1,7 @@
 from .base import (
     Cover,
     PartitionOfUnity,
+    assert_bounds,
     audit_irreducible,
     ball_cover,
     brick_cover_zl,
@@ -17,6 +18,7 @@ from .wreath import eval_polynomial, wreath_cover
 __all__ = [
     "Cover",
     "PartitionOfUnity",
+    "assert_bounds",
     "audit_irreducible",
     "ball_cover",
     "brick_cover_zl",

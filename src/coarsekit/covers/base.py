@@ -4,7 +4,8 @@ The three numbers attached to a cover are multiplicity, the pointwise
 Lebesgue surrogate, and member diameter.  The surrogate
 ``min_x max_U d(x, X setminus U)`` is what every construction is audited
 against; an exhaustive subset oracle (`exact_lebesgue_at_least`) validates
-it on spaces small enough to enumerate.
+it on spaces small enough to enumerate.  Every construction checks the
+bounds it promises on these numbers through `assert_bounds`.
 """
 
 from __future__ import annotations
@@ -240,6 +241,32 @@ class Cover:
         return out
 
 
+def assert_bounds(cover: Cover, *, multiplicity=None, diameter=None, lebesgue=None, points=None):
+    """Measure each statistic given a bound and return the measured values
+    by name.  Multiplicity and member diameter must not exceed their
+    bounds; the Lebesgue surrogate, read over the boolean mask ``points``
+    (every point by default), must reach its bound.  The first statistic
+    on the wrong side raises ``AuditFailed`` naming it."""
+    measured = {}
+    for name, bound, read, upper in (
+        ("multiplicity", multiplicity, cover.multiplicity, True),
+        ("diameter", diameter, cover.max_diameter, True),
+        ("lebesgue", lebesgue, lambda: cover.pointwise_lebesgue(point_mask=points), False),
+    ):
+        if bound is None:
+            continue
+        value = measured[name] = read()
+        if (value > bound) if upper else (value < bound):
+            raise AuditFailed(
+                f"{name} {'above' if upper else 'below'} its bound",
+                statistic=name,
+                method=cover.meta.get("method"),
+                measured=value,
+                bound=bound,
+            )
+    return measured
+
+
 # -- constructions ------------------------------------------------------------
 
 
@@ -294,15 +321,7 @@ def families_to_cover(space: FiniteMetricSpace, families, r, lam) -> Cover:
             owner.append(fi)
     masks = np.array(rows, dtype=bool).reshape(len(rows), len(space.points))
     cover = Cover(space, masks, labels, meta={"method": "families", "family": owner, "r": r, "lam": lam})
-    if cover.multiplicity() > len(families):
-        raise AuditFailed(
-            "multiplicity exceeds family count",
-            multiplicity=cover.multiplicity(),
-            families=len(families),
-        )
-    measured = cover.pointwise_lebesgue()
-    if measured < lam:
-        raise AuditFailed("Lebesgue surrogate below lam", measured=measured, lam=lam)
+    assert_bounds(cover, multiplicity=len(families), lebesgue=lam)
     return cover
 
 
@@ -398,11 +417,7 @@ def shrink_to_irreducible(cover: Cover, n) -> Cover:
         kept,
         meta={"method": "shrink_to_irreducible", "shrink": n, "injection": injection},
     )
-    if result.multiplicity() > cover.multiplicity():
-        raise AuditFailed("subfamily multiplicity grew", before=cover.multiplicity(), after=result.multiplicity())
-    measured = result.pointwise_lebesgue()
-    if measured < n + 1:
-        raise AuditFailed("shrunk-and-kept cover lost its Lebesgue guarantee", measured=measured, n=n)
+    assert_bounds(result, multiplicity=cover.multiplicity(), lebesgue=n + 1)
     return result
 
 
@@ -449,8 +464,13 @@ def _brick_keys(coords, lam, side, j):
 
 
 def _lattice_coords(space):
-    coords = np.array(space.points)
-    if coords.ndim != 2:
+    """The points as an integer points x l array, when they are integer
+    tuples of one length l (not the reduced words of a free group)."""
+    try:
+        coords = np.array(space.points)
+    except ValueError:  # tuples of different lengths
+        coords = None
+    if coords is None or coords.ndim != 2 or coords.dtype.kind not in "iu":
         raise PreconditionFailed("expected integer tuple points")
     return coords
 
@@ -479,11 +499,7 @@ def brick_cover_zl(space: FiniteMetricSpace, lam) -> Cover:
         owner += [j] * len(keys)
     meta = {"method": "brick", "lam": lam, "side": side, "families": owner}
     cover = Cover(space, np.concatenate(masks), labels, meta=meta)
-    if cover.multiplicity() > l + 1:
-        raise AuditFailed("brick multiplicity exceeds l+1", multiplicity=cover.multiplicity(), l=l)
-    measured = cover.pointwise_lebesgue()
-    if measured < lam:
-        raise AuditFailed("brick Lebesgue surrogate below lam", measured=measured, lam=lam)
+    assert_bounds(cover, multiplicity=l + 1, lebesgue=lam)
     return cover
 
 
@@ -539,9 +555,5 @@ def coordinate_interval_cover(space: FiniteMetricSpace, axis, lam) -> Cover:
         masks.append(rows)
         labels += [f"I{oi}.{key}" for key in keys[:, 0].tolist()]
     cover = Cover(space, np.concatenate(masks), labels, meta={"method": "interval", "lam": lam, "block": b})
-    measured = cover.pointwise_lebesgue()
-    if measured < lam:
-        raise AuditFailed("interval cover below requested Lebesgue", measured=measured, lam=lam)
-    if cover.multiplicity() > len(offsets):
-        raise AuditFailed("interval cover multiplicity too high", multiplicity=cover.multiplicity())
+    assert_bounds(cover, multiplicity=len(offsets), lebesgue=lam)
     return cover

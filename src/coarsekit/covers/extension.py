@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import AuditFailed, LebesgueTooSmall, PreconditionFailed, WindowTooSmall
+from ..errors import LebesgueTooSmall, PreconditionFailed, WindowTooSmall
 from ..groups import GroupSpec, ball_space, within
 from ..metric import FiniteMetricSpace, point_label, row_blocks, _tolerance
-from .base import Cover, brick_cover_zl, interval_cover_z
+from .base import Cover, assert_bounds, brick_cover_zl, interval_cover_z
 
 
 def _audit_projection(G: GroupSpec, window: FiniteMetricSpace, H: GroupSpec, pi, quotient: FiniteMetricSpace):
@@ -68,8 +68,6 @@ class ExtensionSplit:
     ``pi_idx[i]`` is the quotient index of ``pi(window.points[i])``, and
     ``kernel`` is the subwindow that projects to the quotient unit; each
     caller brings its own kernel cover and takes U from ``quotient_cover``.
-    ``key_rank[i]`` is the rank of ``window.points[i]`` in element order,
-    the canonical tie-break.
     """
 
     spec: GroupSpec
@@ -79,7 +77,6 @@ class ExtensionSplit:
     quotient: FiniteMetricSpace
     kernel: FiniteMetricSpace
     pi_idx: np.ndarray
-    key_rank: np.ndarray
 
     def quotient_cover(self, lam):
         """U by the quotient's lattice rank (intervals at 1, bricks above),
@@ -103,10 +100,7 @@ def split_along(
     pi_idx = _audit_projection(G, window, H, pi, quotient)
     unit = quotient._index.get(H.unit)
     kernel = window.subspace([w for w, q in zip(window.points, pi_idx) if q == unit])
-    n = len(window.points)
-    key_rank = np.empty(n, dtype=np.intp)
-    key_rank[sorted(range(n), key=window.points.__getitem__)] = np.arange(n)
-    return ExtensionSplit(G, H, pi, window, quotient, kernel, pi_idx, key_rank)
+    return ExtensionSplit(G, H, pi, window, quotient, kernel, pi_idx)
 
 
 def extension_split(spec: GroupSpec, radius, *, ball_cap=None) -> ExtensionSplit:
@@ -128,7 +122,8 @@ def _anchors(split: ExtensionSplit, U_cover: Cover):
     """(i, strip, z) for each quotient member U_i with a nonempty preimage:
     ``strip`` holds the window indices over U_i and z is the deepest of
     those points (greatest depth of its image in U_i, then least norm,
-    then element order)."""
+    then window order; the sort is stable, and a ball window lists each
+    norm in element order)."""
     window, pi_idx = split.window, split.pi_idx
     comp_u = U_cover.complement_distances()
     unit = window._index.get(split.spec.unit)
@@ -136,7 +131,7 @@ def _anchors(split: ExtensionSplit, U_cover: Cover):
     for i in range(len(U_cover)):
         strip = np.flatnonzero(U_cover.masks[i, pi_idx])
         if strip.size:
-            deepest = np.lexsort((split.key_rank[strip], norms[strip], -comp_u[i, pi_idx[strip]]))[0]
+            deepest = np.lexsort((norms[strip], -comp_u[i, pi_idx[strip]]))[0]
             yield i, strip, window.points[strip[deepest]]
 
 
@@ -145,21 +140,15 @@ def _audit_conclusions(cover: Cover, multiplicity_bound, diameter_bound, lam, sa
     them in ``cover.meta["conclusions"]``: multiplicity <= m(U) m(V) and
     member diameter <= D + 2R everywhere, Lebesgue >= lam on the safe
     points."""
-    mult = cover.multiplicity()
-    if mult > multiplicity_bound:
-        raise AuditFailed("multiplicity exceeds m(U)m(V)", measured=mult, bound=multiplicity_bound)
-    worst_diam = cover.max_diameter()
-    if worst_diam > diameter_bound:
-        raise AuditFailed("member diameter exceeds D+2R", measured=worst_diam, bound=diameter_bound)
-    lam_w = cover.pointwise_lebesgue(point_mask=safe)
-    if lam_w < lam:
-        raise AuditFailed("Lebesgue surrogate below lam on the safe region", measured=lam_w, lam=lam)
+    measured = assert_bounds(
+        cover, multiplicity=multiplicity_bound, diameter=diameter_bound, lebesgue=lam, points=safe
+    )
     cover.meta["conclusions"] = {
-        "multiplicity": mult,
+        "multiplicity": measured["multiplicity"],
         "multiplicity_bound": multiplicity_bound,
-        "diameter": worst_diam,
+        "diameter": measured["diameter"],
         "diameter_bound": diameter_bound,
-        "lebesgue_safe": lam_w,
+        "lebesgue_safe": measured["lebesgue"],
         "lebesgue_target": lam,
         "safe_points": int(safe.sum()),
         "uncovered_boundary_points": int((~cover.covered_mask()).sum()),

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AuditFailed, PreconditionFailed
+from ..errors import PreconditionFailed
 from ..groups import WreathElement, ball_elements, word_norm_table
 from ..metric import point_label
-from .base import Cover, _brick_keys, _drop_nested, _keyed_rows
+from .base import Cover, _brick_keys, _drop_nested, _keyed_rows, assert_bounds
 from .extension import ExtensionSplit, _anchors, _audit_conclusions
 
 
@@ -109,13 +109,8 @@ def wreath_cover(split: ExtensionSplit, lam):
     cover = Cover(window, np.concatenate(rows), labels, meta=meta)
     _audit_conclusions(cover, U.multiplicity() * (width + 1), D + 2 * R, lam, np.ones(n, dtype=bool))
     envelope = (N.asdim + 1) * (lamp.asdim + 1) * len(inside)
+    assert_bounds(cover, multiplicity=envelope)
     stats = dict(cover.meta["conclusions"])
-    if stats["multiplicity"] > envelope:
-        raise AuditFailed(
-            "multiplicity exceeds the (n+1)(m+1)|B_r(e)| envelope",
-            measured=stats["multiplicity"],
-            envelope=envelope,
-        )
     stats.update(
         envelope=envelope,
         r=6 * R,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonutil import csv_text
-from .covers.base import Cover, _drop_nested, _keyed_rows, _lattice_coords, ball_cover, brick_cover_zl
+from .covers.base import Cover, _drop_nested, _keyed_rows, _lattice_coords, assert_bounds, ball_cover, brick_cover_zl
 from .covers.extension import extension_cover, extension_split
 from .covers.wreath import eval_polynomial, wreath_cover
 from .errors import AuditFailed, Infeasible, PreconditionFailed, TooLarge, WindowTooSmall
@@ -123,10 +123,7 @@ def oracle_min_multiplicity(space, lam, D, node_cap=ORACLE_NODE_CAP):
             witness = Cover(space, sets, meta={"method": "oracle", "lam": lam, "D": D})
             if not witness.exact_lebesgue_at_least(lam):
                 raise AuditFailed("oracle witness failed its own containment check")
-            mult = witness.multiplicity()
-            if mult > bound:
-                raise AuditFailed("oracle witness exceeds the proven bound", mult=mult)
-            return mult, witness
+            return assert_bounds(witness, multiplicity=bound)["multiplicity"], witness
     raise Infeasible("deepening exhausted without a cover", upper=upper)
 
 
@@ -140,13 +137,10 @@ def _strict_supers(mask, n):
 
 
 def _lattice_dim(space):
-    pts = space.points
-    if not pts or not all(isinstance(p, tuple) for p in pts):
+    try:
+        return _lattice_coords(space).shape[1]
+    except PreconditionFailed:
         return None
-    k = len(pts[0])
-    if any(len(p) != k or not all(isinstance(c, (int, np.integer)) for c in p) for p in pts):
-        return None
-    return k
 
 
 def _cover_is_valid(cover, lam, D):
@@ -276,16 +270,18 @@ def independent_audit(cover):
     return mult, float(depth.min()), diam
 
 
-def _reaudit(cover):
-    """``independent_audit``'s multiplicity and diameter, once its Lebesgue
-    surrogate has matched the cover's own."""
-    mult, lam_meas, diam = independent_audit(cover)
-    own = cover.pointwise_lebesgue()
-    if lam_meas != own:
-        raise AuditFailed(
-            "independent Lebesgue surrogate disagrees with the cover's", independent=lam_meas, cover=own
-        )
-    return mult, diam
+def _reaudit(cover, **bounds):
+    """``independent_audit``'s multiplicity and diameter, once all three of
+    its values have matched the cover's own and ``assert_bounds`` has
+    checked ``bounds`` on the cover."""
+    independent = independent_audit(cover)
+    own = (cover.multiplicity(), cover.pointwise_lebesgue(), cover.max_diameter())
+    for name, theirs, ours in zip(("multiplicity", "Lebesgue surrogate", "diameter"), independent, own):
+        # the independent diameter is a float and the cover's an int
+        if theirs != ours:
+            raise AuditFailed(f"independent {name} disagrees with the cover's", independent=theirs, cover=ours)
+    assert_bounds(cover, **bounds)
+    return independent[0], independent[2]
 
 
 @dataclass
@@ -392,26 +388,18 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
         ball = ball_cover(space, lam)
         if ball.max_diameter() <= D:
             envelope = int((space.d <= lam + _tolerance(space.d)).sum(axis=1).max())
-            mult, diam = _reaudit(ball)
-            if mult > envelope:
-                raise AuditFailed(
-                    "ball cover beat the max ball size", mult=mult, envelope=envelope
-                )
-            stats = ball.stats()
-            profile.add_row(lam, D, mult, "ball", envelope, stats["boundary_margin"], "ball")
+            mult, _ = _reaudit(ball, multiplicity=envelope)
+            profile.add_row(lam, D, mult, "ball", envelope, ball.boundary_margin(), "ball")
             rows_at.append(mult)
 
         try:
-            g_mult, g_cover = greedy_min_multiplicity(space, lam, D, ball=ball)
+            _, g_cover = greedy_min_multiplicity(space, lam, D, ball=ball)
         except Infeasible:
             g_cover = None
         if g_cover is not None:
-            mult, diam = _reaudit(g_cover)
-            if mult != g_mult or diam > D:
-                raise AuditFailed("greedy witness failed re-audit", mult=mult, diam=diam)
-            stats = g_cover.stats()
+            mult, _ = _reaudit(g_cover, diameter=D)
             profile.add_row(
-                lam, D, mult, "greedy", None, stats["boundary_margin"],
+                lam, D, mult, "greedy", None, g_cover.boundary_margin(),
                 g_cover.meta.get("method"),
             )
             rows_at.append(mult)
@@ -422,10 +410,8 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
             except Infeasible:
                 o_cover = None
             if o_cover is not None:
-                mult, diam = _reaudit(o_cover)
-                if mult != o_mult or diam > D:
-                    raise AuditFailed("oracle witness failed re-audit")
-                profile.add_row(lam, D, o_mult, "oracle", None, o_cover.stats()["boundary_margin"], "oracle")
+                _reaudit(o_cover, diameter=D)
+                profile.add_row(lam, D, o_mult, "oracle", None, o_cover.boundary_margin(), "oracle")
                 if any(m < o_mult for m in rows_at):
                     raise AuditFailed(
                         "a heuristic beat the exhaustive oracle", lam=lam, D=D
@@ -434,8 +420,6 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
         if spec.factors is not None:
             w_cover, stats = wreath_cover(split, lam)
             mult, diam = _reaudit(w_cover)
-            if mult != stats["multiplicity"]:
-                raise AuditFailed("wreath witness failed re-audit", mult=mult)
             if diam <= D:
                 profile.add_row(
                     lam, D, mult, "construction", stats["envelope"],
@@ -466,16 +450,12 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
         space = ball_space(spec, ball_radius, cap=ball_cap)
         for lam in sorted(lam_schedule):
             cover = _lattice_gromov_cover(space, l, lam, cap)
-            mult, diam = _reaudit(cover)
-            if lam >= 1 and diam > 4 * l * (l + 1) * lam:
-                raise AuditFailed(
-                    "achieved diameter left the linear envelope", lam=lam, diam=diam
-                )
-            if mult > cap:
-                raise AuditFailed("multiplicity cap violated", mult=mult, cap=cap)
+            # the linear envelope binds from lambda 1 on
+            linear = 4 * l * (l + 1) * lam if lam >= 1 else None
+            mult, diam = _reaudit(cover, multiplicity=cap, diameter=linear)
             profile.add_row(
                 lam, int(diam), mult, cover.meta.get("method", "construction"),
-                4 * l * (l + 1) * max(lam, 1), cover.stats()["boundary_margin"],
+                4 * l * (l + 1) * max(lam, 1), cover.boundary_margin(),
                 cover.meta.get("method"),
             )
         profile.assert_monotone()
@@ -490,7 +470,7 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
         for lam in sorted(lam_schedule):
             if lam == 0:
                 single = Cover(window, np.eye(len(window), dtype=bool), meta={"method": "singletons"})
-                profile.add_row(0, 0, 1, "singletons", None, single.stats()["boundary_margin"])
+                profile.add_row(0, 0, 1, "singletons", None, single.boundary_margin())
                 continue
             U, R = split.quotient_cover(lam)
             cover = None
@@ -505,9 +485,7 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
             if cover is None:
                 # outside the handler, so the failed attempt's frames are freed
                 cover = extension_cover(split, U, V, lam, R, safe_margin=margin)
-            mult, diam = _reaudit(cover)
-            if mult > cap:
-                raise AuditFailed("multiplicity cap violated", mult=mult, cap=cap)
+            mult, diam = _reaudit(cover, multiplicity=cap)
             profile.add_row(
                 lam, int(diam), mult, "construction", None, cover.meta["safe_margin"], "extension"
             )

@@ -483,16 +483,16 @@ def within(spec: GroupSpec, radius: int):
 # -- distortion ---------------------------------------------------------------
 
 
-def distortion_profile(spec, member, sub_generators, radius, cap=None, inner_cap=None):
+def distortion_profile(spec, member, sub_generators, radius, cap=None):
     """(inner, ambient) norm pairs for subgroup elements met in the ball.
 
     Inner norms come from a second BFS that only multiplies by the given
-    subgroup generators.  The inner search is capped; a quadratically
-    distorted subgroup needs roughly radius^2 inner steps.
+    subgroup generators.  The inner search stops at depth max(8, 4 radius^2):
+    a quadratically distorted subgroup needs roughly radius^2 inner steps.
     """
     table = word_norm_table(spec, radius, cap)
     targets = {e: n for e, n in table.items() if member(e)}
-    limit = inner_cap if inner_cap is not None else max(8, 4 * radius * radius)
+    limit = max(8, 4 * radius * radius)
     inner = {spec.unit: 0}
     frontier = [spec.unit]
     remaining = set(targets) - {spec.unit}

@@ -112,16 +112,6 @@ def test_cover_extension_happy_path(capsys):
     assert body["stats"]["lebesgue_safe"] >= 2
 
 
-def test_cover_extension_thin_kernel_exits_2(capsys):
-    code, body = run_json(
-        capsys, "cover", "--method", "extension", "--group", "zn:2",
-        "--radius", "20", "--lambda", "2", "--kernel-lambda", "1",
-    )
-    assert code == 2
-    assert body["type"] == "LebesgueTooSmall"
-    assert body["needed"] == 42
-
-
 def test_cover_extension_window_too_small(capsys):
     code, body = run_json(
         capsys, "cover", "--method", "extension", "--group", "zn:2",
@@ -129,12 +119,32 @@ def test_cover_extension_window_too_small(capsys):
     )
     assert code == 2
     assert body["type"] == "WindowTooSmall"
+
+
+# the lattice recipes refuse reduced words of different lengths
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cover --method interval --group free:1 --radius 6 --lambda 1",
+        "cover --method bricks --group free:2 --radius 3 --lambda 1",
+        "cover --method families --group free:2 --radius 3 --lambda 1",
+    ],
+    ids=["interval", "bricks", "families"],
+)
+def test_lattice_recipes_refuse_free_group_windows(capsys, argv):
+    code, body = run_json(capsys, *argv.split())
+    assert code == 2
+    assert body["type"] == "PreconditionFailed"
+    assert body["error"] == "expected integer tuple points"
+
+
+def test_heisenberg_bricks_stay_audited(capsys):
     code, body = run_json(
-        capsys, "cover", "--method", "extension", "--group", "zn:2",
-        "--radius", "6", "--lambda", "7", "--allow-boundary",
+        capsys, "cover", "--method", "bricks", "--group", "heisenberg", "--radius", "4", "--lambda", "1",
     )
     assert code == 0
-    assert body["warning"]["type"] == "WindowTooSmall"
+    assert body["stats"]["multiplicity"] <= 4
+    assert body["stats"]["lebesgue_pointwise"] >= 1
 
 
 def test_cover_wreath(capsys):
@@ -412,6 +422,25 @@ def test_readme_examples_exit_0(capsys, monkeypatch, tmp_path):
 def test_unknown_flag_is_fatal(capsys):
     with pytest.raises(SystemExit):
         main(["ball", "--group", "zn:1", "--radius", "2", "--frobnicate"])
+
+
+# options that moved a bound or the region an audit covers are gone
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cover --method extension --group zn:2 --radius 20 --lambda 2 --kernel-lambda 1",
+        "cover --method extension --group zn:2 --radius 6 --lambda 7 --allow-boundary",
+        "embed --group zn:1 --radius 30 --p 2 --levels 3,7 --budget 2 --safe-margin 1",
+        "distortion --group heisenberg --radius 8 --inner-cap 300",
+    ],
+    ids=["kernel-lambda", "allow-boundary", "safe-margin", "inner-cap"],
+)
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    removed = next(token for token in reversed(argv.split()) if token.startswith("--"))
+    assert "unrecognized arguments: " + removed in capsys.readouterr().err
 
 
 def test_ball_cap_exit_code(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coarsekit.errors import (
+    AuditFailed,
     DegenerateDenominator,
     NotCovering,
     NotCoveringAfterShrink,
@@ -16,6 +17,7 @@ from coarsekit.errors import (
 )
 from coarsekit.covers import (
     Cover,
+    assert_bounds,
     audit_irreducible,
     ball_cover,
     brick_cover_zl,
@@ -46,6 +48,36 @@ def test_cover_statistics_on_two_intervals():
     # attained at x=4: max(d(4, {6..9}), d(4, {0..3})) = 2
     assert cover.pointwise_lebesgue() == 2
     assert cover.max_diameter() == 5
+
+
+def test_assert_bounds_returns_only_the_statistics_it_was_given():
+    cover = two_interval_cover()
+    assert assert_bounds(cover) == {}
+    assert assert_bounds(cover, multiplicity=2) == {"multiplicity": 2}
+    assert assert_bounds(cover, diameter=5, lebesgue=2) == {"diameter": 5, "lebesgue": 2}
+
+
+@pytest.mark.parametrize(
+    "bounds, statistic, measured",
+    [({"multiplicity": 1}, "multiplicity", 2), ({"diameter": 4}, "diameter", 5), ({"lebesgue": 3}, "lebesgue", 2)],
+)
+def test_assert_bounds_names_the_statistic_on_the_wrong_side(bounds, statistic, measured):
+    cover = two_interval_cover()
+    cover.meta["method"] = "intervals"
+    with pytest.raises(AuditFailed) as err:
+        assert_bounds(cover, **bounds)
+    assert err.value.context == {
+        "statistic": statistic, "method": "intervals", "measured": measured, "bound": bounds[statistic],
+    }
+
+
+def test_assert_bounds_reads_the_lebesgue_surrogate_over_points():
+    cover = two_interval_cover()  # depth 2 at x = 4 and 5, 6 at the ends
+    ends = np.isin(cover.space.points, [0, 9])
+    assert assert_bounds(cover, lebesgue=6, points=ends) == {"lebesgue": 6}
+    with pytest.raises(AuditFailed) as err:
+        assert_bounds(cover, lebesgue=6)
+    assert err.value.context["measured"] == 2
 
 
 def test_multiplicity_of_singleton_partition():

@@ -92,7 +92,8 @@ def test_independent_audit_recomputes_cover_facts():
 
 
 # growth rows (ball, greedy, oracle on 9 points), lattice gromov rows and
-# an extension gromov row all re-audit their covers
+# an extension gromov row all re-audit their covers, each of the three
+# statistics (the Lebesgue surrogate first, then the other two)
 @pytest.mark.parametrize(
     "profile",
     [
@@ -104,15 +105,17 @@ def test_independent_audit_recomputes_cover_facts():
 def test_profiles_refuse_a_lebesgue_surrogate_the_cover_disagrees_with(monkeypatch, profile):
     audit = dimension.independent_audit
     profile()
+    for k, name in ((1, "Lebesgue surrogate"), (0, "multiplicity"), (2, "diameter")):
 
-    def shifted(cover):
-        mult, lam, diam = audit(cover)
-        return mult, lam + 1, diam
+        def shifted(cover, k=k):
+            values = list(audit(cover))
+            values[k] += 1
+            return tuple(values)
 
-    monkeypatch.setattr(dimension, "independent_audit", shifted)
-    with pytest.raises(AuditFailed, match="independent Lebesgue surrogate") as err:
-        profile()
-    assert err.value.context["independent"] == err.value.context["cover"] + 1
+        monkeypatch.setattr(dimension, "independent_audit", shifted)
+        with pytest.raises(AuditFailed, match=f"independent {name} disagrees") as err:
+            profile()
+        assert err.value.context["independent"] == err.value.context["cover"] + 1
 
 
 def test_gromov_audits_the_projection_once(monkeypatch):
