@@ -2,10 +2,11 @@
 
 Outputs must be byte-identical across reruns: keys sorted, floats rounded
 to 9 significant digits, infinities spelled "inf" (JSON has no literal
-for them), containers emitted in deterministic order.  Integer arrays
-are rendered directly and spliced into the text, with the layout
-``json.dumps`` gives their ``tolist()``; a text bound for a stream is
-written in batches as it is made.
+for them), containers emitted in deterministic order.  The text is the
+one ``json.dumps(..., sort_keys=True, indent=1, separators=(", ", ": "))``
+gives, written in one recursive pass that renders integer arrays a row
+at a time; a text bound for a stream is written in batches as it is
+made.
 """
 
 from __future__ import annotations
@@ -13,27 +14,21 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
-import re
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 SCHEMA = "coarsekit/1"
-
-# Stands in for integer array number k until its text is spliced in; argv
-# and point labels never hold NUL, so no payload string looks like it.
-_SLOT = "\x00array{}\x00"
-_SLOT_TEXT = re.compile(r'"\\u0000array(\d+)\\u0000"')
 
 # A streamed text reaches its sink in batches of at most this many
 # characters, which are bytes too: the text is ASCII.
 _BATCH_CHARS = 1 << 20
 
 
-def _canonical(value, arrays):
-    """Plain JSON values; integer arrays are appended to ``arrays`` and
-    replaced by their numbered ``_SLOT``."""
+def _canonical(value):
+    """Plain JSON values, integer arrays kept as they are.  NaN and any
+    value JSON cannot encode raise here, before anything is written."""
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
@@ -45,18 +40,18 @@ def _canonical(value, arrays):
             return int(value)
         return value
     if isinstance(value, dict):
-        return {str(k): _canonical(v, arrays) for k, v in value.items()}
+        return {str(k): _canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_canonical(v, arrays) for v in value]
+        return [_canonical(v) for v in value]
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "i" and value.ndim:
-            arrays.append(value)
-            return _SLOT.format(len(arrays) - 1)
-        return _canonical(value.tolist(), arrays)
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        # numpy scalar
-        return _canonical(value.item(), arrays)
-    return value
+            return value
+        return _canonical(value.tolist())
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, np.generic):
+        return _canonical(value.item())
+    raise ValueError(f"{type(value).__name__} is not representable in canonical output")
 
 
 def canonical_json(obj, write=None):
@@ -64,18 +59,9 @@ def canonical_json(obj, write=None):
     given, passed to it with a closing newline in batches of at most
     ``_BATCH_CHARS`` as they are made.  Integer arrays render one row at a
     time, so a streamed array is never held as text all at once.  Everything
-    that can fail (NaN, a payload string that looks like a slot) runs before
-    the first write, and both ways give the same text."""
-    arrays = []
-    text = json.dumps(_canonical(obj, arrays), sort_keys=True, separators=(", ", ": "), indent=1)
-    pieces, order = [text], []
-    if arrays:
-        # sort_keys reorders entries, so slots appear in text order, not k order
-        pieces = _SLOT_TEXT.split(text)
-        order = [int(k) for k in pieces[1::2]]
-        if sorted(order) != list(range(len(arrays))):
-            raise ValueError("a payload string collides with an array slot")
-    chunks = _spliced(pieces[::2], order, arrays)
+    that can fail (NaN, a value JSON cannot encode) runs before the first
+    write, and both ways give the same text."""
+    chunks = _pieces(_canonical(obj), 0)
     if write is None:
         return "".join(chunks)
     batch, size = [], 0
@@ -90,16 +76,44 @@ def canonical_json(obj, write=None):
     write("".join(batch))
 
 
-def _spliced(texts, order, arrays):
-    """The text pieces around the slots, with slot number ``order[i]``
-    between ``texts[i]`` and ``texts[i + 1]`` rendered in place."""
-    yield texts[0]
-    for before, k, after in zip(texts, order, texts[1:]):
-        # the slot opens a line as a list item or a key's value; that
-        # line's indent is the array's nesting level
-        line = before[before.rfind("\n") + 1 :]
-        yield from _render_ints(arrays[k], len(line) - len(line.lstrip(" ")))
-        yield after
+def _scalar(value):
+    """The JSON text of a canonical leaf."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    return repr(value)
+
+
+def _pieces(value, level):
+    """The text of the canonical ``value`` at nesting ``level``, in pieces:
+    a container opens a line per entry, dict entries by sorted key, and
+    its leaves are written in the entry's own piece."""
+    if isinstance(value, np.ndarray):
+        return _render_ints(value, level)
+    if isinstance(value, dict):
+        return _entries(sorted(value.items()), "{}", level)
+    if isinstance(value, list):
+        return _entries([(None, v) for v in value], "[]", level)
+    return [_scalar(value)]
+
+
+def _entries(items, brackets, level):
+    if not items:
+        yield brackets
+        return
+    inner = "\n" + " " * (level + 1)
+    head = brackets[0] + inner
+    for key, value in items:
+        if key is not None:
+            head += encode_basestring_ascii(key) + ": "
+        if isinstance(value, (dict, list, np.ndarray)):
+            yield head
+            yield from _pieces(value, level + 1)
+        else:
+            yield head + _scalar(value)
+        head = ", " + inner
+    yield "\n" + " " * level + brackets[1]
 
 
 def _render_ints(array, level):
@@ -133,7 +147,7 @@ def _render_ints(array, level):
 
 
 def format_cell(value) -> str:
-    v = _canonical(value, [])
+    v = _canonical(value)
     if isinstance(v, float):
         return "%.9g" % v
     return str(v)

@@ -116,7 +116,10 @@ def _writable(path):
     return path
 
 
-def _emit(obj):
+def _emit(obj, out=None):
+    """``obj`` on stdout, and first in the file ``out`` when one is named."""
+    if out is not None:
+        _write_json(out, obj)
     canonical_json(obj, sys.stdout.write)
 
 
@@ -183,6 +186,8 @@ def cmd_cover(args):
         cover = _extension_cover(spec, args)
         stats = dict(cover.meta["conclusions"])
     else:
+        if method != "ball" and spec.lattice_rank is None:
+            raise PreconditionFailed("lattice methods need a declared lattice_rank", method=method, group=args.group)
         space = ball_space(spec, args.radius, cap=args.ball_cap)
         if method == "ball":
             cover = ball_cover(space, args.lam)
@@ -248,9 +253,7 @@ def cmd_certify_a(args):
             "radius": args.radius,
         }
     )
-    if args.out is not None:
-        _write_json(args.out, cert)
-    _emit(cert)
+    _emit(cert, args.out)
     return 0 if cert["audit"]["pass"] else 2
 
 
@@ -282,9 +285,7 @@ def cmd_embed(args):
             "buckets": bucket_rows,
         }
     )
-    if args.out is not None:
-        _write_json(args.out, out)
-    _emit(out)
+    _emit(out, args.out)
     return 0 if result.audit["pass"] else 2
 
 
@@ -337,9 +338,7 @@ def cmd_distortion(args):
         "max_inner_norm": max(i for i, _ in pairs),
         "slope": slope,
     }
-    if args.out is not None:
-        _write_json(args.out, out)
-    _emit(out)
+    _emit(out, args.out)
     return 0
 
 

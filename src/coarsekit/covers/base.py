@@ -215,19 +215,12 @@ class Cover:
 
     # -- reporting -----------------------------------------------------------
 
-    def boundary_margin(self):
-        margins = self.space.margins()
-        if margins.size == 0:
-            return INF
-        m = margins.min()
-        return float(m) if np.isfinite(m) else INF
-
     def stats(self):
         return {
             "multiplicity": self.multiplicity(),
             "lebesgue_pointwise": self.pointwise_lebesgue(),
             "diameter": self.max_diameter(),
-            "boundary_margin": self.boundary_margin(),
+            "boundary_margin": self.space.boundary_margin(),
         }
 
     def to_json(self):
@@ -475,13 +468,13 @@ def _lattice_coords(space):
     return coords
 
 
-def brick_cover_zl(space: FiniteMetricSpace, lam) -> Cover:
-    """l+1 shifted brick partitions of a Z^l window.
+def _bricks(space: FiniteMetricSpace, lam) -> Cover:
+    """l+1 shifted brick partitions of points that are integer l-tuples,
+    unaudited.
 
     Bricks have side 2(l+1)*lam and consecutive families shift by 2*lam
-    along the diagonal, so each coordinate axis can spoil at most one
-    family for any given point; lam=0 degenerates to the singleton
-    partition.  Multiplicity <= l+1 and the Lebesgue bound are audited.
+    along the diagonal; lam=0 degenerates to the singleton partition.
+    ``meta["families"]`` names each member's family.
     """
     coords = _lattice_coords(space)
     l = coords.shape[1]
@@ -498,8 +491,18 @@ def brick_cover_zl(space: FiniteMetricSpace, lam) -> Cover:
         labels += [f"brick{j}." + ",".join(map(str, key)) for key in keys.tolist()]
         owner += [j] * len(keys)
     meta = {"method": "brick", "lam": lam, "side": side, "families": owner}
-    cover = Cover(space, np.concatenate(masks), labels, meta=meta)
-    assert_bounds(cover, multiplicity=l + 1, lebesgue=lam)
+    return Cover(space, np.concatenate(masks), labels, meta=meta)
+
+
+def brick_cover_zl(space: FiniteMetricSpace, lam) -> Cover:
+    """The staggered bricks of a Z^l window.
+
+    Each coordinate axis can spoil at most one family for any given
+    point, so multiplicity <= l+1 (the family count) and Lebesgue
+    surrogate >= lam hold there; both are audited.
+    """
+    cover = _bricks(space, lam)
+    assert_bounds(cover, multiplicity=max(cover.meta["families"]) + 1, lebesgue=lam)
     return cover
 
 

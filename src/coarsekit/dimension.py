@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonutil import csv_text
-from .covers.base import Cover, _drop_nested, _keyed_rows, _lattice_coords, assert_bounds, ball_cover, brick_cover_zl
+from .covers.base import Cover, _bricks, _drop_nested, _keyed_rows, _lattice_coords, assert_bounds
+from .covers.base import ball_cover, brick_cover_zl
 from .covers.extension import extension_cover, extension_split
 from .covers.wreath import eval_polynomial, wreath_cover
 from .errors import AuditFailed, Infeasible, PreconditionFailed, TooLarge, WindowTooSmall
@@ -219,11 +220,9 @@ def greedy_min_multiplicity(space, lam, D, *, ball=None):
         if rotated is not None:
             candidates.append(rotated)
     if dim is not None and dim >= 2:
-        try:
-            bricks = brick_cover_zl(space, lam + 1)
-        except (PreconditionFailed, AuditFailed):
-            bricks = None
-        if bricks is not None and _cover_is_valid(bricks, lam, D):
+        # the Z^l bounds of bricks hold only on lattices: the exact check decides
+        bricks = _bricks(space, lam + 1)
+        if _cover_is_valid(bricks, lam, D):
             candidates.append(bricks)
     if 2 * lam <= D:
         balls = ball if ball is not None else ball_cover(space, lam)
@@ -327,39 +326,28 @@ class DimensionProfile:
                         "multiplicity dropped as lambda grew", at=(d_a, lam_a, lam_b)
                     )
 
-    def csv_rows(self):
-        ordered = sorted(
-            self.rows, key=lambda r: (r["lambda"], str(r["diam_budget"]), r["method"])
-        )
-        return [
-            (
-                self.group,
-                r["lambda"],
-                r["diam_budget"],
-                r["multiplicity"],
-                r["method"],
-                "" if r["theoretical_envelope"] is None else r["theoretical_envelope"],
-                r["boundary_margin"],
-            )
-            for r in ordered
-        ]
+    def ordered_rows(self):
+        return sorted(self.rows, key=lambda r: (r["lambda"], str(r["diam_budget"]), r["method"]))
 
     def to_csv(self):
-        return csv_text(CSV_HEADER, self.csv_rows())
+        return csv_text(
+            CSV_HEADER,
+            [
+                (
+                    self.group,
+                    r["lambda"],
+                    r["diam_budget"],
+                    r["multiplicity"],
+                    r["method"],
+                    "" if r["theoretical_envelope"] is None else r["theoretical_envelope"],
+                    r["boundary_margin"],
+                )
+                for r in self.ordered_rows()
+            ],
+        )
 
     def to_json(self):
-        return {
-            "group": self.group,
-            "kind": self.kind,
-            "policy": self.policy,
-            "rows": [
-                {k: v for k, v in row.items()}
-                for row in sorted(
-                    self.rows,
-                    key=lambda r: (r["lambda"], str(r["diam_budget"]), r["method"]),
-                )
-            ],
-        }
+        return {"group": self.group, "kind": self.kind, "policy": self.policy, "rows": self.ordered_rows()}
 
 
 def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None) -> DimensionProfile:
@@ -381,6 +369,7 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
     profile = DimensionProfile(
         token, "growth", "D=" + ",".join(str(c) for c in diam_policy)
     )
+    margin = space.boundary_margin()
     for lam in sorted(lam_schedule):
         D = eval_polynomial(diam_policy, lam)
         rows_at = []
@@ -389,7 +378,7 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
         if ball.max_diameter() <= D:
             envelope = int((space.d <= lam + _tolerance(space.d)).sum(axis=1).max())
             mult, _ = _reaudit(ball, multiplicity=envelope)
-            profile.add_row(lam, D, mult, "ball", envelope, ball.boundary_margin(), "ball")
+            profile.add_row(lam, D, mult, "ball", envelope, margin, "ball")
             rows_at.append(mult)
 
         try:
@@ -398,10 +387,7 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
             g_cover = None
         if g_cover is not None:
             mult, _ = _reaudit(g_cover, diameter=D)
-            profile.add_row(
-                lam, D, mult, "greedy", None, g_cover.boundary_margin(),
-                g_cover.meta.get("method"),
-            )
+            profile.add_row(lam, D, mult, "greedy", None, margin, g_cover.meta.get("method"))
             rows_at.append(mult)
 
         if len(space) <= ORACLE_MAX_POINTS:
@@ -411,7 +397,7 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
                 o_cover = None
             if o_cover is not None:
                 _reaudit(o_cover, diameter=D)
-                profile.add_row(lam, D, o_mult, "oracle", None, o_cover.boundary_margin(), "oracle")
+                profile.add_row(lam, D, o_mult, "oracle", None, margin, "oracle")
                 if any(m < o_mult for m in rows_at):
                     raise AuditFailed(
                         "a heuristic beat the exhaustive oracle", lam=lam, D=D
@@ -455,7 +441,7 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
             mult, diam = _reaudit(cover, multiplicity=cap, diameter=linear)
             profile.add_row(
                 lam, int(diam), mult, cover.meta.get("method", "construction"),
-                4 * l * (l + 1) * max(lam, 1), cover.boundary_margin(),
+                4 * l * (l + 1) * max(lam, 1), space.boundary_margin(),
                 cover.meta.get("method"),
             )
         profile.assert_monotone()
@@ -469,8 +455,7 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
         V = Cover(kernel, np.ones((1, len(kernel)), dtype=bool), ["Z"], meta={"method": "whole_window"})
         for lam in sorted(lam_schedule):
             if lam == 0:
-                single = Cover(window, np.eye(len(window), dtype=bool), meta={"method": "singletons"})
-                profile.add_row(0, 0, 1, "singletons", None, single.boundary_margin())
+                profile.add_row(0, 0, 1, "singletons", None, window.boundary_margin())
                 continue
             U, R = split.quotient_cover(lam)
             cover = None
@@ -489,6 +474,7 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
             profile.add_row(
                 lam, int(diam), mult, "construction", None, cover.meta["safe_margin"], "extension"
             )
+        profile.assert_monotone()
         return profile
 
     raise Infeasible("no construction family for this group", token=token)

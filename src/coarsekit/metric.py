@@ -140,11 +140,12 @@ class FiniteMetricSpace:
     def diameter(self):
         return self.d.max().item() if len(self.points) else 0
 
-    def boundary_margin(self, point):
-        """Distance budget to the window edge; inf when no window is recorded."""
+    def boundary_margin(self):
+        """The least distance budget to the window edge over all points; inf
+        when no window is recorded."""
         if self.center is None or self.window_radius is None:
             return INF
-        return self.window_radius - self.dist(point, self.center)
+        return float(self.margins().min())
 
     def margins(self):
         if self.center is None or self.window_radius is None:

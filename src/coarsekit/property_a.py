@@ -311,7 +311,8 @@ class VariationReport:
     bounds: dict            # K -> {n: bound}, absent when no bound is attached
     strides: dict           # K -> sampling stride (1 = exact)
     decay: dict = field(init=False)
-    within_bounds: dict = field(init=False)
+    failures: list = field(init=False)        # {K, n, measured, bound} past the bound
+    within_bounds: dict = field(init=False)   # K -> no failure; None without bounds
 
     def __post_init__(self):
         self.decay = {
@@ -321,32 +322,18 @@ class VariationReport:
             )
             for K in self.Ks
         }
-        self.within_bounds = {
-            K: (
-                all(self.measured[K][n] <= self.bounds[K][n] + CERT_TOL for n in self.levels)
-                if K in self.bounds
-                else None
-            )
+        self.failures = [
+            {"K": K, "n": n, "measured": self.measured[K][n], "bound": self.bounds[K][n]}
             for K in self.Ks
-        }
+            if K in self.bounds
+            for n in self.levels
+            if self.measured[K][n] > self.bounds[K][n] + CERT_TOL
+        ]
+        failed = {f["K"] for f in self.failures}
+        self.within_bounds = {K: K not in failed if K in self.bounds else None for K in self.Ks}
 
     def ok(self):
-        return all(self.decay.values()) and all(v is not False for v in self.within_bounds.values())
-
-    def to_json(self):
-        return {
-            "p": "inf" if self.p == INF else self.p,
-            "levels": list(self.levels),
-            "variation": {str(K): {str(n): self.measured[K][n] for n in self.levels} for K in self.Ks},
-            "bounds": {
-                str(K): {str(n): self.bounds[K][n] for n in self.levels}
-                for K in self.Ks
-                if K in self.bounds
-            },
-            "strides": {str(K): self.strides[K] for K in self.Ks},
-            "decay": {str(K): self.decay[K] for K in self.Ks},
-            "within_bounds": {str(K): self.within_bounds[K] for K in self.Ks},
-        }
+        return all(self.decay.values()) and not self.failures
 
 
 def variation_report(family: PropertyAFamily, Ks) -> VariationReport:
@@ -373,26 +360,27 @@ def variation_report(family: PropertyAFamily, Ks) -> VariationReport:
 
 
 def certificate(family: PropertyAFamily, report: VariationReport) -> dict:
-    failures = [
-        {"K": K, "n": n, "measured": report.measured[K][n], "bound": report.bounds[K][n]}
-        for K in report.Ks
-        if K in report.bounds
-        for n in report.levels
-        if report.measured[K][n] > report.bounds[K][n] + CERT_TOL
-    ]
-    body = report.to_json()
+    """The certify-a body, read from the report's fields and keyed by
+    displacement K and level n as strings."""
+
+    def per_K(values, each=lambda v: v):
+        return {str(K): each(values[K]) for K in report.Ks if K in values}
+
+    def per_level(values):
+        return {str(n): values[n] for n in report.levels}
+
     return {
-        "p": body["p"],
-        "levels": body["levels"],
-        "support_radius": {str(n): family.support_radius[n] for n in report.levels},
-        "variation": body["variation"],
-        "bounds": body["bounds"],
-        "strides": body["strides"],
+        "p": report.p,
+        "levels": list(report.levels),
+        "support_radius": per_level(family.support_radius),
+        "variation": per_K(report.measured, per_level),
+        "bounds": per_K(report.bounds, per_level),
+        "strides": per_K(report.strides),
         "audit": {
-            "pass": report.ok() and not failures,
-            "decay": body["decay"],
-            "within_bounds": body["within_bounds"],
-            "failures": failures,
+            "pass": report.ok(),
+            "decay": per_K(report.decay),
+            "within_bounds": per_K(report.within_bounds),
+            "failures": report.failures,
         },
     }
 

@@ -121,7 +121,7 @@ def test_cover_extension_window_too_small(capsys):
     assert body["type"] == "WindowTooSmall"
 
 
-# the lattice recipes refuse reduced words of different lengths
+# the lattice recipes refuse every group that declares no lattice_rank
 @pytest.mark.parametrize(
     "argv",
     [
@@ -135,16 +135,24 @@ def test_lattice_recipes_refuse_free_group_windows(capsys, argv):
     code, body = run_json(capsys, *argv.split())
     assert code == 2
     assert body["type"] == "PreconditionFailed"
-    assert body["error"] == "expected integer tuple points"
+    assert body["error"] == "lattice methods need a declared lattice_rank"
+    assert body["method"] == argv.split()[2]
 
 
-def test_heisenberg_bricks_stay_audited(capsys):
+def test_heisenberg_bricks_are_refused(capsys, monkeypatch):
+    # integer 3-tuples, but no lattice: refused before the window is built
+    monkeypatch.setattr(cli, "ball_space", None)
     code, body = run_json(
-        capsys, "cover", "--method", "bricks", "--group", "heisenberg", "--radius", "4", "--lambda", "1",
+        capsys, "cover", "--method", "bricks", "--group", "heisenberg", "--radius", "6", "--lambda", "2",
     )
-    assert code == 0
-    assert body["stats"]["multiplicity"] <= 4
-    assert body["stats"]["lebesgue_pointwise"] >= 1
+    assert code == 2
+    assert body == {
+        "error": "lattice methods need a declared lattice_rank",
+        "group": "heisenberg",
+        "method": "bricks",
+        "schema": "coarsekit/1",
+        "type": "PreconditionFailed",
+    }
 
 
 def test_cover_wreath(capsys):

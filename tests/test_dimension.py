@@ -247,6 +247,27 @@ def test_gromov_profile_heisenberg_extension():
     assert by_lam[1]["method"] == "construction"
 
 
+# every profile runs its monotonicity audit, gromov's extension rows included
+@pytest.mark.parametrize(
+    "profile",
+    [
+        lambda: growth_curve("zn:1", [1], [0, 4], 4),
+        lambda: gromov_profile("zn:2", 3, [1], 6),
+        lambda: gromov_profile("heisenberg", 6, [0, 1], 6),
+    ],
+)
+def test_profiles_audit_their_monotonicity(monkeypatch, profile):
+    audit, audited = DimensionProfile.assert_monotone, []
+
+    def spy(self):
+        audited.append(self)
+        return audit(self)
+
+    monkeypatch.setattr(DimensionProfile, "assert_monotone", spy)
+    result = profile()
+    assert len(audited) == 1 and audited[0] is result
+
+
 def test_profile_monotonicity_audit():
     profile = DimensionProfile("zn:1", "growth", "D=0,4")
     profile.add_row(1, 4, 3, "greedy", None, 0)

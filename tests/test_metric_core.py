@@ -89,6 +89,6 @@ def test_subspace_inherits_metric_and_window():
     space = FiniteMetricSpace(pts, d, center=(0,), window_radius=3)
     sub = space.subspace([(-1,), (0,), (2,)])
     assert sub.dist((-1,), (2,)) == 3
-    assert sub.boundary_margin((2,)) == 1
+    assert sub.boundary_margin() == 1  # (2,), one step inside the radius-3 window
     no_center = space.subspace([(1,), (2,)])
-    assert no_center.boundary_margin((1,)) == INF
+    assert no_center.boundary_margin() == INF

@@ -35,6 +35,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import json
 import random
 import tracemalloc
 from unittest import mock
@@ -411,7 +412,7 @@ def ref_embedding(space, rows, radius, base, budget, p, safe_margin):
         return sum(1 for r in radii if r <= t)
 
     margin = radii[-1] if safe_margin is None else safe_margin
-    safe = [i for i, z in enumerate(space.points) if space.boundary_margin(z) >= margin]
+    safe = [i for i, z in enumerate(space.points) if space.window_radius - space.dist(z, space.center) >= margin]
     checked, upper, lower, buckets = 0, 0.0, 0.0, {}
     for a in range(len(safe)):
         for c in range(a + 1, len(safe)):
@@ -721,9 +722,30 @@ def test_array_emission_matches_lists(obj):
     assert canonical_json(obj) == canonical_json(ref_lists(obj))
 
 
-def test_array_emission_refuses_a_string_that_looks_like_a_slot():
-    with pytest.raises(ValueError):
-        canonical_json({"a": np.arange(2), "b": "\x00array0\x00"})
+json_payloads = st.recursive(
+    st.one_of(
+        int_arrays, other_arrays, st.integers(), st.floats(allow_nan=False), st.text(max_size=3),
+        st.booleans(), st.none(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=2), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+# the writer against json.dumps, on the values the canonical pass leaves
+@settings(SETTINGS, max_examples=200)
+@given(obj=json_payloads)
+def test_emission_matches_json_dumps(obj):
+    plain = ref_lists(_jsonutil._canonical(obj))
+    assert canonical_json(obj) == json.dumps(plain, sort_keys=True, indent=1, separators=(", ", ": "))
+
+
+def test_a_string_next_to_an_array_round_trips():
+    obj = {"a": np.arange(2), "b": "\x00array0\x00"}
+    assert json.loads(canonical_json(obj)) == {"a": [0, 1], "b": "\x00array0\x00"}
 
 
 def streamed(obj):
@@ -762,7 +784,7 @@ def test_streamed_emission_of_nested_and_empty_arrays(obj):
     [
         {"a": np.arange(3), "b": float("nan")},
         [np.arange(2), {"c": np.array([1.0, float("nan")])}],
-        {"a": np.arange(2), "b": "\x00array0\x00"},
+        {"a": np.arange(2), "b": [1, {2, 3}]},
     ],
 )
 def test_streamed_emission_writes_nothing_before_it_raises(obj):
