@@ -19,11 +19,16 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .metric import block_rows
+
 SCHEMA = "coarsekit/1"
 
 # A streamed text reaches its sink in batches of at most this many
-# characters, which are bytes too: the text is ASCII.
-_BATCH_CHARS = 1 << 20
+# characters, which are bytes too: the text is ASCII.  A batch and its
+# encoded copy stay below the C allocator's threshold for mapping fresh
+# pages (128 KiB in glibc), so each reuses freed heap memory: 1 MiB batches
+# spent about 20 ms more on faults writing the 24 MB Heisenberg r8 window.
+_BATCH_CHARS = 1 << 16
 
 
 def _canonical(value):
@@ -120,13 +125,7 @@ def _render_ints(array, level):
     """The text ``json.dumps(array.tolist(), indent=1, separators=(", ",
     ": "))`` writes at nesting ``level``, in pieces of at most one row of
     the last axis."""
-    lo, hi = (int(array.min()), int(array.max())) if array.size else (0, 0)
-    if hi - lo < array.size:
-        # a table of every value in range is no larger than the array
-        table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
-        strings = lambda row: table[row.astype(np.intp) - lo].tolist()
-    else:
-        strings = lambda row: map(str, row.tolist())
+    texts = _row_texts(array, ", \n" + " " * (level + array.ndim))
 
     def render(sub, level):
         if len(sub) == 0:
@@ -135,7 +134,7 @@ def _render_ints(array, level):
         inner = "\n" + " " * (level + 1)
         yield "[" + inner
         if sub.ndim == 1:
-            yield (", " + inner).join(strings(sub))
+            yield next(texts)
         else:
             for k, child in enumerate(sub):
                 if k:
@@ -144,6 +143,62 @@ def _render_ints(array, level):
         yield "\n" + " " * level + "]"
 
     return render(array, level)
+
+
+def _gram_width(span, size):
+    """How many consecutive values of an array of ``size`` values in a
+    range of ``span`` one lookup renders: the largest k with
+    64 span^k <= size, at least 1 and at most 3."""
+    k = 1
+    while k < 3 and 64 * span ** (k + 1) <= size:
+        k += 1
+    return k
+
+
+def _row_texts(array, sep):
+    """The values of each last-axis row of a nonempty ``array`` joined by
+    ``sep``, row after row.
+
+    With V = hi - lo + 1 values in range, a row is read as k-grams of
+    consecutive values, k from ``_gram_width``, and each k-gram (and the
+    row's shorter tail) is one lookup in a table of their texts.  A table
+    of pairs or triples holds at most a 64th as many entries as the array,
+    one of single values no more than it; a range wider than the array is
+    written value by value.  Keys are computed a block of rows at a time."""
+    rows = array.reshape(-1, array.shape[-1])
+    lo, hi = int(rows.min()), int(rows.max())
+    span = hi - lo + 1
+    if span > rows.size:
+        for row in rows:
+            yield sep.join(map(str, row.tolist()))
+        return
+    k = _gram_width(span, rows.size)
+    whole, tail = divmod(rows.shape[1], k)
+    values = [str(v) for v in range(lo, hi + 1)]
+    table = np.array(
+        [sep.join(gram) for width in (k, tail) if width for gram in itertools.product(values, repeat=width)],
+        dtype=object,
+    )
+    # no temporary of a block takes more than 8 bytes a value; keys index a
+    # table of python strings, so they fit int32
+    step = block_rows(8 * rows.shape[1])
+    for start in range(0, len(rows), step):
+        # v - lo is in [0, V), so it is exact read unsigned after a wrapping subtract
+        block = np.subtract(rows[start : start + step], rows.dtype.type(lo)).view(f"u{rows.itemsize}")
+        # the gram (v_1, ..., v_k) is entry sum (v_t - lo) V^(k - t), and the
+        # tail's entries follow the V^k grams
+        keys = np.empty((len(block), whole + (tail > 0)), dtype=np.int32)
+        grams = keys[:, :whole]
+        grams[...] = block[:, 0 : whole * k : k]
+        for t in range(1, k):
+            grams *= span
+            grams += block[:, t : whole * k : k]
+        if tail:
+            keys[:, whole] = span**k
+            for t in range(tail):
+                keys[:, whole] += block[:, whole * k + t].astype(np.int32) * span ** (tail - 1 - t)
+        for pieces in table.take(keys).tolist():
+            yield sep.join(pieces)
 
 
 def format_cell(value) -> str:

@@ -27,8 +27,9 @@ DEFAULT_BALL_CAP = 5_000_000
 
 # Bytes per cell that a declared metric's temporaries take at most: every
 # kernel below works on (rows, cols) arrays of int64 or narrower, plus the
-# intp positions of the Heisenberg kernel's far cells and of the wreath
-# kernel's gathers.
+# intp positions of the Heisenberg kernel's far cells and lookups and of
+# the wreath kernel's gathers.  The Heisenberg length table is built within
+# the same bytes per element.
 _KERNEL_CELL_BYTES = 8
 
 
@@ -191,46 +192,93 @@ def free_spec(k: int) -> GroupSpec:
 # homomorphism onto Z^2 whose kernel is the center, generated by [x,y].
 
 
-def _heisenberg_distances(points):
-    """Blachère's exact word length (Colloq. Math. 95, 2003) of x_i^{-1} x_j.
+def _heisenberg_length(a, b, c):
+    """Blachère's exact word length (Colloq. Math. 95, 2003) of (a, b, c),
+    elementwise over arrays of one shape and one signed type, which it
+    overwrites."""
+    # flipping the sign of a or of b negates c, and (a, b, c) has the
+    # length of (a, b, ab - c)
+    np.negative(c, out=c, where=(a < 0) != (b < 0))
+    np.abs(a, out=a)
+    np.abs(b, out=b)
+    c = np.maximum(c, a * b - c)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    d = lo + hi
+    # the length exceeds lo + hi only where c > lo hi; there it is
+    # 2 ceil(c / hi) + hi - lo up to c = hi^2, and 2 ceil(sqrt(4c)) - lo - hi
+    # above (a double root is exact for c < 10^14)
+    far = np.flatnonzero(c > lo * hi)
+    c, lo, hi = c.ravel()[far], lo.ravel()[far], hi.ravel()[far]
+    top = np.flatnonzero(c > hi * hi)
+    far_d = 2 * -(-c // np.maximum(hi, 1)) + hi - lo
+    far_d[top] = 2 * np.ceil(np.sqrt(4.0 * c[top])).astype(c.dtype) - lo[top] - hi[top]
+    d.ravel()[far] = far_d
+    return d
 
-    With |a|, |b| <= A and |c| <= C over the points, no value the kernel
-    forms exceeds 4 (6 A^2 + 2 C) = 8 (3 A^2 + C).  The kernel runs in the
-    narrowest signed type that holds that bound: int16 while it is below
-    2^15 (every ball window up to r = 35), else int32; beyond int32 the
-    points are refused."""
+
+def _heisenberg_distances(points):
+    """The word length of x_i^{-1} x_j, from ``_heisenberg_length``.
+
+    With |a|, |b| <= A and |c| <= C over the points, every x_i^{-1} x_j
+    lies in the box |a|, |b| <= 2A, |c| <= 2C + 2A^2, and no value the
+    closed form forms on it exceeds 4 (6 A^2 + 2 C) = 8 (3 A^2 + C).  The
+    lengths have the narrowest signed type that holds that bound: int16
+    while it is below 2^15 (every ball window up to r = 35), else int32;
+    beyond int32 the points are refused.
+
+    When the box has at most a quarter as many elements as there are
+    ordered pairs of points (every ball window from r = 7 on), the length
+    of each box element is computed once, and a cell is one lookup at a
+    flat index of the box: P_j - a_i b_j + Q_i in int32.  Smaller or
+    sparser point lists get the closed form cell by cell."""
     x = np.array(points, dtype=np.int64)
     A, C = int(np.abs(x[:, :2]).max()), int(np.abs(x[:, 2]).max())
     bound = 8 * (3 * A * A + C)
     if bound >= 2**31:
         raise PreconditionFailed("Heisenberg window too wide for the int32 word length", a_b=A, c=C)
     x = x.astype(np.int16 if bound < 2**15 else np.int32)
+    side, depth = 2 * A, 2 * (C + A * A)
+    cells = (2 * side + 1) ** 2 * (2 * depth + 1)
+    if 4 * cells <= len(x) ** 2 and cells < 2**31:
+        table, index = _heisenberg_table(x, side, depth)
+        return lambda block, cols: table.take(index(block, cols))
 
     def rows(block, cols):
         # x_i^{-1} x_j = (a_j - a_i, b_j - b_i, c_j - c_i - a_i (b_j - b_i))
         ai, bi, ci = (x[block, None, k] for k in range(3))
         a, b = x[cols, 0] - ai, x[cols, 1] - bi
-        c = x[cols, 2] - ci - ai * b
-        # flipping the sign of a or of b negates c, and (a, b, c) has the
-        # length of (a, b, ab - c)
-        np.negative(c, out=c, where=(a < 0) != (b < 0))
-        np.abs(a, out=a)
-        np.abs(b, out=b)
-        c = np.maximum(c, a * b - c)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        d = lo + hi
-        # the length exceeds lo + hi only where c > lo hi; there it is
-        # 2 ceil(c / hi) + hi - lo up to c = hi^2, and 2 ceil(sqrt(4c)) - lo - hi
-        # above (a double root is exact for c < 10^14)
-        far = np.flatnonzero(c > lo * hi)
-        c, lo, hi = c.ravel()[far], lo.ravel()[far], hi.ravel()[far]
-        top = np.flatnonzero(c > hi * hi)
-        far_d = 2 * -(-c // np.maximum(hi, 1)) + hi - lo
-        far_d[top] = 2 * np.ceil(np.sqrt(4.0 * c[top])).astype(x.dtype) - lo[top] - hi[top]
-        d.ravel()[far] = far_d
-        return d
+        return _heisenberg_length(a, b, x[cols, 2] - ci - ai * b)
 
     return rows
+
+
+def _heisenberg_table(x, side, depth):
+    """``(table, index)``: the word length of every element of the box
+    |a|, |b| <= side, |c| <= depth, in x's type, and ``index(block, cols)``,
+    the int32 flat positions in it of x_i^{-1} x_j.  The table is built a
+    block of a-planes at a time; the box must hold every x_i^{-1} x_j and
+    have fewer than 2^31 elements."""
+    table = np.empty((2 * side + 1, 2 * side + 1, 2 * depth + 1), dtype=x.dtype)
+    ab, c = np.arange(-side, side + 1, dtype=x.dtype), np.arange(-depth, depth + 1, dtype=x.dtype)
+    step = block_rows(_KERNEL_CELL_BYTES * table[0].size)
+    for start in range(0, len(table), step):
+        planes = table[start : start + step]
+        axes = (ab[start : start + step, None, None], ab[:, None], c)
+        planes[...] = _heisenberg_length(*(np.broadcast_to(axis, planes.shape).copy() for axis in axes))
+    # x_i^{-1} x_j sits at (a_j - a_i + side, b_j - b_i + side, c_j - c_i - a_i (b_j - b_i) + depth),
+    # whose flat position is P_j - a_i b_j + Q_i; no partial sum leaves (-table.size, table.size)
+    a, b, c = np.ascontiguousarray(x.T, dtype=np.int32)
+    row, plane = table.shape[2], table.shape[1] * table.shape[2]
+    P = a * plane + b * row + c
+    Q = (side - a) * plane + (side - b) * row - c + a * b + depth
+
+    def index(block, cols):
+        at = a[block, None] * b[cols]
+        np.subtract(P[cols], at, out=at)
+        at += Q[block, None]
+        return at
+
+    return table, index
 
 
 def heisenberg_spec() -> GroupSpec:

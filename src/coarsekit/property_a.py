@@ -55,34 +55,42 @@ class PropertyAFamily:
         return None if self._bound_fn is None else self._bound_fn(n, K)
 
     def _audit(self):
+        """Every row of every level, one block of rows at a time."""
         d = self.space.d
         tol = _tolerance(d)
         for n, rows in self.levels.items():
             radius = self.support_radius[n]
-            not_unit = np.abs(lp_distance(rows, 0.0, self.p) - 1.0) > CERT_TOL
-            negative = ~(rows >= 0).all(axis=1)
-            outside = (rows != 0) & (d > radius + tol)
-            bad = not_unit | negative | outside.any(axis=1)
-            if not bad.any():
-                continue
-            zi = int(np.argmax(bad))
-            z = point_label(self.space.points[zi])
-            if not_unit[zi]:
-                raise AuditFailed("family vector is not unit", level=n, point=z)
-            if negative[zi]:
-                raise AuditFailed("family vector has a negative entry", level=n, point=z)
-            raise AuditFailed(
-                "support leaves the declared ball",
-                level=n,
-                point=z,
-                offender=point_label(self.space.points[int(np.argmax(outside[zi]))]),
-                radius=radius,
-            )
+            step = block_rows(rows.shape[1] * rows.itemsize)
+            for start in range(0, len(rows), step):
+                block = rows[start : start + step]
+                not_unit = np.abs(lp_distance(block, 0.0, self.p) - 1.0) > CERT_TOL
+                negative = ~(block >= 0).all(axis=1)
+                outside = (block != 0) & (d[start : start + step] > radius + tol)
+                bad = not_unit | negative | outside.any(axis=1)
+                if not bad.any():
+                    continue
+                k = int(np.argmax(bad))
+                z = point_label(self.space.points[start + k])
+                if not_unit[k]:
+                    raise AuditFailed("family vector is not unit", level=n, point=z)
+                if negative[k]:
+                    raise AuditFailed("family vector has a negative entry", level=n, point=z)
+                raise AuditFailed(
+                    "support leaves the declared ball",
+                    level=n,
+                    point=z,
+                    offender=point_label(self.space.points[int(np.argmax(outside[k]))]),
+                    radius=radius,
+                )
 
 
 def _normalize(rows, p):
-    """Scale every row of rows to unit l_p norm, in place."""
-    rows *= (1.0 / lp_distance(rows, 0.0, p))[:, None]
+    """Scale every row of rows to unit l_p norm, in place, one block of
+    rows at a time."""
+    step = block_rows(rows.shape[1] * rows.itemsize)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        block *= (1.0 / lp_distance(block, 0.0, p))[:, None]
     return rows
 
 

@@ -672,6 +672,86 @@ def test_heisenberg_kernel_refuses_coordinates_that_overflow_int32():
         heisenberg_spec().distances([(0, 0, 0), (0, 0, 300_000_000)])
 
 
+def spy_on_tables(monkeypatch):
+    """The (points, box shape) of every Heisenberg length table built."""
+    built, build = [], groups._heisenberg_table
+
+    def spy(x, side, depth):
+        table, index = build(x, side, depth)
+        built.append((len(x), table.shape))
+        return table, index
+
+    monkeypatch.setattr(groups, "_heisenberg_table", spy)
+    return built
+
+
+# a budget of one byte builds the table one a-plane at a time, 2^24 bytes
+# in one block
+@pytest.mark.parametrize("budget", [1, None, 1 << 24])
+@pytest.mark.parametrize("radius, n, box", [(7, 1069, (29, 29, 245)), (8, 1793, (33, 33, 321))])
+def test_heisenberg_table_matches_the_select_kernel(monkeypatch, radius, n, box, budget):
+    built = spy_on_tables(monkeypatch)
+    points = ball_elements(heisenberg_spec(), radius)
+    with monkeypatch.context() as patched:
+        if budget is not None:
+            patched.setattr(metric, "_BLOCK_BYTES", budget)
+        rows = heisenberg_spec().distances(points)
+    ref = ref_heisenberg_rows(points)
+    assert built == [(n, box)]
+    for start in range(0, n, 256):
+        block = slice(start, start + 256)
+        d = rows(block, slice(None))
+        assert d.dtype == np.int16
+        assert d.tolist() == ref(block).tolist()
+    assert np.array_equal(ball_space(heisenberg_spec(), radius).d, rows(slice(None), slice(None)))
+
+
+@pytest.mark.parametrize("radius", [7, 8])
+def test_heisenberg_table_index_names_each_pair_inside_the_box(radius):
+    points = ball_elements(heisenberg_spec(), radius)
+    x = np.array(points)
+    A, C = np.abs(x[:, :2]).max(), np.abs(x[:, 2]).max()
+    side, depth = 2 * A, 2 * (C + A * A)
+    table, index = groups._heisenberg_table(x.astype(np.int16), side, depth)
+    at = index(slice(None), slice(None))
+    assert at.dtype == np.int32
+    assert 0 <= at.min() and at.max() < table.size
+    # the position decodes to x_i^{-1} x_j, computed in int64
+    a, b, c = np.unravel_index(at, table.shape)
+    ai, bi, ci = x[:, None, 0], x[:, None, 1], x[:, None, 2]
+    assert np.array_equal(a - side, x[:, 0] - ai)
+    assert np.array_equal(b - side, x[:, 1] - bi)
+    assert np.array_equal(c - depth, x[:, 2] - ci - ai * (x[:, 1] - bi))
+
+
+def test_heisenberg_lengths_take_the_table_only_when_it_is_small(monkeypatch):
+    built = spy_on_tables(monkeypatch)
+    for radius in range(7):
+        ball_space(heisenberg_spec(), radius)
+    # Hall triples as wide as the hypothesis test draws
+    rng = random.Random(0)
+    wide = [
+        (rng.randint(-1000, 1000), rng.randint(-1000, 1000), rng.randint(-20_000_000, 20_000_000)) for _ in range(40)
+    ]
+    heisenberg_spec().distances(wide)(slice(None), slice(None))
+    assert built == []
+    ball_space(heisenberg_spec(), 7)
+    assert built == [(1069, (29, 29, 245))]
+
+
+# central points (0, 0, c): a box of 4C + 1 elements, so 300 points take the
+# table; 8 (3 A^2 + C) is 32,760 at C = 4095 and 2^15 at C = 4096
+@pytest.mark.parametrize("C, dtype", [(4095, np.int16), (4096, np.int32)])
+def test_heisenberg_table_types_match_the_select_kernel(monkeypatch, C, dtype):
+    built = spy_on_tables(monkeypatch)
+    rng = random.Random(C)
+    points = [(0, 0, c) for c in sorted({-C, 0, C, *(rng.randint(-C, C) for _ in range(300))})]
+    d = heisenberg_spec().distances(points)(slice(None), slice(None))
+    assert built == [(len(points), (1, 1, 4 * C + 1))]
+    assert d.dtype == dtype
+    assert d.tolist() == ref_heisenberg_rows(points)(slice(None)).tolist()
+
+
 SYMMETRIC_FILL_CASES = [
     ("zn:1", 5), ("zn:2", 3), ("zn:3", 2), ("cyclic:2", 1), ("cyclic:7", 3),
     ("free:0", 2), ("free:1", 3), ("free:2", 2), ("free:3", 2), ("heisenberg", 3),
@@ -777,6 +857,66 @@ def test_streamed_emission_of_nested_and_empty_arrays(obj):
     for batch in (1, 5, 1 << 20):
         with mock.patch.object(_jsonutil, "_BATCH_CHARS", batch):
             assert "".join(streamed(obj)) == canonical_json(ref_lists(obj)) + "\n"
+
+
+def first_difference(got, want):
+    """None for equal texts, else the offset and the 40 characters from
+    there of each: a cheap report where a diff of long texts is not."""
+    if got == want:
+        return None
+    at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    return at, got[at : at + 40], want[at : at + 40]
+
+
+def spanning(shape, lo, span, dtype):
+    """A seeded array of ``shape`` whose values fill [lo, lo + span) and
+    reach both ends."""
+    values = np.random.default_rng(span).integers(lo, lo + span, size=shape, dtype=np.int64)
+    flat = values.reshape(-1)
+    flat[0], flat[-1] = lo, lo + span - 1
+    return values.astype(dtype)
+
+
+# Rows over a range of V values are read in k-grams, k the largest with
+# 64 V^k <= size (at most 3): at V = 3, triples from 1,728 elements, pairs
+# from 576.  Rows of 9, 10 and 11 values leave tails of 0, 1 and 2 values
+# after the triples, rows of 10 and 11 tails of 0 and 1 after the pairs.
+KGRAM_CASES = [
+    ((192, 9), 0, 3, 3), ((173, 10), -1, 3, 3), ((158, 11), -2, 3, 3),
+    ((4, 48, 9), -128, 3, 3), ((2, 87, 10), 5, 3, 3), ((3, 53, 11), -32768, 3, 3),
+    ((60, 10), -1, 3, 2), ((55, 11), 0, 3, 2), ((2, 30, 10), -3, 3, 2), ((5, 11, 11), 125, 3, 2),
+    # one value (V = 1) in triples, with a tail of 1 and of 2
+    ((10, 7), 5, 1, 3), ((2, 4, 8), -7, 1, 3), ((64,), 0, 1, 3),
+    # single values, V above size / 64; v - lo wraps in int8 and in int16
+    ((16, 20), -128, 256, 1), ((30, 31), -400, 900, 1), ((200, 200), -32768, 40_000, 1),
+    # a range wider than the array, written value by value
+    ((8, 5), -1000, 2001, None), ((2, 3, 4), -32768, 65536, None), ((3, 4), -128, 256, None),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, lo, span, k, dtype",
+    [
+        (*case, dtype)
+        for case in KGRAM_CASES
+        for dtype in (np.int8, np.int16)
+        if np.iinfo(dtype).min <= case[1] and case[1] + case[2] - 1 <= np.iinfo(dtype).max
+    ],
+)
+def test_integer_rows_match_json_dumps(shape, lo, span, k, dtype):
+    array = spanning(shape, lo, span, dtype)
+    if k is not None:
+        assert _jsonutil._gram_width(span, array.size) == k
+    obj = {"m": array, "n": [array[:1]]}
+    text = json.dumps(ref_lists(obj), sort_keys=True, indent=1, separators=(", ", ": "))
+    assert first_difference(canonical_json(obj), text) is None
+    bare = json.dumps(array.tolist(), indent=1, separators=(", ", ": "))
+    assert first_difference(canonical_json(array), bare) is None
+    for batch in (1, 7, 1 << 20):
+        with mock.patch.object(_jsonutil, "_BATCH_CHARS", batch):
+            writes = streamed(obj)
+        assert first_difference("".join(writes), text + "\n") is None
+        assert max(map(len, writes)) <= batch
 
 
 @pytest.mark.parametrize(
