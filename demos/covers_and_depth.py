@@ -18,7 +18,7 @@ from coarsekit.metric import FiniteMetricSpace
 print("== two overlapping intervals on a ten-point segment ==")
 pts = list(range(10))
 space = FiniteMetricSpace(pts, np.abs(np.subtract.outer(pts, pts)))
-cover = Cover(space, [pts[:6], pts[4:]], ["left", "right"])
+cover = Cover(space, np.array([[p < 6 for p in pts], [p >= 4 for p in pts]]), ["left", "right"])
 print(f"  multiplicity      {cover.multiplicity()}")
 print(f"  pointwise depth   {cover.pointwise_lebesgue()}   (worst max-distance to a complement)")
 print(f"  exact at lam=2    {cover.exact_lebesgue_at_least(2)}")

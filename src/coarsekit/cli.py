@@ -349,7 +349,7 @@ def _common(sub, run):
     sub.set_defaults(run=run)
     sub.add_argument("--group", required=True)
     sub.add_argument("--radius", required=True, type=_int_at_least("radius", 0, "radius must be nonnegative"))
-    sub.add_argument("--ball-cap", type=int, default=None)
+    sub.add_argument("--ball-cap", type=_int_at_least("ball_cap", 1, "ball cap must be at least 1"), default=None)
     sub.add_argument("--out", type=_writable, default=None)
 
 

@@ -2,7 +2,6 @@ from .base import (
     Cover,
     PartitionOfUnity,
     assert_bounds,
-    audit_irreducible,
     ball_cover,
     brick_cover_zl,
     brick_families_zl,
@@ -19,7 +18,6 @@ __all__ = [
     "Cover",
     "PartitionOfUnity",
     "assert_bounds",
-    "audit_irreducible",
     "ball_cover",
     "brick_cover_zl",
     "brick_families_zl",

@@ -34,28 +34,18 @@ class Cover:
     this: multiplicity at an interior point must equal the ball size).
     ``require_total=False`` admits partial covers; constructions on window
     truncations use it and report the uncovered fringe instead of hiding it.
-    ``sets`` is either a sequence of point lists or a boolean matrix with
-    one row per set and one column per point; the matrix is kept, not
-    copied.
+    ``masks`` is a boolean matrix with one row per set and one column per
+    point; it is kept, not copied.
     """
 
-    def __init__(self, space: FiniteMetricSpace, sets, labels=None, *, require_total=True, meta=None):
+    def __init__(self, space: FiniteMetricSpace, masks, labels=None, *, require_total=True, meta=None):
         self.space = space
-        n = len(space.points)
-        if isinstance(sets, np.ndarray):
-            if sets.dtype != bool or sets.ndim != 2 or sets.shape[1] != n:
-                raise PreconditionFailed("cover masks must be a boolean sets x points matrix", shape=sets.shape)
-            masks = sets
-            empty = np.flatnonzero(~masks.any(axis=1))
-            if empty.size:
-                raise PreconditionFailed("cover contains an empty set", index=int(empty[0]))
-        else:
-            masks = np.zeros((len(sets), n), dtype=bool)
-            for i, members in enumerate(sets):
-                idx = space.indices(list(members))
-                if idx.size == 0:
-                    raise PreconditionFailed("cover contains an empty set", index=i)
-                masks[i, idx] = True
+        shape = getattr(masks, "shape", None)
+        if not (isinstance(masks, np.ndarray) and masks.dtype == bool and len(shape) == 2 and shape[1] == len(space)):
+            raise PreconditionFailed("cover masks must be a boolean sets x points matrix", shape=shape)
+        empty = np.flatnonzero(~masks.any(axis=1))
+        if empty.size:
+            raise PreconditionFailed("cover contains an empty set", index=int(empty[0]))
         self.masks = masks
         self.labels = list(labels) if labels is not None else [f"U{i}" for i in range(len(masks))]
         if len(self.labels) != len(masks):
@@ -86,9 +76,6 @@ class Cover:
 
     def sets(self):
         return [tuple(p for p, m in zip(self.space.points, row) if m) for row in self.masks]
-
-    def set_points(self, i):
-        return [p for p, m in zip(self.space.points, self.masks[i]) if m]
 
     def covered_mask(self):
         return self.masks.any(axis=0)
@@ -197,21 +184,8 @@ class Cover:
                 return tuple(self.space.points[i] for i in hit)
         return None
 
-    def exact_lebesgue_at_least(self, lam, cap=500_000) -> bool:
-        return self.find_uncovered_subset(lam, cap=cap) is None
-
-    def exact_lebesgue_number(self, cap=500_000):
-        """Largest integer lam passing the subset oracle; inf when the whole
-        space fits in one member, -1 when even singletons fail (not total)."""
-        if not np.issubdtype(self.space.d.dtype, np.integer):
-            raise PreconditionFailed("exact Lebesgue sweep needs an integer metric")
-        lam = -1
-        top = int(self.space.diameter())
-        while lam < top:
-            if not self.exact_lebesgue_at_least(lam + 1, cap=cap):
-                return lam
-            lam += 1
-        return INF
+    def exact_lebesgue_at_least(self, lam) -> bool:
+        return self.find_uncovered_subset(lam) is None
 
     # -- reporting -----------------------------------------------------------
 
@@ -225,7 +199,7 @@ class Cover:
 
     def to_json(self):
         out = {
-            "sets": [[point_label(p) for p in self.set_points(i)] for i in range(len(self))],
+            "sets": [[point_label(p) for p in members] for members in self.sets()],
             "labels": self.labels,
             "stats": self.stats(),
         }
@@ -412,14 +386,6 @@ def shrink_to_irreducible(cover: Cover, n) -> Cover:
     )
     assert_bounds(result, multiplicity=cover.multiplicity(), lebesgue=n + 1)
     return result
-
-
-def audit_irreducible(cover: Cover):
-    counts = cover.counts()
-    for i in range(len(cover)):
-        if not (cover.masks[i] & (counts == 1)).any():
-            raise NotIrreducible("member has no private point", member=cover.labels[i])
-    return True
 
 
 # -- lattice constructions -----------------------------------------------------

@@ -45,7 +45,7 @@ def _mask_diam(d, mask, n):
     return max((d[i, j] for i in idx for j in idx), default=0)
 
 
-def oracle_min_multiplicity(space, lam, D, node_cap=ORACLE_NODE_CAP):
+def oracle_min_multiplicity(space, lam, D):
     """Exact minimum multiplicity over covers by diameter-<=D sets.
 
     Feasibility means every subset of diameter <= lam sits inside one
@@ -100,8 +100,8 @@ def oracle_min_multiplicity(space, lam, D, node_cap=ORACLE_NODE_CAP):
     def dfs(chosen, counts, bound):
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
-            raise TooLarge("oracle search exceeded its node cap", cap=node_cap)
+        if nodes > ORACLE_NODE_CAP:
+            raise TooLarge("oracle search exceeded its node cap", cap=ORACLE_NODE_CAP)
         pending = [r for r in requirements if not any(r & c == r for c in chosen)]
         if not pending:
             return chosen

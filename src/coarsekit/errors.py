@@ -70,10 +70,6 @@ class WindowTooSmall(CoarseKitError):
     pass
 
 
-class NotInKernel(PreconditionFailed):
-    pass
-
-
 class Infeasible(CoarseKitError):
     """No valid cover exists within the stated diameter budget."""
 

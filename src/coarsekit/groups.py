@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AuditFailed, BallTooLarge, NotInKernel, PreconditionFailed
-from .metric import INF, FiniteMetricSpace, block_rows, point_label, sampled_triples
+from .errors import AuditFailed, BallTooLarge, PreconditionFailed
+from .metric import FiniteMetricSpace, block_rows, point_label, sampled_triples
 
 DEFAULT_BALL_CAP = 5_000_000
 
@@ -321,11 +321,6 @@ class WreathElement:
         return "{" + lamps + "}@" + point_label(self.head)
 
 
-def wreath_element(config_dict, head, lamp_unit) -> WreathElement:
-    cleaned = {k: v for k, v in config_dict.items() if v != lamp_unit}
-    return WreathElement(tuple(sorted(cleaned.items())), head)
-
-
 def _wreath_distances(base: GroupSpec, lamp: GroupSpec):
     """The word metric of a wreath product over a tree base (Parry, Trans.
     AMS 331, 1992; Cleary-Taback, Q. J. Math. 56, 2005).
@@ -429,15 +424,6 @@ def wreath_spec(base: GroupSpec, lamp: GroupSpec) -> GroupSpec:
 
 def lamplighter_spec() -> GroupSpec:
     return wreath_spec(zn_spec(1), cyclic_spec(2))
-
-
-def project_pi_A(w: WreathElement, positions, base_unit=(0,)):
-    """Restrict a kernel element's lamps to the position set A."""
-    if w.head != base_unit:
-        raise NotInKernel("projection is defined on the kernel only", head=str(w.head))
-    allowed = set(positions)
-    cfg = tuple((k, v) for k, v in w.config if k in allowed)
-    return WreathElement(cfg, w.head)
 
 
 # -- BFS norms and ball spaces ------------------------------------------------
@@ -567,50 +553,14 @@ def distortion_profile(spec, member, sub_generators, radius, cap=None):
     return pairs
 
 
-def free_ball_cover_audit(k: int, lam: int, radius: int):
-    """Ball-cover statistics on a free-group window, one shell at a time.
-
-    The Cayley graph of the free group is the 2k-regular tree and its
-    automorphisms act transitively on spheres, so |B_lam(y) ∩ B_radius(e)|
-    depends on ||y|| only.  That makes the multiplicity of the ball cover
-    computable from one representative per shell without materializing
-    the window (radius 12 on two generators already exceeds 10^6 points).
-    """
-    spec = free_spec(k)
-    small = ball_elements(spec, lam + 1)
-    inner = [u for u in small if len(u) <= lam]
-    sphere = [u for u in small if len(u) == lam + 1]
-    shells = []
-    mult = interior_mult = 0
-    min_depth = INF
-    for s in range(radius + 1):
-        y = (1,) * s
-        count = sum(1 for u in inner if len(spec.multiply(y, u)) <= radius)
-        # nearest window point outside B_lam(y); unreachable means infinite depth
-        escape = any(len(spec.multiply(y, u)) <= radius for u in sphere)
-        depth = lam + 1 if escape else INF
-        shells.append({"norm": s, "multiplicity": count, "depth": depth})
-        mult = max(mult, count)
-        if s + lam <= radius:
-            interior_mult = max(interior_mult, count)
-        min_depth = min(min_depth, depth)
-    return {
-        "group": spec.name,
-        "lam": lam,
-        "radius": radius,
-        "ball_size": len(inner),
-        "multiplicity": mult,
-        "interior_multiplicity": interior_mult,
-        "lebesgue_pointwise": min_depth,
-        "shells": shells,
-    }
-
-
 def log_log_slope(pairs):
     """Least-squares slope of log(ambient) against log(inner)."""
     data = [(i, a) for i, a in pairs if i >= 1 and a >= 1]
     if len(data) < 2:
         raise PreconditionFailed("need at least two nontrivial pairs for a fit")
+    # centring one distinct inner norm leaves all zeros, and the fit 0 / 0
+    if len({i for i, _ in data}) < 2:
+        raise PreconditionFailed("need two distinct inner norms for a fit", inner=data[0][0])
     x = np.log([i for i, _ in data])
     y = np.log([a for _, a in data])
     x = x - x.mean()

@@ -109,7 +109,7 @@ class FiniteMetricSpace:
 
     # -- construction ------------------------------------------------------
 
-    def subspace(self, points, *, validate=False):
+    def subspace(self, points):
         """Restriction to a subset; the metric is inherited, so no re-check."""
         idx = self.indices(points)
         center = self.center if self.center in set(points) else None
@@ -117,7 +117,7 @@ class FiniteMetricSpace:
         return FiniteMetricSpace(
             [self.points[i] for i in idx],
             self.d[idx][:, idx],
-            validate=validate,
+            validate=False,
             center=center,
             window_radius=radius,
         )
@@ -238,9 +238,7 @@ def row_blocks(d, rows, cols=None):
 
 
 def _norm_p(p):
-    if p in ("inf", "Infinity"):
-        return INF
-    p = float(p)
+    p = float(p)  # float reads "inf" too
     if not (p >= 1):
         raise PreconditionFailed("l_p norms need p >= 1", p=p)
     return p

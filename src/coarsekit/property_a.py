@@ -205,14 +205,14 @@ def _chunks(idx, rows):
         yield idx[start : start + step]
 
 
-def _audit_pairs(space, limit=400):
+def _audit_pairs(space):
     """Every stride-th pair (i, j), i < j, of the row-major upper triangle,
-    the stride chosen so about ``limit`` pairs remain.  Pair k is found from
+    the stride chosen so about 400 pairs remain.  Pair k is found from
     the end of the order: the last t + 1 rows hold t (t + 1) / 2 pairs, so
     an exact integer root inverts that count."""
     n = len(space.points)
     total = n * (n - 1) // 2
-    stride = max(1, total // limit)
+    stride = max(1, total // 400)
     pairs = []
     for k in range(0, total, stride):
         m = total - 1 - k
@@ -221,8 +221,13 @@ def _audit_pairs(space, limit=400):
     return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
-def _audit_conversion(family, gap, message):
-    """Check gap(a_z, a_w) -> (lhs, rhs) on the strided pair sample of every level."""
+def _convert(family, to, power, lift, gap, message):
+    """The family of exponent ``to`` whose rows are the family's raised to
+    ``power``, its variation bound ``lift`` of the old one.  The inequality
+    ``gap(a_z, a_w) -> (lhs, rhs)`` behind the bound is checked on the
+    strided pair sample of every level; a failing pair raises ``AuditFailed``
+    with ``message``."""
+    levels = {n: rows**power for n, rows in family.levels.items()}
     pts = family.space.points
     pairs = _audit_pairs(family.space)
     for n, rows in family.levels.items():
@@ -239,6 +244,16 @@ def _audit_conversion(family, gap, message):
                     lhs=float(lhs[k]),
                     rhs=float(rhs[k]),
                 )
+    old = family.variation_bound
+    bound = None if family._bound_fn is None else (lambda n, K: lift(old(n, K)))
+    return PropertyAFamily(
+        family.space,
+        to,
+        levels,
+        family.support_radius,
+        bound_fn=bound,
+        meta=dict(family.meta, converted_from=family.p),
+    )
 
 
 def convert_up(family: PropertyAFamily, m) -> PropertyAFamily:
@@ -247,19 +262,9 @@ def convert_up(family: PropertyAFamily, m) -> PropertyAFamily:
     if p == INF or m < p:
         raise PreconditionFailed("conversion raises a finite exponent", p=p, m=m)
     e = p / m
-    levels = {n: rows**e for n, rows in family.levels.items()}
-    _audit_conversion(
-        family, lambda u, v: power_conversion_gap(u, v, p, m), "power conversion inequality failed"
-    )
-    old = family.variation_bound
-    bound = None if family._bound_fn is None else (lambda n, K: old(n, K) ** e)
-    return PropertyAFamily(
-        family.space,
-        m,
-        levels,
-        family.support_radius,
-        bound_fn=bound,
-        meta=dict(family.meta, converted_from=p),
+    return _convert(
+        family, m, e, lambda b: b**e,
+        lambda u, v: power_conversion_gap(u, v, p, m), "power conversion inequality failed",
     )
 
 
@@ -269,19 +274,9 @@ def convert_down_to_1(family: PropertyAFamily) -> PropertyAFamily:
     if p == INF or p < 2 or int(p) != p:
         raise PreconditionFailed("downward conversion needs an integer exponent >= 2", p=p)
     q = p / (p - 1.0)
-    levels = {n: rows**p for n, rows in family.levels.items()}
-    _audit_conversion(
-        family, lambda u, v: holder_conversion_gap(u, v, p), "Hoelder conversion inequality failed"
-    )
-    old = family.variation_bound
-    bound = None if family._bound_fn is None else (lambda n, K: 2.0 ** (1.0 / q) * p * old(n, K))
-    return PropertyAFamily(
-        family.space,
-        1,
-        levels,
-        family.support_radius,
-        bound_fn=bound,
-        meta=dict(family.meta, converted_from=p),
+    return _convert(
+        family, 1, p, lambda b: 2.0 ** (1.0 / q) * p * b,
+        lambda u, v: holder_conversion_gap(u, v, p), "Hoelder conversion inequality failed",
     )
 
 
@@ -289,9 +284,15 @@ def convert_down_to_1(family: PropertyAFamily) -> PropertyAFamily:
 
 
 def _pairs_within(space, K):
-    """Upper-triangle index pairs at distance <= K, strided past PAIR_CAP."""
-    close = np.triu(space.d <= K + _tolerance(space.d), k=1)
-    idx = np.argwhere(close)
+    """Upper-triangle index pairs at distance <= K in row-major order,
+    strided past PAIR_CAP.  A block of rows is compared from its first
+    row's column on, so no temporary but the pairs outgrows one block."""
+    d, step = space.d, block_rows(len(space.d))  # one bool per cell
+    found = []
+    for start in range(0, len(d), step):
+        i, j = np.nonzero(d[start : start + step, start:] <= K + _tolerance(d))
+        found.append(np.column_stack((i, j))[j > i] + start)
+    idx = np.concatenate(found)
     stride = max(1, -(-len(idx) // PAIR_CAP))
     return idx[::stride], stride
 

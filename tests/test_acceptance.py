@@ -28,13 +28,11 @@ from coarsekit.errors import Infeasible
 from coarsekit.groups import (
     ball_space,
     distortion_profile,
-    free_ball_cover_audit,
     free_spec,
     heisenberg_center,
     heisenberg_spec,
     lamplighter_spec,
     log_log_slope,
-    project_pi_A,
     word_norm_table,
     zn_spec,
 )
@@ -47,6 +45,7 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
+from oracles import free_ball_cover_audit, project_pi_A
 
 TOL = 1e-9
 

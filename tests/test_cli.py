@@ -364,7 +364,8 @@ def test_malformed_numbers_exit_2(capsys, argv, key, text):
         assert body["error"] == "p must lie in [1, inf]"
 
 
-# scales outside the paper's ranges: lambda >= 0, levels n >= 1, K >= 1
+# scales outside the paper's ranges (lambda >= 0, levels n >= 1, K >= 1), a
+# ball cap below 1, and a window whose subgroup norms allow no slope fit
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv, error",
@@ -378,6 +379,11 @@ def test_malformed_numbers_exit_2(capsys, argv, key, text):
         ("gromov --group zn:2 --cap 6 --lambda=-1,1 --radius 6", "schedule below its least value"),
         ("gromov --group heisenberg --cap 6 --lambda=-1,1 --radius 6", "schedule below its least value"),
         ("profile --group zn:1 --lambda=-1,1 --diam-policy 0,4 --radius 6", "schedule below its least value"),
+        ("ball --group zn:1 --radius 3 --ball-cap 0", "ball cap must be at least 1"),
+        ("ball --group zn:1 --radius 0 --ball-cap -5", "ball cap must be at least 1"),
+        ("distortion --group zn:2 --radius 1", "need two distinct inner norms for a fit"),
+        ("distortion --group zn:3 --radius 1", "need two distinct inner norms for a fit"),
+        ("distortion --group heisenberg --radius 4", "need two distinct inner norms for a fit"),
     ],
 )
 def test_scales_out_of_range_exit_2(capsys, argv, error):

@@ -18,7 +18,6 @@ from coarsekit.errors import (
 from coarsekit.covers import (
     Cover,
     assert_bounds,
-    audit_irreducible,
     ball_cover,
     brick_cover_zl,
     coordinate_interval_cover,
@@ -29,6 +28,7 @@ from coarsekit.covers import (
 )
 from coarsekit.groups import ball_space, free_spec, zn_spec
 from coarsekit.metric import INF, FiniteMetricSpace, lp_distance
+from oracles import audit_irreducible, exact_lebesgue_number, masks_of
 
 
 def z_segment(n):
@@ -39,7 +39,7 @@ def z_segment(n):
 
 def two_interval_cover():
     space = z_segment(10)
-    return Cover(space, [list(range(6)), list(range(4, 10))], ["A", "B"])
+    return Cover(space, masks_of(space, [list(range(6)), list(range(4, 10))]), ["A", "B"])
 
 
 def test_cover_statistics_on_two_intervals():
@@ -82,14 +82,14 @@ def test_assert_bounds_reads_the_lebesgue_surrogate_over_points():
 
 def test_multiplicity_of_singleton_partition():
     space = z_segment(6)
-    cover = Cover(space, [[p] for p in space.points])
+    cover = Cover(space, masks_of(space, [[p] for p in space.points]))
     assert cover.multiplicity() == 1
     assert cover.pointwise_lebesgue() == 1  # interior complement distance
 
 
 def test_whole_space_member_gives_infinite_surrogate():
     space = z_segment(6)
-    cover = Cover(space, [list(space.points)])
+    cover = Cover(space, masks_of(space, [list(space.points)]))
     assert cover.pointwise_lebesgue() == INF
     assert cover.exact_lebesgue_at_least(5)
 
@@ -105,37 +105,25 @@ def test_exact_lebesgue_oracle_on_two_intervals():
     for row in cover.masks:
         assert not all(row[i] for i in idx)
     # the documented witness {2..6} really fits in neither member
-    assert cover.exact_lebesgue_number() == 2
+    assert exact_lebesgue_number(cover) == 2
 
 
 def test_cover_requires_totality_and_nonempty_sets():
     space = z_segment(4)
-    with pytest.raises(NotCovering):
-        Cover(space, [[0, 1]])
-    with pytest.raises(PreconditionFailed):
-        Cover(space, [[0, 1], []], require_total=False)
-    partial = Cover(space, [[0, 1]], require_total=False)
-    assert list(partial.covered_mask()) == [True, True, False, False]
-
-
-def test_mask_built_cover_fails_like_the_list_path():
-    space = z_segment(4)
-    for sets, error in (
-        ([[0, 1], [], [2, 3]], PreconditionFailed),
-        ([[0, 1], [1]], NotCovering),
-    ):
-        masks = np.zeros((len(sets), 4), dtype=bool)
-        for i, members in enumerate(sets):
-            masks[i, members] = True
-        with pytest.raises(error) as from_lists:
+    with pytest.raises(NotCovering) as err:
+        Cover(space, masks_of(space, [[0, 1], [1]]))
+    assert err.value.context == {"witness": "2"}
+    for require_total in (True, False):
+        with pytest.raises(PreconditionFailed) as err:
+            Cover(space, masks_of(space, [[0, 1], [], [2, 3]]), require_total=require_total)
+        assert str(err.value) == "cover contains an empty set"
+        assert err.value.context == {"index": 1}
+    # a point list is not a mask matrix, and neither is a matrix of the wrong width
+    for sets, shape in (([[0, 1], [2, 3]], None), (np.ones((2, 3), dtype=bool), (2, 3))):
+        with pytest.raises(PreconditionFailed) as err:
             Cover(space, sets)
-        with pytest.raises(error) as from_masks:
-            Cover(space, masks)
-        assert str(from_masks.value) == str(from_lists.value)
-        assert from_masks.value.context == from_lists.value.context
-    with pytest.raises(PreconditionFailed):
-        Cover(space, np.ones((2, 3), dtype=bool))
-    partial = Cover(space, np.array([[True, True, False, False]]), require_total=False)
+        assert err.value.context == {"shape": shape}
+    partial = Cover(space, masks_of(space, [[0, 1]]), require_total=False)
     assert list(partial.covered_mask()) == [True, True, False, False]
 
 
@@ -149,7 +137,8 @@ def test_subfamily_inherits_the_rows_a_fresh_cover_measures():
     sub = cover.subfamily(kept)
     # measured before anything is asked of the subfamily
     assert sub._comp is not None and sub._diam is not None
-    fresh = Cover(space, [cover.set_points(i) for i in kept], [cover.labels[i] for i in kept])
+    sets = cover.sets()
+    fresh = Cover(space, masks_of(space, [sets[i] for i in kept]), [cover.labels[i] for i in kept])
     assert np.array_equal(sub.masks, fresh.masks)
     assert sub.labels == fresh.labels
     assert np.array_equal(sub.complement_distances(), fresh.complement_distances())
@@ -160,7 +149,7 @@ def test_shrink_keeps_the_measured_rows_of_its_survivors():
     space = ball_space(zn_spec(2), 5)
     cover = ball_cover(space, 4)
     shrunk = shrink_to_irreducible(cover, 2)
-    fresh = Cover(space, [list(members) for members in shrunk.sets()])
+    fresh = Cover(space, masks_of(space, [list(members) for members in shrunk.sets()]))
     assert np.array_equal(shrunk.complement_distances(), fresh.complement_distances())
     assert np.array_equal(np.array(shrunk.diameters()), np.array(fresh.diameters()))
 
@@ -223,7 +212,7 @@ def test_families_to_cover_refuses_an_empty_member():
 
 def test_partition_of_unity_formula_values():
     space = z_segment(4)
-    cover = Cover(space, [[0, 1, 2], [1, 2, 3]])
+    cover = Cover(space, masks_of(space, [[0, 1, 2], [1, 2, 3]]))
     pou, measured = partition_of_unity(cover)
     assert np.allclose(pou.matrix[:, 0], [1.0, 0.0])
     assert np.allclose(pou.matrix[:, 1], [2 / 3, 1 / 3])
@@ -233,11 +222,11 @@ def test_partition_of_unity_formula_values():
 
 def test_partition_of_unity_whole_space_and_degenerate():
     space = z_segment(5)
-    whole = Cover(space, [list(space.points)])
+    whole = Cover(space, masks_of(space, [list(space.points)]))
     pou, measured = partition_of_unity(whole)
     assert measured == 0.0
     assert np.allclose(pou.matrix, 1.0)
-    partial = Cover(space, [[0, 1]], require_total=False)
+    partial = Cover(space, masks_of(space, [[0, 1]]), require_total=False)
     # uncovered points have zero distance to every complement
     with pytest.raises(DegenerateDenominator):
         partition_of_unity(partial)
@@ -277,14 +266,14 @@ def test_audit_irreducible_detects_redundancy():
     cover = two_interval_cover()
     assert audit_irreducible(cover)
     space = z_segment(10)
-    padded = Cover(space, [list(range(6)), list(range(4, 10)), [3, 4, 5, 6]])
+    padded = Cover(space, masks_of(space, [list(range(6)), list(range(4, 10)), [3, 4, 5, 6]]))
     with pytest.raises(NotIrreducible):
         audit_irreducible(padded)
 
 
 def test_shrink_drops_duplicate_member():
     space = z_segment(6)
-    cover = Cover(space, [[0, 1, 2], [0, 1, 2], [2, 3, 4, 5]])
+    cover = Cover(space, masks_of(space, [[0, 1, 2], [0, 1, 2], [2, 3, 4, 5]]))
     result = shrink_to_irreducible(cover, 0)
     assert len(result) == 2
     assert audit_irreducible(result)
@@ -337,7 +326,7 @@ def random_interval_cover(rng, space):
             sets.append(list(range(a, b)))
             covered.update(range(a, b))
         if covered == set(range(n)):
-            return Cover(space, sets)
+            return Cover(space, masks_of(space, sets))
 
 
 def test_surrogate_soundness_exhaustive_small_spaces():
@@ -361,5 +350,5 @@ def test_surrogate_never_exceeds_exact_plus_one():
     # the exact number can exceed the surrogate, never trail it by more
     # than the strict-vs-closed gap
     cover = two_interval_cover()
-    exact = cover.exact_lebesgue_number()
+    exact = exact_lebesgue_number(cover)
     assert exact >= cover.pointwise_lebesgue() - 1

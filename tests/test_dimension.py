@@ -20,6 +20,7 @@ from coarsekit.dimension import (
 )
 from coarsekit.groups import ball_space, zn_spec
 from coarsekit.metric import FiniteMetricSpace
+from oracles import masks_of
 
 
 def z_window(radius):
@@ -84,7 +85,7 @@ def test_greedy_plane_uses_three_colors():
 
 def test_independent_audit_recomputes_cover_facts():
     space = z_segment_space(10)
-    cover = Cover(space, [[(k,) for k in range(6)], [(k,) for k in range(4, 10)]])
+    cover = Cover(space, masks_of(space, [[(k,) for k in range(6)], [(k,) for k in range(4, 10)]]))
     mult, lam, diam = independent_audit(cover)
     assert mult == cover.multiplicity() == 2
     assert lam == cover.pointwise_lebesgue() == 2

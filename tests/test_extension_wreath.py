@@ -33,6 +33,7 @@ from coarsekit.groups import (
     zn_spec,
 )
 from coarsekit.metric import point_label
+from oracles import masks_of
 
 
 Z = zn_spec(1)
@@ -42,7 +43,7 @@ def test_extension_with_trivial_quotient_reproduces_kernel_cover():
     # constant projection: the whole window is one fiber, so the output
     # is exactly the kernel cover
     split = split_along(Z, ball_space(Z, 6), Z, ball_space(Z, 0), lambda e: (0,))
-    U = Cover(split.quotient, [list(split.quotient.points)], ["Q"])
+    U = Cover(split.quotient, masks_of(split.quotient, [list(split.quotient.points)]), ["Q"])
     V = interval_cover_z(split.kernel, 2)
     result = extension_cover(split, U, V, 1, 0)
     assert sorted(map(tuple, result.sets())) == sorted(map(tuple, V.sets()))
@@ -54,7 +55,7 @@ def test_extension_with_trivial_kernel_reproduces_quotient_cover():
     # the quotient cover straight back
     split = split_along(Z, ball_space(Z, 12), Z, ball_space(Z, 12), lambda e: e)
     U = interval_cover_z(split.quotient, 2)
-    V = Cover(split.kernel, [[(0,)]], ["K"])
+    V = Cover(split.kernel, masks_of(split.kernel, [[(0,)]]), ["K"])
     R = U.max_diameter()
     result = extension_cover(split, U, V, 2, R)
     assert sorted(map(tuple, result.sets())) == sorted(map(tuple, U.sets()))
@@ -64,10 +65,11 @@ def test_extension_with_trivial_kernel_reproduces_quotient_cover():
 def test_extension_cover_takes_covers_of_the_split_windows():
     split = split_along(Z, ball_space(Z, 12), Z, ball_space(Z, 12), lambda e: e)
     U = interval_cover_z(split.quotient, 2)
-    V = Cover(split.kernel, [[(0,)]], ["K"])
+    V = Cover(split.kernel, masks_of(split.kernel, [[(0,)]]), ["K"])
     R = U.max_diameter()
     other_kernel = split.kernel.subspace(split.kernel.points)
-    for u, v in [(interval_cover_z(ball_space(Z, 12), 2), V), (U, Cover(other_kernel, [[(0,)]], ["K"]))]:
+    stranger = Cover(other_kernel, masks_of(other_kernel, [[(0,)]]), ["K"])
+    for u, v in [(interval_cover_z(ball_space(Z, 12), 2), V), (U, stranger)]:
         with pytest.raises(PreconditionFailed) as err:
             extension_cover(split, u, v, 2, R)
         assert "split" in str(err.value)
@@ -185,9 +187,9 @@ def test_wreath_cover_bricks_every_lamp_coordinate(lam):
     assert stats["diameter_bound"] == 2 * (len(inside) - 1) + len(inside) * 2 * (side - 1) + 2 * R
     # each member holds one brick of the full inside lamp vector of z^{-1} w
     points = {point_label(p): p for p in split.window.points}
-    for k, (u_label, outside, j, bricks) in enumerate(cover.meta["keys"]):
+    for members, (u_label, outside, j, bricks) in zip(cover.sets(), cover.meta["keys"]):
         z_inv = G.inverse(points[cover.meta["z_points"][u_label]])
-        for w in cover.set_points(k):
+        for w in members:
             lamps = dict(G.multiply(z_inv, w).config)
             vec = np.array([c for p in inside for c in lamps.get(p, (0, 0))])
             assert tuple(_brick_keys(vec, 6 * R, side, j).tolist()) == bricks

@@ -6,7 +6,8 @@ read somewhere in the same file.  Package ``__init__.py`` files re-export
 on purpose and are skipped, as are names a module lists in ``__all__``.
 A name defined under ``src`` must appear, as a word, on some line of the
 package, its tests, demos or benchmarks other than its own ``def`` or
-``class`` line; dunder methods are called by Python itself and are exempt.
+``class`` line, and on some such line outside the tests and the package's
+re-exports; dunder methods are called by Python itself and are exempt.
 """
 
 import ast
@@ -72,14 +73,15 @@ def defined_names(tree):
                     yield item.name, item.lineno
 
 
-def test_every_definition_is_named_elsewhere():
-    lines = {
-        path: path.read_text().splitlines()
-        for folder in ("src", "tests", "demos", "benchmarks")
-        for path in (ROOT / folder).rglob("*.py")
-    }
-    words = Counter(word for text in lines.values() for line in text for word in re.findall(r"\w+", line))
-    orphans = [
+def orphans(folders, counted=lambda path: True):
+    """``path:line: name`` for every name defined under ``src`` that appears,
+    as a word, on no counted line of ``folders`` other than its own ``def``
+    or ``class`` line."""
+    lines = {path: path.read_text().splitlines() for folder in folders for path in (ROOT / folder).rglob("*.py")}
+    words = Counter(
+        word for path, text in lines.items() if counted(path) for line in text for word in re.findall(r"\w+", line)
+    )
+    return [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted(lines)
         if path.is_relative_to(ROOT / "src")
@@ -87,4 +89,17 @@ def test_every_definition_is_named_elsewhere():
         if not (name.startswith("__") and name.endswith("__"))
         and words[name] == re.findall(r"\w+", lines[path][line - 1]).count(name)
     ]
-    assert orphans == []
+
+
+def test_every_definition_is_named_elsewhere():
+    assert orphans(("src", "tests", "demos", "benchmarks")) == []
+
+
+def test_every_definition_runs_outside_the_tests():
+    # what only tests call belongs in tests/oracles.py; the re-exports of
+    # the __init__ files name every public function, so they do not count
+    found = orphans(("src", "demos", "benchmarks"), counted=lambda path: path.name != "__init__.py")
+    # no command checks the group axioms of the spec it parses yet, and the
+    # audit ledger planned in ROADMAP.md is to make one do so
+    allowed = {"validate_group_axioms"}
+    assert [hit for hit in found if hit.rsplit(": ", 1)[1] not in allowed] == []

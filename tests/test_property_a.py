@@ -32,6 +32,7 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
+from oracles import masks_of
 
 
 def test_tent_values_on_the_line():
@@ -101,7 +102,7 @@ def test_family_from_covers_rejects_thin_cover():
 def test_family_from_covers_needs_private_points():
     space = ball_space(zn_spec(1), 6)
     pts = list(space.points)
-    redundant = Cover(space, [pts[:9], pts[4:], pts[3:7]])
+    redundant = Cover(space, masks_of(space, [pts[:9], pts[4:], pts[3:7]]))
     with pytest.raises(NotIrreducible):
         family_from_covers({0: redundant}, 2)
 
@@ -131,7 +132,7 @@ def test_variation_report_strides_past_the_pair_cap(monkeypatch):
 
 def test_whole_window_cover_gives_constant_family():
     space = ball_space(zn_spec(1), 6)
-    whole = Cover(space, [list(space.points)])
+    whole = Cover(space, masks_of(space, [list(space.points)]))
     family = family_from_covers({2: whole}, 2)
     report = variation_report(family, [1, 3])
     assert report.measured[1][2] == 0.0

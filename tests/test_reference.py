@@ -4,10 +4,11 @@ The reference below uses lists and explicit loops over pairs only: tents
 and distance-to-complement rows come straight from their definitions,
 and every sup, slack and conversion gap is a plain loop.  The library's
 variation reports, embedding audit and conversion gaps must agree with it
-to 1e-12 on small windows of four groups.  Two more array paths have a
-plain reference here: the window fill of every group (the closed forms
-of Z^n, cyclic, free, Heisenberg and wreath groups, against a loop over
-pairs looking norms up in the BFS table) and the emission of
+to 1e-12 on small windows of four groups, and the blocked scan for
+close pairs must list the loop's pairs, strided alike.  Two more array
+paths have a plain reference here: the window fill of every group (the
+closed forms of Z^n, cyclic, free, Heisenberg and wreath groups, against
+a loop over pairs looking norms up in the BFS table) and the emission of
 integer arrays (the same payload with every array turned into lists
 first).  The cover audits have one too: `independent_audit` and the
 subset oracle must return exactly what their full-row and per-cell forms
@@ -45,7 +46,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from coarsekit import _jsonutil, cli, dimension, groups, metric
+from coarsekit import _jsonutil, cli, dimension, groups, metric, property_a
 from coarsekit._jsonutil import SCHEMA, canonical_json
 from coarsekit.covers import (
     Cover,
@@ -84,6 +85,7 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
+from oracles import masks_of
 
 TOL = 1e-12
 RADII = {"zn:1": 12, "zn:2": 4, "free:2": 2, "heisenberg": 2}
@@ -536,6 +538,34 @@ def test_conversion_gaps_match_reference(token, p, m, n):
             assert abs(holder_rhs[k] - 2.0 ** (1.0 / q) * p * ref_dist(a, b, p)) <= TOL
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 3, 1000])
+@pytest.mark.parametrize("pair_cap", [7, 20_000_000])
+def test_pairs_within_match_reference(monkeypatch, rows_per_block, pair_cap):
+    monkeypatch.setattr(property_a, "PAIR_CAP", pair_cap)
+    for token in TOKENS:
+        space = window(token)
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", rows_per_block * len(space))
+        for K in (1, 2, 3):
+            expected = ref_pairs(space, K)
+            stride = max(1, -(-len(expected) // pair_cap))
+            idx, got = property_a._pairs_within(space, K)
+            assert got == stride
+            assert idx.tolist() == [list(pair) for pair in expected[::stride]]
+
+
+def test_pairs_within_temporaries_stay_bounded():
+    # 3,001 points in int16: an 18 MB matrix, against blocks of 128 KiB
+    space = ball_space(zn_spec(1), 1500)
+    tracemalloc.start()
+    try:
+        idx, stride = property_a._pairs_within(space, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stride == 1 and len(idx) == 3000
+    assert peak < 0.1 * space.d.nbytes
+
+
 FILL_CASES = [
     ("zn:1", 3), ("zn:2", 3), ("zn:3", 2),
     # radius below and above m // 2
@@ -983,8 +1013,7 @@ def member_masks(draw, token):
 
 
 def cover_from_masks(space, rows):
-    sets = [[space.points[i] for i in np.flatnonzero(row)] for row in rows]
-    return Cover(space, sets, require_total=False)
+    return Cover(space, np.array(rows), require_total=False)
 
 
 def test_independent_audit_matches_reference():
@@ -1016,7 +1045,8 @@ def test_independent_audit_chunks_match_reference(monkeypatch, rows_per_chunk):
     space = window("zn:2")
     monkeypatch.setattr(metric, "_BLOCK_BYTES", rows_per_chunk * len(space) * space.d.itemsize)
     pts = space.points
-    for cover in (ball_cover(space, 1), Cover(space, [pts[:-1], pts[-2:]]), Cover(space, [pts])):
+    two, whole = (Cover(space, masks_of(space, sets)) for sets in ([pts[:-1], pts[-2:]], [pts]))
+    for cover in (ball_cover(space, 1), two, whole):
         assert independent_audit(cover) == ref_independent_audit(cover)
 
 
@@ -1025,7 +1055,7 @@ def test_independent_audit_temporaries_stay_bounded():
     # at most 2**20 cells
     space = ball_space(zn_spec(1), 1500)
     pts = space.points
-    cover = Cover(space, [pts[:-1], pts[-2:]])
+    cover = Cover(space, masks_of(space, [pts[:-1], pts[-2:]]))
     tracemalloc.start()
     try:
         result = independent_audit(cover)
@@ -1309,7 +1339,7 @@ def test_extension_cover_matches_reference(monkeypatch, capsys, caller):
 def test_extension_membership_lists_a_ball_only_without_a_declared_metric(monkeypatch, spec, bfs_runs):
     split = extension_split(spec, 5)
     U, R = split.quotient_cover(1)
-    V = Cover(split.kernel, [list(split.kernel.points)], ["K"])
+    V = Cover(split.kernel, masks_of(split.kernel, [list(split.kernel.points)]), ["K"])
     tables = []
 
     def counting(spec, radius, cap=None):
@@ -1453,7 +1483,7 @@ def ref_rotated(space, lam, D):
                 groups.setdefault((j, (x + y + j * t) // s, (x - y + j * t) // s), []).append((x, y))
         sets = [list(m) for _, m in dedupe_nested(groups)]
         meta = {"method": "rotated_bricks", "side": s, "shift": t}
-        if dimension._cover_is_valid(Cover(space, sets, meta=meta), lam, D):
+        if dimension._cover_is_valid(Cover(space, masks_of(space, sets), meta=meta), lam, D):
             return sets, None, meta
     return None
 
@@ -1496,7 +1526,7 @@ def assert_same_cover(cover, ref):
     """Same masks, labels and meta (compared by repr, so a numpy scalar
     standing in for an int shows) as the cover of the reference lists."""
     sets, labels, meta = ref
-    expected = Cover(cover.space, sets, labels, meta=meta)
+    expected = Cover(cover.space, masks_of(cover.space, sets), labels, meta=meta)
     assert np.array_equal(cover.masks, expected.masks)
     assert cover.labels == expected.labels
     built = {key: value for key, value in cover.meta.items() if key != "conclusions"}
