@@ -1,6 +1,15 @@
 """Desk-scale coarse geometry: word-metric windows, audited covers,
 property-A certificates, coarse embeddings, and growth profiles."""
 
+import os
+
+# numpy loads OpenBLAS, which starts one worker thread per CPU unless told
+# otherwise; coarsekit makes no BLAS call that a pool would speed up, and
+# starting it made `import numpy` take 130 ms instead of 61 ms on a 2-vCPU
+# host.  Set before the first import that loads numpy; a value already set
+# wins, and child processes inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     AuditFailed,
     BallTooLarge,

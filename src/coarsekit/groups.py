@@ -40,7 +40,7 @@ class GroupSpec:
     multiply: callable
     inverse: callable
     generators: tuple
-    distances: callable             # a window's point list -> rows(block, cols) -> d[block, cols]
+    distances: callable             # (points, cells read, None for n^2) -> rows(block, cols) -> d[block, cols]
     tree: bool = False              # the Cayley graph is a tree, and sorted elements list it depth-first
     lattice_rank: int = None        # L when the group is Z^L
     factors: tuple = None           # (base, lamp) of a wreath product
@@ -90,7 +90,7 @@ def zn_spec(n: int) -> GroupSpec:
             e[i] = s
             gens.append(tuple(e))
 
-    def distances(points):
+    def distances(points, cells=None):
         x = np.array(points)
 
         def rows(block, cols):
@@ -122,7 +122,7 @@ def cyclic_spec(m: int) -> GroupSpec:
         raise PreconditionFailed("cyclic order must be >= 2", m=m)
     gens = (1, m - 1) if m > 2 else (1,)
 
-    def distances(points):
+    def distances(points, cells=None):
         x = np.array(points)
         # the shorter of the two ways round the cycle
         return lambda block, cols: np.minimum((x[cols] - x[block, None]) % m, (x[block, None] - x[cols]) % m)
@@ -139,7 +139,7 @@ def cyclic_spec(m: int) -> GroupSpec:
     )
 
 
-def _free_distances(points):
+def _free_distances(points, cells=None):
     """d(u, v) = |u| + |v| - 2 lcp(u, v) on reduced words, compared as rows
     padded with the non-letter 0."""
     lengths = np.array([len(w) for w in points])
@@ -216,7 +216,7 @@ def _heisenberg_length(a, b, c):
     return d
 
 
-def _heisenberg_distances(points):
+def _heisenberg_distances(points, cells=None):
     """The word length of x_i^{-1} x_j, from ``_heisenberg_length``.
 
     With |a|, |b| <= A and |c| <= C over the points, every x_i^{-1} x_j
@@ -226,11 +226,12 @@ def _heisenberg_distances(points):
     while it is below 2^15 (every ball window up to r = 35), else int32;
     beyond int32 the points are refused.
 
-    When the box has at most a quarter as many elements as there are
-    ordered pairs of points (every ball window from r = 7 on), the length
-    of each box element is computed once, and a cell is one lookup at a
-    flat index of the box: P_j - a_i b_j + Q_i in int32.  Smaller or
-    sparser point lists get the closed form cell by cell."""
+    When the box has at most a quarter as many elements as the ``cells``
+    the caller will read (n^2 if None: every ball window from r = 7 on),
+    the length of each box element is computed once, and a cell is one
+    lookup at a flat index of the box: P_j - a_i b_j + Q_i in int32.
+    Fewer cells, as in the membership tests of ``within``, or sparser
+    point lists get the closed form cell by cell."""
     x = np.array(points, dtype=np.int64)
     A, C = int(np.abs(x[:, :2]).max()), int(np.abs(x[:, 2]).max())
     bound = 8 * (3 * A * A + C)
@@ -238,8 +239,8 @@ def _heisenberg_distances(points):
         raise PreconditionFailed("Heisenberg window too wide for the int32 word length", a_b=A, c=C)
     x = x.astype(np.int16 if bound < 2**15 else np.int32)
     side, depth = 2 * A, 2 * (C + A * A)
-    cells = (2 * side + 1) ** 2 * (2 * depth + 1)
-    if 4 * cells <= len(x) ** 2 and cells < 2**31:
+    box = (2 * side + 1) ** 2 * (2 * depth + 1)
+    if 4 * box <= (len(x) ** 2 if cells is None else cells) and box < 2**31:
         table, index = _heisenberg_table(x, side, depth)
         return lambda block, cols: table.take(index(block, cols))
 
@@ -335,7 +336,7 @@ def _wreath_distances(base: GroupSpec, lamp: GroupSpec):
     in the narrowest signed type that holds the positions, the lamp values
     and |Q| times the largest base plus lamp distance."""
 
-    def distances(points):
+    def distances(points, cells=None):
         positions = sorted({w.head for w in points}.union(p for w in points for p, _ in w.config))
         values = list(dict.fromkeys([lamp.unit] + [v for w in points for _, v in w.config]))
         P = len(positions)
@@ -504,7 +505,7 @@ def within(spec: GroupSpec, radius: int):
 
     def near(sources, targets):
         m = len(sources)
-        rows = spec.distances(list(sources) + list(targets))
+        rows = spec.distances(list(sources) + list(targets), cells=m * len(targets))
         hit = np.zeros(len(targets), dtype=bool)
         step = block_rows(_KERNEL_CELL_BYTES * len(targets))
         for start in range(0, m, step):

@@ -560,3 +560,23 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_pins_openblas_to_one_thread_unless_set():
+    """coarsekit makes no BLAS call a thread pool would speed up, so it
+    starts numpy with one OpenBLAS thread; a value already set wins."""
+    probe = (
+        "import os, coarsekit.cli\n"
+        "tasks = '/proc/self/task'\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(tasks)) if os.path.isdir(tasks) else '-')\n"
+    )
+
+    def run(**extra):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(PYTHONPATH=str(SRC), **extra)
+        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+
+    value, threads = run().stdout.split()
+    assert value == "1"
+    assert threads in ("1", "-")
+    assert run(OPENBLAS_NUM_THREADS="3").stdout.split()[0] == "3"

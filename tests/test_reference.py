@@ -72,6 +72,7 @@ from coarsekit.groups import (
     group_from_token,
     heisenberg_spec,
     lamplighter_spec,
+    within,
     word_norm_table,
     zn_spec,
 )
@@ -764,7 +765,15 @@ def test_heisenberg_lengths_take_the_table_only_when_it_is_small(monkeypatch):
         (rng.randint(-1000, 1000), rng.randint(-1000, 1000), rng.randint(-20_000_000, 20_000_000)) for _ in range(40)
     ]
     heisenberg_spec().distances(wide)(slice(None), slice(None))
+    # a membership test shaped like gromov r9's: 9 sources against the
+    # 1,793-point r8 ball read 16,137 cells, so no 349,569-element box,
+    # which a gate on all 1,802^2 ordered pairs would build
+    sources = [(0, 0, c) for c in range(-4, 5)]
+    targets = ball_elements(heisenberg_spec(), 8)
+    near = within(heisenberg_spec(), 3)(sources, targets)
     assert built == []
+    d = ref_heisenberg_rows(sources + targets)(slice(0, len(sources)))[:, len(sources) :]
+    assert near.tolist() == (d <= 3).any(axis=0).tolist()
     ball_space(heisenberg_spec(), 7)
     assert built == [(1069, (29, 29, 245))]
 
