@@ -24,7 +24,7 @@ from ..errors import (
     PreconditionFailed,
     TooLarge,
 )
-from ..metric import INF, FiniteMetricSpace, point_label, row_blocks, _tolerance
+from ..metric import INF, FiniteMetricSpace, point_label, row_blocks
 
 
 class Cover:
@@ -53,7 +53,7 @@ class Cover:
         self.meta = dict(meta) if meta else {}
         self._comp = None
         self._diam = None
-        if require_total and len(masks) and not self.covered_mask().all():
+        if require_total and not self.covered_mask().all():
             missing = np.flatnonzero(~self.covered_mask())[0]
             raise NotCovering("sets do not cover the space", witness=point_label(space.points[missing]))
 
@@ -91,7 +91,7 @@ class Cover:
         inf rows mark sets equal to the whole space."""
         if self._comp is None:
             d = self.space.d
-            top = np.iinfo(d.dtype).max if np.issubdtype(d.dtype, np.integer) else INF
+            top = np.iinfo(d.dtype).max
             comp = np.zeros(self.masks.shape)
             for i, row in enumerate(self.masks):
                 outside = np.flatnonzero(~row)
@@ -126,7 +126,7 @@ class Cover:
         if depth.size == 0:
             return INF
         value = depth.min()
-        return int(value) if np.issubdtype(self.space.d.dtype, np.integer) and np.isfinite(value) else float(value)
+        return int(value) if np.isfinite(value) else INF
 
     def diameters(self):
         if self._diam is None:
@@ -154,7 +154,7 @@ class Cover:
         n = len(self.space.points)
         packed = np.packbits(self.masks.T, axis=1, bitorder="little")
         point_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        near = self.space.d <= lam + _tolerance(self.space.d)
+        near = self.space.d <= lam
         neighbours = [set(np.flatnonzero(row).tolist()) for row in near]
         nodes = 0
 
@@ -241,9 +241,8 @@ def ball_cover(space: FiniteMetricSpace, lam) -> Cover:
     """Closed lam-balls around every point."""
     if lam < 0:
         raise PreconditionFailed("ball cover needs lam >= 0", lam=lam)
-    tol = _tolerance(space.d)
     labels = [f"B{lam}({point_label(c)})" for c in space.points]
-    return Cover(space, space.d <= lam + tol, labels, meta={"method": "ball", "radius": lam})
+    return Cover(space, space.d <= lam, labels, meta={"method": "ball", "radius": lam})
 
 
 def families_to_cover(space: FiniteMetricSpace, families, r, lam) -> Cover:
@@ -279,11 +278,10 @@ def families_to_cover(space: FiniteMetricSpace, families, r, lam) -> Cover:
         missing = np.flatnonzero(~covered)[0]
         raise NotCovering("original families do not cover", witness=point_label(space.points[missing]))
 
-    tol = _tolerance(space.d)
     rows, labels, owner = [], [], []
     for fi, family in enumerate(members):
         for si, idx in enumerate(family):
-            rows.append(space.d[:, idx].min(axis=1) <= lam + tol)
+            rows.append(space.d[:, idx].min(axis=1) <= lam)
             labels.append(f"F{fi}.{si}")
             owner.append(fi)
     masks = np.array(rows, dtype=bool).reshape(len(rows), len(space.points))
@@ -354,8 +352,7 @@ def shrink_to_irreducible(cover: Cover, n) -> Cover:
     downstream re-indexing into l_p.
     """
     comp = cover.complement_distances()
-    tol = _tolerance(cover.space.d)
-    cores = cover.masks & (comp > n + tol)
+    cores = cover.masks & (comp > n)
     keep = [i for i in range(len(cover)) if cores[i].any()]
     if not keep or not cores[keep].any(axis=0).all():
         uncovered = np.flatnonzero(~cores[keep].any(axis=0)) if keep else range(len(cover.space.points))
@@ -480,11 +477,10 @@ def brick_families_zl(space: FiniteMetricSpace, lam):
     base = brick_cover_zl(space, lam)
     owners = base.meta["families"]
     comp = base.complement_distances()
-    tol = _tolerance(space.d)
     n_fam = max(owners) + 1
     families = [[] for _ in range(n_fam)]
     for i in range(len(base)):
-        core_mask = base.masks[i] & (comp[i] > lam + tol)
+        core_mask = base.masks[i] & (comp[i] > lam)
         if core_mask.any():
             families[owners[i]].append([space.points[k] for k in np.flatnonzero(core_mask)])
     return families

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import LebesgueTooSmall, PreconditionFailed, WindowTooSmall
 from ..groups import GroupSpec, ball_space, within
-from ..metric import FiniteMetricSpace, point_label, row_blocks, _tolerance
+from ..metric import FiniteMetricSpace, point_label, row_blocks
 from .base import Cover, assert_bounds, brick_cover_zl, interval_cover_z
 
 
@@ -190,9 +190,8 @@ def extension_cover(
     # the 2R-shrunk V_j (in the restricted metric of the kernel window)
     near = within(G, R)
     comp_v = V_cover.complement_distances()
-    tol = _tolerance(kernel.d)
     cores = [
-        [kernel.points[k] for k in np.flatnonzero(V_cover.masks[j] & (comp_v[j] > 2 * R + tol))]
+        [kernel.points[k] for k in np.flatnonzero(V_cover.masks[j] & (comp_v[j] > 2 * R))]
         for j in range(len(V_cover))
     ]
 

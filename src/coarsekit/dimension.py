@@ -21,7 +21,7 @@ from .covers.extension import extension_cover, extension_split
 from .covers.wreath import eval_polynomial, wreath_cover
 from .errors import AuditFailed, Infeasible, PreconditionFailed, TooLarge, WindowTooSmall
 from .groups import ball_space, group_from_token
-from .metric import INF, block_rows, point_label, _tolerance
+from .metric import INF, block_rows, point_label
 
 ORACLE_MAX_POINTS = 9
 ORACLE_NODE_CAP = 10_000_000
@@ -148,7 +148,7 @@ def _cover_is_valid(cover, lam, D):
     """Exact feasibility: diameter within budget, every lam-set contained."""
     if cover.max_diameter() > D:
         return False
-    if cover.pointwise_lebesgue() >= lam + 1 - _tolerance(cover.space.d):
+    if cover.pointwise_lebesgue() >= lam + 1:
         return True
     try:
         return cover.find_uncovered_subset(lam) is None
@@ -253,7 +253,7 @@ def independent_audit(cover):
     diam = 0.0
     step = block_rows(n * d.itemsize)
     # stands in for the member's own distances, so a row's min is over the rest
-    top = np.iinfo(d.dtype).max if d.dtype.kind in "iu" else INF
+    top = np.iinfo(d.dtype).max
     for row in masks:
         inside = np.flatnonzero(row)
         for start in range(0, len(inside), step):
@@ -376,7 +376,7 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
 
         ball = ball_cover(space, lam)
         if ball.max_diameter() <= D:
-            envelope = int((space.d <= lam + _tolerance(space.d)).sum(axis=1).max())
+            envelope = int(ball.masks.sum(axis=1).max())
             mult, _ = _reaudit(ball, multiplicity=envelope)
             profile.add_row(lam, D, mult, "ball", envelope, margin, "ball")
             rows_at.append(mult)

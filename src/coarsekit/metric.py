@@ -1,9 +1,9 @@
 """Finite metric spaces and l_p distances.
 
 Everything downstream runs on a :class:`FiniteMetricSpace`: a finite point
-list with an exact pairwise distance matrix.  Word metrics are stored as
-integers and compared exactly; derived real-valued metrics are compared at
-absolute tolerance ``TOL``.
+list with an exact pairwise distance matrix.  Distances are word-metric
+distances, so the matrix holds integers and every compare is exact; a
+matrix of any other dtype is refused.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import PreconditionFailed
 
-TOL = 1e-9
 INF = math.inf
 
 # Every triple is scanned up to this size; above it, _SAMPLED_TRIPLES
@@ -36,18 +35,10 @@ def block_rows(row_bytes):
     return max(1, _BLOCK_BYTES // max(1, row_bytes))
 
 
-def _tolerance(matrix):
-    """Int 0 for an integer matrix, so ``d <= lam + tol`` stays an integer
-    compare; TOL otherwise."""
-    return 0 if np.issubdtype(matrix.dtype, np.integer) else TOL
-
-
 def _sum_dtype(d):
-    """The type the triangle check adds two entries of d in: d's own for
-    non-integers and for signed integers that hold twice the largest entry,
-    else the narrowest signed integer type that does."""
-    if d.dtype.kind not in "iu":
-        return d.dtype
+    """The type the triangle check adds two entries of d in: d's own when
+    it is signed and holds twice the largest entry, else the narrowest
+    signed integer type that does."""
     largest = int(d.max())
     for dtype in (d.dtype, np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)):
         if dtype.kind == "i" and 2 * largest <= np.iinfo(dtype).max:
@@ -68,25 +59,20 @@ def sampled_triples(n, count):
         yield np.frombuffer(rng.randbytes(12 * m), dtype="<u4").reshape(m, 3) % n
 
 
-def _is_symmetric(d, tol) -> bool:
+def _is_symmetric(d) -> bool:
     """Each square tile against its mirror tile, so no pass strides through
-    the whole transpose.  A tile's compare temporaries fit one block: bools
-    for an integer matrix, floats otherwise."""
+    the whole transpose.  A tile's boolean compare fits one block."""
     n = len(d)
-    side = math.isqrt(block_rows(1 if tol == 0 else 8))
+    side = math.isqrt(block_rows(1))
     for s in range(0, n, side):
         for t in range(s, n, side):
-            tile = d[s : s + side, t : t + side]
-            mirror = d[t : t + side, s : s + side].T
-            # integer matrices are compared exactly, without float temporaries
-            same = np.array_equal(tile, mirror) if tol == 0 else np.allclose(tile, mirror, atol=TOL, rtol=0)
-            if not same:
+            if not np.array_equal(d[s : s + side, t : t + side], d[t : t + side, s : s + side].T):
                 return False
     return True
 
 
 class FiniteMetricSpace:
-    """Points with an explicit symmetric distance matrix.
+    """Points with an explicit symmetric integer distance matrix.
 
     ``center``/``window_radius`` are optional window metadata: spaces cut
     out of an infinite group record where their boundary is, so audits can
@@ -101,6 +87,8 @@ class FiniteMetricSpace:
         d = np.asarray(dist)
         if d.shape != (len(self.points), len(self.points)):
             raise PreconditionFailed("distance matrix shape mismatch")
+        if d.dtype.kind not in "iu":
+            raise PreconditionFailed("distances must be integers", dtype=str(d.dtype))
         self.d = d
         self.center = center
         self.window_radius = window_radius
@@ -133,10 +121,6 @@ class FiniteMetricSpace:
     def indices(self, points):
         return np.array([self._index[p] for p in points], dtype=np.intp)
 
-    def dist(self, x, y):
-        value = self.d[self._index[x], self._index[y]]
-        return value.item()
-
     def diameter(self):
         return self.d.max().item() if len(self.points) else 0
 
@@ -158,42 +142,35 @@ class FiniteMetricSpace:
         d = self.d
         if len(self.points) == 0:
             return
-        tol = _tolerance(d)
-        if not _is_symmetric(d, tol):
+        if not _is_symmetric(d):
             raise PreconditionFailed("distance matrix not symmetric")
         if np.any(np.diagonal(d) != 0):
             raise PreconditionFailed("nonzero diagonal")
         if d.min() < 0:
             raise PreconditionFailed("negative distance")
-        # the n diagonal zeros are the only entries allowed within tol of 0;
-        # an integer matrix, nonnegative by now, counts its zeros without a mask
-        near_zero = d.size - np.count_nonzero(d) if tol == 0 else np.count_nonzero(d <= tol)
-        if near_zero > len(self.points):
+        # the n diagonal zeros are the only zeros allowed
+        if d.size - np.count_nonzero(d) > len(self.points):
             raise PreconditionFailed("distinct points at distance 0")
         n = len(self.points)
         work = _sum_dtype(d)
         if n <= _FULL_TRIANGLE_LIMIT:
-            # d[i, k] + d[k, j] (+ tol) - d[i, j] in one reused buffer, in a
-            # type that holds the sum; a negative entry is a violation.  fmin
-            # skips NaN (inf - inf), so a NaN hides none
+            # d[i, k] + d[k, j] - d[i, j] in one reused buffer, in a type
+            # that holds the sum; a negative entry is a violation
             w = d if work == d.dtype else d.astype(work)
-            slack = np.empty(d.shape, dtype=np.result_type(work, tol))
-            with np.errstate(invalid="ignore"):
-                for k in range(n):
-                    np.add(w[:, k : k + 1], w[k : k + 1, :], out=slack)
-                    if tol:
-                        slack += tol
-                    slack -= w
-                    if np.fmin.reduce(slack, axis=None) < 0:
-                        i, j = divmod(int(np.argmax(slack < 0)), n)
-                        raise PreconditionFailed(
-                            "triangle inequality fails",
-                            witness=[str(self.points[i]), str(self.points[k]), str(self.points[j])],
-                        )
+            slack = np.empty(d.shape, dtype=work)
+            for k in range(n):
+                np.add(w[:, k : k + 1], w[k : k + 1, :], out=slack)
+                slack -= w
+                if slack.min() < 0:
+                    i, j = divmod(int(np.argmax(slack < 0)), n)
+                    raise PreconditionFailed(
+                        "triangle inequality fails",
+                        witness=[str(self.points[i]), str(self.points[k]), str(self.points[j])],
+                    )
         else:
             for ijk in sampled_triples(n, _SAMPLED_TRIPLES):
                 i, j, k = ijk.T
-                bad = d[i, k] > np.add(d[i, j], d[j, k], dtype=work) + tol
+                bad = d[i, k] > np.add(d[i, j], d[j, k], dtype=work)
                 if bad.any():
                     raise PreconditionFailed(
                         "triangle inequality fails",

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionFailed,
     SubsequenceUnavailable,
 )
-from .metric import INF, FiniteMetricSpace, block_rows, lp_distance, point_label, _tolerance
+from .metric import INF, FiniteMetricSpace, block_rows, lp_distance, point_label
 
 CERT_TOL = 1e-9
 PAIR_CAP = 20_000_000
@@ -57,7 +57,6 @@ class PropertyAFamily:
     def _audit(self):
         """Every row of every level, one block of rows at a time."""
         d = self.space.d
-        tol = _tolerance(d)
         for n, rows in self.levels.items():
             radius = self.support_radius[n]
             step = block_rows(rows.shape[1] * rows.itemsize)
@@ -65,7 +64,7 @@ class PropertyAFamily:
                 block = rows[start : start + step]
                 not_unit = np.abs(lp_distance(block, 0.0, self.p) - 1.0) > CERT_TOL
                 negative = ~(block >= 0).all(axis=1)
-                outside = (block != 0) & (d[start : start + step] > radius + tol)
+                outside = (block != 0) & (d[start : start + step] > radius)
                 bad = not_unit | negative | outside.any(axis=1)
                 if not bad.any():
                     continue
@@ -290,7 +289,7 @@ def _pairs_within(space, K):
     d, step = space.d, block_rows(len(space.d))  # one bool per cell
     found = []
     for start in range(0, len(d), step):
-        i, j = np.nonzero(d[start : start + step, start:] <= K + _tolerance(d))
+        i, j = np.nonzero(d[start : start + step, start:] <= K)
         found.append(np.column_stack((i, j))[j > i] + start)
     idx = np.concatenate(found)
     stride = max(1, -(-len(idx) // PAIR_CAP))

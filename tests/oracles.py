@@ -10,6 +10,11 @@ from coarsekit.groups import WreathElement, ball_elements, free_spec
 from coarsekit.metric import INF
 
 
+def dist(space, x, y):
+    """The distance between the points x and y of ``space``, as an int."""
+    return space.d[space.index(x), space.index(y)].item()
+
+
 def masks_of(space, sets):
     """The boolean sets x points matrix of a list of point lists, for
     covers written out by hand."""
@@ -25,8 +30,6 @@ def masks_of(space, sets):
 def exact_lebesgue_number(cover, cap=500_000):
     """Largest integer lam passing the subset oracle; inf when the whole
     space fits in one member, -1 when even singletons fail (not total)."""
-    if not np.issubdtype(cover.space.d.dtype, np.integer):
-        raise PreconditionFailed("exact Lebesgue sweep needs an integer metric")
     lam = -1
     top = int(cover.space.diameter())
     while lam < top:

@@ -465,6 +465,19 @@ def test_ball_cap_exit_code(capsys):
     assert body["type"] == "BallTooLarge"
 
 
+
+def test_distortion_ball_cap_counts_the_ambient_ball_only(capsys):
+    # only the ambient BFS counts against the cap: the 85 points of the
+    # zn:2 r6 ball fit 85 and trip 84; the kernel search stops once it has
+    # reached the ball's 13 kernel members
+    argv = ("distortion", "--group", "zn:2", "--radius", "6")
+    code, body = run_json(capsys, *argv, "--ball-cap", "85")
+    assert code == 0
+    assert body == run_json(capsys, *argv)[1]
+    code, body = run_json(capsys, *argv, "--ball-cap", "84")
+    assert code == 3
+    assert (body["type"], body["group"], body["cap"], body["radius_reached"]) == ("BallTooLarge", "zn:2", 84, 5)
+
 def test_wreath_ball_cap_counts_the_window(capsys):
     # the 155 points of the lamplighter r6 window fit 300; 100 trips in the
     # layer after radius 5

@@ -127,6 +127,16 @@ def test_cover_requires_totality_and_nonempty_sets():
     assert list(partial.covered_mask()) == [True, True, False, False]
 
 
+def test_a_cover_without_members_covers_only_the_empty_space():
+    space = ball_space(zn_spec(1), 3)
+    with pytest.raises(NotCovering) as err:
+        Cover(space, np.zeros((0, len(space)), dtype=bool))
+    assert err.value.context == {"witness": "(0)"}
+    assert Cover(space, np.zeros((0, len(space)), dtype=bool), require_total=False).multiplicity() == 0
+    empty = FiniteMetricSpace([], np.zeros((0, 0), dtype=np.int8))
+    assert len(Cover(empty, np.zeros((0, 0), dtype=bool))) == 0
+
+
 def test_subfamily_inherits_the_rows_a_fresh_cover_measures():
     space = ball_space(zn_spec(2), 4)
     cover = ball_cover(space, 2)

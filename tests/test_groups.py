@@ -25,7 +25,7 @@ from coarsekit.groups import (
 )
 from coarsekit.covers import ball_cover
 from coarsekit.metric import point_label
-from oracles import NotInKernel, free_ball_cover_audit, project_pi_A, wreath_element
+from oracles import NotInKernel, dist, free_ball_cover_audit, project_pi_A, wreath_element
 
 
 def test_word_norm_table_on_z():
@@ -52,13 +52,13 @@ def test_ball_space_z_is_a_segment():
     # isometric to {0..4}: sorted eccentricities match
     xs = sorted(p[0] for p in space.points)
     assert xs == [-2, -1, 0, 1, 2]
-    assert space.dist((-2,), (2,)) == 4
+    assert dist(space, (-2,), (2,)) == 4
 
 
 def test_ball_space_z2_restricted_metric():
     space = ball_space(zn_spec(2), 1)
     assert len(space) == 5
-    assert space.dist((1, 0), (0, 1)) == 2
+    assert dist(space, (1, 0), (0, 1)) == 2
 
 
 def test_ball_space_free_group_radius_one():
@@ -67,7 +67,7 @@ def test_ball_space_free_group_radius_one():
     gens = [p for p in space.points if p != ()]
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            assert space.dist(gens[i], gens[j]) == 2
+            assert dist(space, gens[i], gens[j]) == 2
 
 
 # a window distance is at most 2r and validation adds two: int8 while
@@ -279,6 +279,16 @@ def test_distortion_profile_undistorted_axis():
     assert all(inner == ambient for inner, ambient in pairs)
     assert max(a for _, a in pairs) == 5
 
+
+
+def test_distortion_names_the_members_the_subgroup_misses():
+    # the first axis reaches 7 of the 25 points of the radius-3 ball of Z^2
+    with pytest.raises(PreconditionFailed) as err:
+        distortion_profile(zn_spec(2), lambda e: True, ((1, 0), (-1, 0)), 3)
+    assert (str(err.value), err.value.context) == (
+        "subgroup BFS did not reach every member in the ball",
+        {"missing": 18, "inner_cap": 36},
+    )
 
 def test_heisenberg_center_distortion():
     spec = heisenberg_spec()

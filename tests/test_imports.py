@@ -7,7 +7,9 @@ on purpose and are skipped, as are names a module lists in ``__all__``.
 A name defined under ``src`` must appear, as a word, on some line of the
 package, its tests, demos or benchmarks other than its own ``def`` or
 ``class`` line, and on some such line outside the tests and the package's
-re-exports; dunder methods are called by Python itself and are exempt.
+re-exports; a method counts only where it appears as an attribute,
+``.name``, since its name alone may be any other word.  Dunder methods
+are called by Python itself and are exempt.
 """
 
 import ast
@@ -60,34 +62,42 @@ def test_no_unused_imports():
     assert [hit for path in files for hit in unused_imports(path)] == []
 
 
+# what counts as a use of a definition: a function or class is used where
+# its name appears as a word, a method only where it appears as an attribute
+WORD, ATTRIBUTE = r"\w+", r"\.(\w+)"
+
+
 def defined_names(tree):
-    """(name, line) for every module-level function and class and every
-    method of a module-level class."""
+    """(name, line, pattern) for every module-level function and class
+    (pattern WORD) and every method of a module-level class (ATTRIBUTE)."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, kinds):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, WORD
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, kinds):
-                    yield item.name, item.lineno
+                    yield item.name, item.lineno, ATTRIBUTE
 
 
 def orphans(folders, counted=lambda path: True):
-    """``path:line: name`` for every name defined under ``src`` that appears,
-    as a word, on no counted line of ``folders`` other than its own ``def``
-    or ``class`` line."""
+    """``path:line: name`` for every name defined under ``src`` that its
+    pattern finds on no counted line of ``folders`` other than its own
+    ``def`` or ``class`` line."""
     lines = {path: path.read_text().splitlines() for folder in folders for path in (ROOT / folder).rglob("*.py")}
-    words = Counter(
-        word for path, text in lines.items() if counted(path) for line in text for word in re.findall(r"\w+", line)
-    )
+    uses = {
+        pattern: Counter(
+            word for path, text in lines.items() if counted(path) for line in text for word in re.findall(pattern, line)
+        )
+        for pattern in (WORD, ATTRIBUTE)
+    }
     return [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted(lines)
         if path.is_relative_to(ROOT / "src")
-        for name, line in defined_names(ast.parse("\n".join(lines[path]), filename=str(path)))
+        for name, line, pattern in defined_names(ast.parse("\n".join(lines[path]), filename=str(path)))
         if not (name.startswith("__") and name.endswith("__"))
-        and words[name] == re.findall(r"\w+", lines[path][line - 1]).count(name)
+        and uses[pattern][name] == re.findall(pattern, lines[path][line - 1]).count(name)
     ]
 
 

@@ -9,12 +9,8 @@ import pytest
 
 from coarsekit.errors import PreconditionFailed
 from coarsekit.groups import ball_space, zn_spec
-from coarsekit.metric import (
-    INF,
-    FiniteMetricSpace,
-    _tolerance,
-    lp_distance,
-)
+from coarsekit.metric import INF, FiniteMetricSpace, lp_distance
+from oracles import dist
 
 
 def z_segment(n):
@@ -36,11 +32,17 @@ def test_space_validation_rejects_broken_metrics():
         FiniteMetricSpace([0, 1], degenerate)
 
 
-def test_integer_tolerance_is_an_int():
-    # an int keeps ``d <= lam + tol`` an integer compare
-    for dtype in (np.int16, np.int32, np.int64):
-        assert type(_tolerance(np.zeros((2, 2), dtype=dtype))) is int
-    assert _tolerance(np.zeros((2, 2))) > 0
+def test_only_integer_distances_are_accepted():
+    pts = [0, 1, 2]
+    d = np.abs(np.subtract.outer(pts, pts))
+    for dtype in (np.int8, np.int64, np.uint8):
+        assert FiniteMetricSpace(pts, d.astype(dtype)).d.dtype == dtype
+    # a bool matrix of a two-point space is a valid metric but for its type
+    for matrix in (d.astype(np.float64), np.eye(2, dtype=bool) == 0, d.astype(object)):
+        with pytest.raises(PreconditionFailed) as err:
+            FiniteMetricSpace(pts[: len(matrix)], matrix)
+        assert str(err.value) == "distances must be integers"
+        assert err.value.context == {"dtype": str(matrix.dtype)}
 
 
 def test_integer_validation_allocates_no_float_temporaries():
@@ -88,7 +90,7 @@ def test_subspace_inherits_metric_and_window():
     d = np.abs(np.subtract.outer(range(-3, 4), range(-3, 4)))
     space = FiniteMetricSpace(pts, d, center=(0,), window_radius=3)
     sub = space.subspace([(-1,), (0,), (2,)])
-    assert sub.dist((-1,), (2,)) == 3
+    assert dist(sub, (-1,), (2,)) == 3
     assert sub.boundary_margin() == 1  # (2,), one step inside the radius-3 window
     no_center = space.subspace([(1,), (2,)])
     assert no_center.boundary_margin() == INF

@@ -32,7 +32,7 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
-from oracles import masks_of
+from oracles import dist, masks_of
 
 
 def test_tent_values_on_the_line():
@@ -256,7 +256,7 @@ def test_coarse_embedding_band_holds_at_p1():
     for i, z in enumerate(space.points):
         if margins[i] < result.safe_margin or z == (0,):
             continue
-        t = space.dist(z, (0,))
+        t = dist(space, z, (0,))
         gap = lp_distance(result.vectors[i], result.vectors[base], 1)
         assert result.rho_lower(t) - 1e-9 <= gap <= result.rho_upper(t) + 1e-9
 

@@ -28,8 +28,9 @@ deduplicated as frozensets.
 The dense passes keep their earlier forms as oracles: the int64
 `np.select` Heisenberg kernel, full rows for the half-triangle fill, the
 `np.ix_` gathers for complement distances and diameters, and the
-whole-matrix symmetry test with the float-promoted triangle loop, which
-must name the same error and witness.
+whole-matrix symmetry test with the int64-widened triangle loop, which
+must name the same error and witness; a float matrix is refused before
+either runs.
 """
 
 import contextlib
@@ -86,7 +87,7 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
-from oracles import masks_of
+from oracles import dist, masks_of
 
 TOL = 1e-12
 RADII = {"zn:1": 12, "zn:2": 4, "free:2": 2, "heisenberg": 2}
@@ -127,7 +128,7 @@ def ref_tents(space, n, p):
     """Row z, column x: max(1 - d(x, z)/n, 0), then made unit for finite p."""
     rows = []
     for z in space.points:
-        row = [max(1.0 - space.dist(x, z) / n, 0.0) for x in space.points]
+        row = [max(1.0 - dist(space, x, z) / n, 0.0) for x in space.points]
         rows.append(row if p == INF else ref_unit(row, p))
     return rows
 
@@ -142,7 +143,7 @@ def ref_cover_rows(cover, p):
         row = [0.0] * len(pts)
         for label, members in zip(cover.labels, cover.sets()):
             outside = [x for x in pts if x not in members]
-            depth = min(space.dist(z, x) for x in outside) if outside else space.diameter() + 1
+            depth = min(dist(space, z, x) for x in outside) if outside else space.diameter() + 1
             row[pts.index(injection[label])] = float(depth)
         rows.append(ref_unit(row, p))
     return rows
@@ -209,36 +210,33 @@ def ref_complement_distances(cover):
 
 def ref_validate(points, d):
     """(message, witness) of the first failed check of the whole-matrix
-    symmetry test and the triangle loop with float temporaries, or None.
-    Integer matrices are widened to int64 first, so no sum wraps; sampled
-    triples are the little-endian 32-bit words of one
-    ``random.Random(0).randbytes`` call, mod n."""
-    tol = 0.0 if np.issubdtype(d.dtype, np.integer) else 1e-9
-    if tol == 0:
-        d = d.astype(np.int64)
-    symmetric = np.array_equal(d, d.T) if tol == 0 else np.allclose(d, d.T, atol=1e-9, rtol=0)
-    if not symmetric:
+    symmetry test and the triangle loop, or None.  The integer matrix is
+    widened to int64 first, so no sum wraps; sampled triples are the
+    little-endian 32-bit words of one ``random.Random(0).randbytes`` call,
+    mod n."""
+    d = d.astype(np.int64)
+    if not np.array_equal(d, d.T):
         return "distance matrix not symmetric", None
     if np.any(np.diagonal(d) != 0):
         return "nonzero diagonal", None
     if d.min() < 0:
         return "negative distance", None
-    if np.count_nonzero(d <= tol) > len(points):
+    if np.count_nonzero(d <= 0) > len(points):
         return "distinct points at distance 0", None
     n = len(points)
     if n <= 500:
         for k in range(n):
             through_k = d[:, k : k + 1] + d[k : k + 1, :]
-            if np.any(d > through_k + tol):
-                i, j = np.argwhere(d > through_k + tol)[0]
+            if np.any(d > through_k):
+                i, j = np.argwhere(d > through_k)[0]
                 return "triangle inequality fails", [str(points[i]), str(points[k]), str(points[j])]
     else:
         words = np.frombuffer(random.Random(0).randbytes(12 * 100_000), dtype="<u4")
         ijk = words.reshape(-1, 3) % n
         lhs = d[ijk[:, 0], ijk[:, 2]]
         rhs = d[ijk[:, 0], ijk[:, 1]] + d[ijk[:, 1], ijk[:, 2]]
-        if np.any(lhs > rhs + tol):
-            return "triangle inequality fails", [str(points[i]) for i in ijk[np.argmax(lhs > rhs + tol)]]
+        if np.any(lhs > rhs):
+            return "triangle inequality fails", [str(points[i]) for i in ijk[np.argmax(lhs > rhs)]]
     return None
 
 
@@ -415,12 +413,12 @@ def ref_embedding(space, rows, radius, base, budget, p, safe_margin):
         return sum(1 for r in radii if r <= t)
 
     margin = radii[-1] if safe_margin is None else safe_margin
-    safe = [i for i, z in enumerate(space.points) if space.window_radius - space.dist(z, space.center) >= margin]
+    safe = [i for i, z in enumerate(space.points) if space.window_radius - dist(space, z, space.center) >= margin]
     checked, upper, lower, buckets = 0, 0.0, 0.0, {}
     for a in range(len(safe)):
         for c in range(a + 1, len(safe)):
             i, j = safe[a], safe[c]
-            t = space.dist(space.points[i], space.points[j])
+            t = dist(space, space.points[i], space.points[j])
             gap = ref_dist(vectors[i], vectors[j], p)
             lo = max(0.0, 2.0 * S(t / 2.0) - 2.0) ** (1.0 / p)
             hi = (2.0 * t + 1.0) ** (1.0 / p)
@@ -1181,8 +1179,15 @@ def test_validation_matches_the_float_promoted_loop(radius, case):
         "within-tol": lambda: planted(d, [(2, 7), (7, 2)], 5 + 1e-10),
         "asymmetric": lambda: planted(d, [(2, 7)], 5 + 1e-6),
     }[case]()
+    if d.dtype.kind == "f":
+        # each float case plants a different defect (or none); the dtype
+        # refusal comes before every check, so none of them is named
+        with pytest.raises(PreconditionFailed) as err:
+            FiniteMetricSpace(points, d)
+        assert (str(err.value), err.value.context) == ("distances must be integers", {"dtype": "float64"})
+        return
     expected = assert_same_validation(points, d)
-    assert (expected is None) == (case in ("metric", "within-tol"))
+    assert (expected is None) == (case == "metric")
 
 
 @pytest.mark.parametrize(
@@ -1461,7 +1466,7 @@ def ref_families(space, families, r, lam):
     sets, labels, owner = [], [], []
     for fi, family in enumerate(families):
         for si, s in enumerate(family):
-            sets.append([p for p in space.points if min(space.dist(p, q) for q in s) <= lam])
+            sets.append([p for p in space.points if min(dist(space, p, q) for q in s) <= lam])
             labels.append(f"F{fi}.{si}")
             owner.append(fi)
     return sets, labels, {"method": "families", "family": owner, "r": r, "lam": lam}
@@ -1586,3 +1591,4 @@ def test_wreath_members_match_the_point_list_groupings(token, radius, lam):
     split = extension_split(group_from_token(token), radius)
     cover, _ = wreath_cover(split, lam)
     assert_same_cover(cover, ref_wreath_groupings(split, lam))
+
