@@ -305,7 +305,8 @@ def partition_of_unity(cover: Cover):
 
     Members equal to the whole space soak up all the weight (their
     complement distance is the inf sentinel); the classical bound
-    (2n+3)^2 / Lambda is returned alongside the measured value.
+    (2n+3)^2 / Lambda is returned alongside the measured value, and a
+    measured value above it raises ``AuditFailed``.
     """
     comp = cover.complement_distances()
     n_points = comp.shape[1]
@@ -339,6 +340,10 @@ def partition_of_unity(cover: Cover):
     mult = cover.multiplicity()
     lam = cover.pointwise_lebesgue()
     pou.lipschitz_bound = 0.0 if lam == INF else (2 * (mult - 1) + 3) ** 2 / lam
+    if measured > pou.lipschitz_bound + 1e-9:
+        raise AuditFailed(
+            "partition Lipschitz constant exceeds its bound", measured=measured, bound=pou.lipschitz_bound
+        )
     return pou, measured
 
 

@@ -1,11 +1,11 @@
 """Normalized function families with controlled variation, and what they buy.
 
 Three constructions live here: families read off from cover sequences
-(distance-to-complement coordinates indexed by private points), the tent
-family that every discrete space carries, and exponent conversions in
-both directions.  On top of them sits a coarse embedding built by greedy
-subsequence selection, with both displacement bounds audited pairwise on
-the window.
+(distance-to-complement coordinates, one coordinate per cover member,
+carried by its private point), the tent family that every discrete space
+carries, and exponent conversions in both directions.  On top of them
+sits a coarse embedding built by greedy subsequence selection, with both
+displacement bounds audited pairwise on the window.
 """
 
 from __future__ import annotations
@@ -31,18 +31,21 @@ PAIR_CAP = 20_000_000
 class PropertyAFamily:
     """For each level n, a unit nonnegative l_p vector a^n_z per point z.
 
-    ``levels[n]`` is one float array of shape (points, points): row i is
-    a^n_z for z = ``space.points[i]``, and column j is the coordinate
-    carried by ``space.points[j]``.  Construction invariants are re-checked
-    on every instantiation: unit norm within 1e-9, nonnegative entries,
-    and support inside the closed ball of the declared radius around the
-    owning point.
+    ``levels[n]`` is one float array of shape (points, columns): row i is
+    a^n_z for z = ``space.points[i]``, and column k is the coordinate
+    carried by ``space.points[columns[n][k]]``; every other coordinate of
+    l_p over the window is 0.  A cover level has one column per member,
+    carried by its private point; a tent level has every point as a
+    column.  Construction invariants are re-checked on every
+    instantiation: unit norm within 1e-9, nonnegative entries, and support
+    inside the closed ball of the declared radius around the owning point.
     """
 
-    def __init__(self, space, p, levels, support_radius, bound_fn=None, meta=None):
+    def __init__(self, space, p, levels, columns, support_radius, bound_fn=None, meta=None):
         self.space = space
         self.p = p if p == INF else float(p)
         self.levels = levels
+        self.columns = columns
         self.support_radius = dict(support_radius)
         self._bound_fn = bound_fn
         self.meta = meta or {}
@@ -59,12 +62,13 @@ class PropertyAFamily:
         d = self.space.d
         for n, rows in self.levels.items():
             radius = self.support_radius[n]
+            columns = self.columns[n]
             step = block_rows(rows.shape[1] * rows.itemsize)
             for start in range(0, len(rows), step):
                 block = rows[start : start + step]
                 not_unit = np.abs(lp_distance(block, 0.0, self.p) - 1.0) > CERT_TOL
                 negative = ~(block >= 0).all(axis=1)
-                outside = (block != 0) & (d[start : start + step] > radius)
+                outside = (block != 0) & (d[start : start + step, columns] > radius)
                 bad = not_unit | negative | outside.any(axis=1)
                 if not bad.any():
                     continue
@@ -78,7 +82,7 @@ class PropertyAFamily:
                     "support leaves the declared ball",
                     level=n,
                     point=z,
-                    offender=point_label(self.space.points[int(np.argmax(outside[k]))]),
+                    offender=point_label(self.space.points[columns[int(np.argmax(outside[k]))]]),
                     radius=radius,
                 )
 
@@ -112,12 +116,13 @@ def family_from_covers(covers, p) -> PropertyAFamily:
     """Distance-to-complement coordinates, one per cover member, normalized.
 
     covers maps level n to a Cover whose surrogate Lebesgue number is at
-    least n+1.  Coordinates are indexed by each member's private point so
-    the family lands in l_p over the space itself.
+    least n+1.  Each level is points x members; a member's column is
+    carried by its private point, so the family lands in l_p over the
+    space itself.
     """
     some = next(iter(covers.values()))
     space = some.space
-    levels, radii, mults = {}, {}, {}
+    levels, columns, radii, mults = {}, {}, {}, {}
     for n, cover in sorted(covers.items()):
         if cover.space is not space:
             raise PreconditionFailed("covers live on different spaces")
@@ -125,14 +130,12 @@ def family_from_covers(covers, p) -> PropertyAFamily:
         if lam < n + 1:
             raise LebesgueTooSmall("cover surrogate below n+1", level=n, measured=lam)
         injection = _private_injection(cover)
-        anchors = space.indices([injection[label] for label in cover.labels])
+        columns[n] = space.indices([injection[label] for label in cover.labels])
         comp = cover.complement_distances()
         # a member equal to the whole window has infinite depth; any shared
         # finite stand-in keeps the coordinate 1-Lipschitz
         comp = np.where(np.isinf(comp), float(space.diameter() + 1), comp)
-        rows = np.zeros((len(space), len(space)))
-        rows[:, anchors] = comp.T
-        levels[n] = _normalize(rows, p)
+        levels[n] = _normalize(comp.T.copy(), p)
         radii[n] = cover.max_diameter()
         mults[n] = cover.multiplicity()
 
@@ -147,6 +150,7 @@ def family_from_covers(covers, p) -> PropertyAFamily:
         space,
         p,
         levels,
+        columns,
         radii,
         bound_fn=bound,
         meta={"construction": "covers", "multiplicity": mults},
@@ -167,10 +171,12 @@ def a_infinity_family(space, schedule, p=INF) -> PropertyAFamily:
         rows = np.maximum(1.0 - space.d / n, 0.0)
         levels[int(n)] = rows if p == INF else _normalize(rows, p)
     bound = (lambda n, K: K / n) if p == INF else None
+    every = np.arange(len(space))
     return PropertyAFamily(
         space,
         p,
         levels,
+        {n: every for n in levels},
         {int(n): int(n) for n in schedule},
         bound_fn=bound,
         meta={"construction": "tents"},
@@ -249,6 +255,7 @@ def _convert(family, to, power, lift, gap, message):
         family.space,
         to,
         levels,
+        family.columns,
         family.support_radius,
         bound_fn=bound,
         meta=dict(family.meta, converted_from=family.p),

@@ -253,6 +253,17 @@ def test_partition_of_unity_ball_cover_bound():
     assert pou.lipschitz_bound == bound
 
 
+def test_partition_of_unity_refuses_a_measured_value_above_its_bound():
+    space = ball_space(zn_spec(1), 12)
+    cover = ball_cover(space, 4)
+    measured = partition_of_unity(cover)[1]
+    # a depth claimed far above the real one shrinks the bound below the measurement
+    cover.pointwise_lebesgue = lambda point_mask=None: 10**6
+    with pytest.raises(AuditFailed) as err:
+        partition_of_unity(cover)
+    assert err.value.context == {"measured": measured, "bound": 19**2 / 10**6}  # multiplicity 9
+
+
 def test_shrink_to_irreducible_ball_cover():
     space = ball_space(zn_spec(1), 12)
     cover = ball_cover(space, 4)

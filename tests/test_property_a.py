@@ -3,6 +3,7 @@ coarse embedding built from them."""
 
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from coarsekit.errors import (
 from coarsekit.covers import Cover, ball_cover, shrink_to_irreducible
 from coarsekit.groups import ball_space, zn_spec
 from coarsekit import metric, property_a
-from coarsekit.metric import INF, FiniteMetricSpace, lp_distance
+from coarsekit.metric import INF, FiniteMetricSpace, lp_distance, point_label
 from coarsekit.property_a import (
     PropertyAFamily,
     _audit_pairs,
@@ -227,7 +228,46 @@ def test_family_audit_rejects_bad_vectors():
     broken[2][zero] = 0.0
     broken[2][zero, zero] = 0.5
     with pytest.raises(AuditFailed):
-        PropertyAFamily(space, INF, broken, family.support_radius)
+        PropertyAFamily(space, INF, broken, family.columns, family.support_radius)
+
+
+def test_support_audit_names_the_private_point_of_the_column():
+    space = ball_space(zn_spec(1), 10)
+    family = family_from_covers({2: shrink_to_irreducible(ball_cover(space, 4), 2)}, 2)
+    columns, radius = family.columns[2], family.support_radius[2]
+    row = space.index((10,))
+    # the last member whose private point lies beyond the support radius
+    k = int(np.flatnonzero(space.d[row, columns] > radius)[-1])
+    assert space.d[row, columns[k]] > radius and columns[k] != k
+    broken = family.levels[2].copy()
+    broken[row] = 0.0
+    broken[row, k] = 1.0  # still unit and nonnegative
+    with pytest.raises(AuditFailed) as err:
+        PropertyAFamily(space, 2, {2: broken}, family.columns, family.support_radius)
+    assert str(err.value) == "support leaves the declared ball"
+    assert err.value.context == {
+        "level": 2, "point": "(10)", "offender": point_label(space.points[columns[k]]), "radius": radius,
+    }
+
+
+def test_cover_levels_hold_one_column_per_member():
+    # no level is a dense points x points array: on 841 points one such
+    # float64 level alone takes 841^2 * 8 bytes, about 5.66 MB
+    space = ball_space(zn_spec(2), 20)
+    covers = {n: shrink_to_irreducible(ball_cover(space, 2 * n), n) for n in range(2, 6)}
+    for cover in covers.values():
+        cover.complement_distances()
+    tracemalloc.start()
+    try:
+        family = family_from_covers(covers, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(space) ** 2 * 8
+    for n, cover in covers.items():
+        assert family.levels[n].shape == (len(space), len(cover))
+        injection = cover.meta["injection"]
+        assert family.columns[n].tolist() == [space.index(injection[label]) for label in cover.labels]
 
 
 def test_coarse_embedding_on_the_line():
@@ -294,7 +334,7 @@ def test_tampered_entry_is_named_by_both_audits():
     family = a_infinity_family(space, [2, 3], p=2)
     family.levels[2][space.index((10,)), space.index((20,))] = 5.0
     with pytest.raises(AuditFailed) as err:
-        PropertyAFamily(space, 2, family.levels, family.support_radius)
+        PropertyAFamily(space, 2, family.levels, family.columns, family.support_radius)
     assert err.value.context["level"] == 2
     assert err.value.context["point"] == "(10)"
     with pytest.raises(AuditFailed) as err:
