@@ -11,7 +11,6 @@ made.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
@@ -211,7 +210,10 @@ def format_cell(value) -> str:
 def csv_text(header, rows) -> str:
     """CSV text with LF line endings on every platform.  Each cell goes
     through format_cell; cells holding a comma or a quote (tuple point
-    labels) are quoted."""
+    labels) are quoted.  ``csv`` is imported here, so a command that
+    writes no CSV never loads it."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -6,7 +6,8 @@ checked where argparse converts it, and its output is canonical JSON
 (key-sorted, 9 significant digits) or fixed-order CSV, so identical
 invocations are byte-identical.  Exit codes: 0 when every
 audit passes, 2 on precondition/audit failures (payload on stdout), 3 when
-a resource cap is hit.
+a resource cap is hit.  Each command imports the covers, dimension and
+property_a modules it uses when it runs, so ``ball`` starts without them.
 """
 
 from __future__ import annotations
@@ -17,19 +18,6 @@ import os
 import sys
 
 from ._jsonutil import SCHEMA, canonical_json, csv_text
-from .covers import (
-    ball_cover,
-    brick_cover_zl,
-    brick_families_zl,
-    coordinate_interval_cover,
-    extension_cover,
-    extension_split,
-    families_to_cover,
-    interval_cover_z,
-    shrink_to_irreducible,
-    wreath_cover,
-)
-from .dimension import gromov_profile, growth_curve
 from .errors import CoarseKitError, PreconditionFailed
 from .groups import (
     ball_space,
@@ -39,15 +27,6 @@ from .groups import (
     log_log_slope,
 )
 from .metric import INF, point_label
-from .property_a import (
-    a_infinity_family,
-    certificate,
-    coarse_embedding,
-    convert_down_to_1,
-    convert_up,
-    family_from_covers,
-    variation_report,
-)
 
 
 def _number(token, text, kind=int):
@@ -168,6 +147,8 @@ def _extension_cover(spec, args):
     kernel's last coordinate, wide enough for the 6R Lebesgue hypothesis."""
     if spec.extension is None:
         raise PreconditionFailed("the extension method needs a declared extension", group=args.group)
+    from .covers import coordinate_interval_cover, extension_cover, extension_split
+
     split = extension_split(spec, args.radius, ball_cap=args.ball_cap)
     U, R = split.quotient_cover(args.lam)
     V = coordinate_interval_cover(split.kernel, -1, 6 * R)
@@ -175,6 +156,16 @@ def _extension_cover(spec, args):
 
 
 def cmd_cover(args):
+    from .covers import (
+        ball_cover,
+        brick_cover_zl,
+        brick_families_zl,
+        extension_split,
+        families_to_cover,
+        interval_cover_z,
+        wreath_cover,
+    )
+
     method = args.method
     spec = group_from_token(args.group)
     if method == "wreath":
@@ -219,6 +210,16 @@ def cmd_cover(args):
 
 
 def cmd_certify_a(args):
+    from .covers import ball_cover, shrink_to_irreducible
+    from .property_a import (
+        a_infinity_family,
+        certificate,
+        convert_down_to_1,
+        convert_up,
+        family_from_covers,
+        variation_report,
+    )
+
     spec = group_from_token(args.group)
     space = ball_space(spec, args.radius, cap=args.ball_cap)
     kind = args.family
@@ -261,6 +262,8 @@ def cmd_certify_a(args):
 
 
 def cmd_embed(args):
+    from .property_a import a_infinity_family, coarse_embedding
+
     spec = group_from_token(args.group)
     space = ball_space(spec, args.radius, cap=args.ball_cap)
     family = a_infinity_family(space, args.levels, args.p)
@@ -304,6 +307,8 @@ def _emit_profile(args, profile):
 
 
 def cmd_profile(args):
+    from .dimension import growth_curve
+
     profile = growth_curve(
         args.group, args.lam_schedule, args.diam_policy, args.radius,
         ball_cap=args.ball_cap,
@@ -312,6 +317,8 @@ def cmd_profile(args):
 
 
 def cmd_gromov(args):
+    from .dimension import gromov_profile
+
     profile = gromov_profile(
         args.group, args.cap, args.lam_schedule, args.radius,
         ball_cap=args.ball_cap,

@@ -63,12 +63,15 @@ class PropertyAFamily:
         for n, rows in self.levels.items():
             radius = self.support_radius[n]
             columns = self.columns[n]
+            # a tent level's columns are every point in order, so its
+            # distance rows are read as a view, not gathered
+            cells = slice(None) if np.array_equal(columns, np.arange(len(d))) else columns
             step = block_rows(rows.shape[1] * rows.itemsize)
             for start in range(0, len(rows), step):
                 block = rows[start : start + step]
                 not_unit = np.abs(lp_distance(block, 0.0, self.p) - 1.0) > CERT_TOL
                 negative = ~(block >= 0).all(axis=1)
-                outside = (block != 0) & (d[start : start + step, columns] > radius)
+                outside = (block != 0) & (d[start : start + step, cells] > radius)
                 bad = not_unit | negative | outside.any(axis=1)
                 if not bad.any():
                     continue

@@ -520,6 +520,22 @@ def test_extension_cover_lists_no_r_ball_under_the_cap(capsys):
     assert (body["group"], body["cap"], body["radius_reached"]) == ("heisenberg", 500, 5)
 
 
+def modules_after_main(argv):
+    """Exit code of ``main(argv)`` run in a fresh process, stdout
+    discarded, and the names in ``sys.modules`` after it."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "from coarsekit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+    code, *modules = out.stdout.split()
+    return int(code), set(modules)
+
+
 # the 593-point ball validates on sampled triples, and gromov r9 builds a
 # 2,845-point window, a quotient and a kernel
 @pytest.mark.parametrize(
@@ -530,16 +546,43 @@ def test_extension_cover_lists_no_r_ball_under_the_cap(capsys):
     ],
 )
 def test_cli_commands_leave_numpy_random_unimported(argv):
-    probe = (
-        "import contextlib, io, sys\n"
-        "from coarsekit.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(code, 'numpy.random' in sys.modules)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "False"]
+    code, modules = modules_after_main(argv)
+    assert (code, "numpy.random" in modules) == (0, False)
+
+
+# each command imports the covers, dimension and property_a modules it
+# runs, and no other; csv loads only where a command writes CSV
+@pytest.mark.parametrize(
+    "argv, loaded, unloaded",
+    [
+        (
+            ["ball", "--group", "heisenberg", "--radius", "6"],
+            set(),
+            {"coarsekit.covers", "coarsekit.dimension", "coarsekit.property_a", "csv"},
+        ),
+        (
+            ["embed", "--group", "zn:1", "--radius", "60", "--p", "2", "--levels", "3,7,15,28", "--budget", "4"],
+            {"coarsekit.property_a"},
+            {"coarsekit.covers", "coarsekit.dimension", "csv"},
+        ),
+        (
+            ["certify-a", "--group", "zn:1", "--radius", "20", "--p", "2", "--n", "2..4", "--K", "1,2"],
+            {"coarsekit.covers", "coarsekit.property_a"},
+            {"coarsekit.dimension"},
+        ),
+        (
+            ["gromov", "--group", "zn:1", "--cap", "2", "--lambda", "1..4", "--radius", "16"],
+            {"coarsekit.covers", "coarsekit.dimension", "csv"},
+            {"coarsekit.property_a"},
+        ),
+    ],
+    ids=["ball", "embed", "certify-a", "gromov"],
+)
+def test_commands_import_only_the_modules_they_run(argv, loaded, unloaded):
+    code, modules = modules_after_main(argv)
+    assert code == 0
+    assert loaded <= modules
+    assert not unloaded & modules
 
 
 def test_interval_cover_leaves_numpy_ma_unimported(tmp_path):
@@ -568,6 +611,14 @@ def test_interval_cover_leaves_numpy_ma_unimported(tmp_path):
     assert list(zip(body["labels"], body["sets"])) == expected
 
 
+def test_cli_import_loads_only_what_every_command_needs():
+    probe = "import sys, coarsekit.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'coarsekit'))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    expected = ["coarsekit", "coarsekit._jsonutil", "coarsekit.cli", "coarsekit.errors", "coarsekit.groups", "coarsekit.metric"]
+    assert out.stdout.split() == expected
+
+
 def test_cli_import_loads_no_scipy():
     probe = "import coarsekit.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -578,18 +629,20 @@ def test_cli_import_loads_no_scipy():
 def test_import_pins_openblas_to_one_thread_unless_set():
     """coarsekit makes no BLAS call a thread pool would speed up, so it
     starts numpy with one OpenBLAS thread; a value already set wins."""
-    probe = (
-        "import os, coarsekit.cli\n"
-        "tasks = '/proc/self/task'\n"
-        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(tasks)) if os.path.isdir(tasks) else '-')\n"
-    )
 
-    def run(**extra):
+    def run(module, **extra):
+        probe = (
+            f"import os, {module}\n"
+            "tasks = '/proc/self/task'\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(tasks)) if os.path.isdir(tasks) else '-')\n"
+        )
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env.update(PYTHONPATH=str(SRC), **extra)
         return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
 
-    value, threads = run().stdout.split()
-    assert value == "1"
-    assert threads in ("1", "-")
-    assert run(OPENBLAS_NUM_THREADS="3").stdout.split()[0] == "3"
+    # a submodule that loads numpy runs the package's __init__ first
+    for module in ("coarsekit.cli", "coarsekit.groups"):
+        value, threads = run(module).stdout.split()
+        assert value == "1"
+        assert threads in ("1", "-")
+        assert run(module, OPENBLAS_NUM_THREADS="3").stdout.split()[0] == "3"

@@ -250,6 +250,24 @@ def test_support_audit_names_the_private_point_of_the_column():
     }
 
 
+def test_tent_support_audit_names_the_first_offender_of_the_first_row():
+    space = ball_space(zn_spec(2), 4)
+    family = a_infinity_family(space, [3], 2)
+    assert family.columns[3].tolist() == list(range(len(space)))  # read as a view
+    broken = family.levels[3].copy()
+    # two offenders in the row of (1, 0), one in the later row of (0, 2)
+    assert space.index((1, 0)) < space.index((0, 2))
+    for owner, far in (((1, 0), [(-2, 1), (-3, 0)]), ((0, 2), [(0, -2)])):
+        row = space.index(owner)
+        broken[row] = 0.0
+        broken[row, space.indices(far)] = len(far) ** -0.5  # still unit and nonnegative
+    with pytest.raises(AuditFailed) as err:
+        PropertyAFamily(space, 2, {3: broken}, family.columns, family.support_radius)
+    assert str(err.value) == "support leaves the declared ball"
+    # the first offending row in window order, and its offender of least column
+    assert err.value.context == {"level": 3, "point": "(1,0)", "offender": "(-3,0)", "radius": 3}
+
+
 def test_cover_levels_hold_one_column_per_member():
     # no level is a dense points x points array: on 841 points one such
     # float64 level alone takes 841^2 * 8 bytes, about 5.66 MB

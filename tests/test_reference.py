@@ -1310,14 +1310,16 @@ def test_projection_audit_names_the_first_stretched_pair(monkeypatch, cells):
     assert err.value.context["pair"] == ("(-1)", "(-3)")
 
 
-# gromov picks its own margin (a retry at r9), which leaves the sets as they are
+# caller -> the module whose extension_cover it reads when it runs (the
+# cover command imports it from coarsekit.covers at call time); gromov
+# picks its own margin (a retry at r9), which leaves the sets as they are
 EXTENSION_CALLERS = {
     "cli-zn:2": (
-        "coarsekit.cli",
+        "coarsekit.covers",
         lambda: cli.main(["cover", "--method", "extension", "--group", "zn:2", "--radius", "12", "--lambda", "1"]),
     ),
     "cli-zn:3": (
-        "coarsekit.cli",
+        "coarsekit.covers",
         lambda: cli.main(["cover", "--method", "extension", "--group", "zn:3", "--radius", "6", "--lambda", "1"]),
     ),
     "gromov-heisenberg": ("coarsekit.dimension", lambda: gromov_profile("heisenberg", 6, [1, 2], 7)),
