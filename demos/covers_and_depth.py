@@ -39,5 +39,5 @@ print()
 print("== shrinking to an irreducible core family ==")
 shrunk = shrink_to_irreducible(balls, 3)
 print(f"  kept {len(shrunk)} of {len(balls)} members, depth still {shrunk.pointwise_lebesgue()}")
-for label, point in list(shrunk.meta["injection"].items())[:4]:
-    print(f"  member {label} owns private point {point}")
+for label, k in list(zip(shrunk.labels, shrunk.meta["private"]))[:4]:
+    print(f"  member {label} owns private point {window.points[k]}")

@@ -24,7 +24,7 @@ from ..errors import (
     PreconditionFailed,
     TooLarge,
 )
-from ..metric import INF, FiniteMetricSpace, point_label, row_blocks
+from ..metric import INF, FiniteMetricSpace, _sum_dtype, point_label, row_blocks
 
 
 class Cover:
@@ -87,16 +87,18 @@ class Cover:
         return int(self.counts().max()) if len(self) else 0
 
     def complement_distances(self):
-        """Row i holds d(x, X minus U_i) for every point x (0 off U_i);
-        inf rows mark sets equal to the whole space."""
+        """Row i holds d(x, X minus U_i) for every point x (0 off U_i), in
+        the signed type ``metric._sum_dtype`` gives d: it holds twice the
+        largest distance, so its maximum, ``top``, is no distance and fills
+        the rows of members equal to the whole space."""
         if self._comp is None:
             d = self.space.d
-            top = np.iinfo(d.dtype).max
-            comp = np.zeros(self.masks.shape)
+            comp = np.zeros(self.masks.shape, dtype=_sum_dtype(d))
+            top, stand_in = np.iinfo(comp.dtype).max, np.iinfo(d.dtype).max
             for i, row in enumerate(self.masks):
                 outside = np.flatnonzero(~row)
                 if outside.size == 0:
-                    comp[i] = INF
+                    comp[i] = top
                     continue
                 inside = np.flatnonzero(row)
                 # read whole rows of the smaller side; d is audited symmetric
@@ -104,7 +106,7 @@ class Cover:
                     mins = []
                     for block in row_blocks(d, inside):
                         # the member's own columns can no longer win the min
-                        block[:, inside] = top
+                        block[:, inside] = stand_in
                         mins.append(block.min(axis=1))
                     comp[i, inside] = np.concatenate(mins)
                 else:
@@ -113,11 +115,20 @@ class Cover:
             self._comp = comp
         return self._comp
 
+    def cores(self, t):
+        """Each member shrunk by t: its points at complement distance above
+        t.  The clamp below ``top`` keeps a whole-space member whole."""
+        comp = self.complement_distances()
+        return self.masks & (comp > min(t, np.iinfo(comp.dtype).max - 1))
+
     def depth(self):
-        """Per point: the best complement distance over all members."""
+        """Per point: the best complement distance over all members, inf
+        where a member is the whole space."""
         if not len(self):
             return np.zeros(len(self.space.points))
-        return self.complement_distances().max(axis=0)
+        comp = self.complement_distances()
+        best = comp.max(axis=0)
+        return np.where(best == np.iinfo(comp.dtype).max, INF, best)
 
     def pointwise_lebesgue(self, point_mask=None):
         depth = self.depth()
@@ -304,18 +315,18 @@ def partition_of_unity(cover: Cover):
     """Distance-to-complement weights plus the measured Lipschitz constant.
 
     Members equal to the whole space soak up all the weight (their
-    complement distance is the inf sentinel); the classical bound
-    (2n+3)^2 / Lambda is returned alongside the measured value, and a
-    measured value above it raises ``AuditFailed``.
+    complement distances read ``top``, the maximum of their integer type);
+    the classical bound (2n+3)^2 / Lambda is returned alongside the
+    measured value, and a measured value above it raises ``AuditFailed``.
     """
     comp = cover.complement_distances()
     n_points = comp.shape[1]
-    phi = np.zeros_like(comp)
-    finite = np.isfinite(comp)
+    phi = np.zeros(comp.shape)
+    whole = comp == np.iinfo(comp.dtype).max
     for x in range(n_points):
         col = comp[:, x]
-        if not finite[:, x].all():
-            rows = np.flatnonzero(~finite[:, x])
+        if whole[:, x].any():
+            rows = np.flatnonzero(whole[:, x])
             phi[rows, x] = 1.0 / rows.size
             continue
         total = col.sum()
@@ -353,38 +364,34 @@ def shrink_to_irreducible(cover: Cover, n) -> Cover:
 
     Redundant cores are dropped in one front-to-back pass: dropping a core
     only lowers counts, so a core that owns a point keeps owning it.  Each
-    survivor's first private point is recorded in ``meta["injection"]`` for
-    downstream re-indexing into l_p.
+    survivor's first private point is recorded in ``meta["private"]``, one
+    window index per member, for downstream re-indexing into l_p.
     """
-    comp = cover.complement_distances()
-    cores = cover.masks & (comp > n)
-    keep = [i for i in range(len(cover)) if cores[i].any()]
-    if not keep or not cores[keep].any(axis=0).all():
-        uncovered = np.flatnonzero(~cores[keep].any(axis=0)) if keep else range(len(cover.space.points))
+    cores = cover.cores(n)
+    counts = cores.sum(axis=0)
+    if not counts.all():
         raise NotCoveringAfterShrink(
             "cores no longer cover; Lebesgue surrogate below n+1",
             n=n,
-            witness=point_label(cover.space.points[list(uncovered)[0]]),
+            witness=point_label(cover.space.points[int(np.argmin(counts))]),
         )
 
+    # an empty core owns no point, so the pass drops it too
     kept = []
-    counts = cores[keep].sum(axis=0)
-    for i in keep:
-        if (counts[cores[i]] >= 2).all():
-            counts -= cores[i]
+    for i, core in enumerate(cores):
+        if (counts[core] >= 2).all():
+            counts -= core
         else:
             kept.append(i)
 
-    injection = {}
-    for i in kept:
-        owned = np.flatnonzero(cores[i] & (counts == 1))
-        if owned.size == 0:
-            raise NotIrreducible("survivor lost all private points", member=cover.labels[i])
-        injection[cover.labels[i]] = cover.space.points[owned[0]]
+    owned = cores[kept] & (counts == 1)
+    lost = ~owned.any(axis=1)
+    if lost.any():
+        raise NotIrreducible("survivor lost all private points", member=cover.labels[kept[int(np.argmax(lost))]])
 
     result = cover.subfamily(
         kept,
-        meta={"method": "shrink_to_irreducible", "shrink": n, "injection": injection},
+        meta={"method": "shrink_to_irreducible", "shrink": n, "private": owned.argmax(axis=1)},
     )
     assert_bounds(result, multiplicity=cover.multiplicity(), lebesgue=n + 1)
     return result
@@ -481,13 +488,10 @@ def brick_families_zl(space: FiniteMetricSpace, lam):
         raise PreconditionFailed("shrunk brick families need lam >= 1", lam=lam)
     base = brick_cover_zl(space, lam)
     owners = base.meta["families"]
-    comp = base.complement_distances()
-    n_fam = max(owners) + 1
-    families = [[] for _ in range(n_fam)]
-    for i in range(len(base)):
-        core_mask = base.masks[i] & (comp[i] > lam)
-        if core_mask.any():
-            families[owners[i]].append([space.points[k] for k in np.flatnonzero(core_mask)])
+    families = [[] for _ in range(max(owners) + 1)]
+    for owner, core in zip(owners, base.cores(lam)):
+        if core.any():
+            families[owner].append([space.points[k] for k in np.flatnonzero(core)])
     return families
 
 

@@ -189,11 +189,7 @@ def extension_cover(
     # w joins the member of (U_i, V_j) when d(z_i s, w) <= R for some s in
     # the 2R-shrunk V_j (in the restricted metric of the kernel window)
     near = within(G, R)
-    comp_v = V_cover.complement_distances()
-    cores = [
-        [kernel.points[k] for k in np.flatnonzero(V_cover.masks[j] & (comp_v[j] > 2 * R))]
-        for j in range(len(V_cover))
-    ]
+    cores = [[kernel.points[k] for k in np.flatnonzero(core)] for core in V_cover.cores(2 * R)]
 
     n = len(window.points)
     rows, labels, owners, z_points = [], [], [], {}

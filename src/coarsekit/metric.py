@@ -36,10 +36,11 @@ def block_rows(row_bytes):
 
 
 def _sum_dtype(d):
-    """The type the triangle check adds two entries of d in: d's own when
-    it is signed and holds twice the largest entry, else the narrowest
-    signed integer type that does."""
-    largest = int(d.max())
+    """The type the triangle check adds two entries of d in, and the one
+    complement distances are kept in: d's own when it is signed and holds
+    twice the largest entry, else the narrowest signed integer type that
+    does."""
+    largest = int(d.max(initial=0))
     for dtype in (d.dtype, np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)):
         if dtype.kind == "i" and 2 * largest <= np.iinfo(dtype).max:
             return dtype

@@ -100,19 +100,17 @@ def _normalize(rows, p):
     return rows
 
 
-def _private_injection(cover):
-    """Set label -> private point, from shrink metadata or recomputed."""
-    stored = cover.meta.get("injection")
+def _private_points(cover):
+    """Each member's first private point as a window index: the one shrink
+    recorded, or else the first point that member alone covers."""
+    stored = cover.meta.get("private")
     if stored is not None:
-        return {label: point for label, point in stored.items()}
-    counts = cover.counts()
-    injection = {}
-    for j in range(len(cover)):
-        alone = cover.masks[j] & (counts == 1)
-        if not alone.any():
-            raise NotIrreducible("cover member has no private point", label=cover.labels[j])
-        injection[cover.labels[j]] = cover.space.points[int(np.flatnonzero(alone)[0])]
-    return injection
+        return stored
+    owned = cover.masks & (cover.counts() == 1)
+    lonely = ~owned.any(axis=1)
+    if lonely.any():
+        raise NotIrreducible("cover member has no private point", label=cover.labels[int(np.argmax(lonely))])
+    return owned.argmax(axis=1)
 
 
 def family_from_covers(covers, p) -> PropertyAFamily:
@@ -125,6 +123,10 @@ def family_from_covers(covers, p) -> PropertyAFamily:
     """
     some = next(iter(covers.values()))
     space = some.space
+    # a member equal to the whole window has infinite depth (its row reads
+    # its type's maximum); any shared finite stand-in above every distance
+    # keeps the coordinate 1-Lipschitz
+    stand_in = space.diameter() + 1
     levels, columns, radii, mults = {}, {}, {}, {}
     for n, cover in sorted(covers.items()):
         if cover.space is not space:
@@ -132,13 +134,9 @@ def family_from_covers(covers, p) -> PropertyAFamily:
         lam = cover.pointwise_lebesgue()
         if lam < n + 1:
             raise LebesgueTooSmall("cover surrogate below n+1", level=n, measured=lam)
-        injection = _private_injection(cover)
-        columns[n] = space.indices([injection[label] for label in cover.labels])
+        columns[n] = _private_points(cover)
         comp = cover.complement_distances()
-        # a member equal to the whole window has infinite depth; any shared
-        # finite stand-in keeps the coordinate 1-Lipschitz
-        comp = np.where(np.isinf(comp), float(space.diameter() + 1), comp)
-        levels[n] = _normalize(comp.T.copy(), p)
+        levels[n] = _normalize(np.minimum(comp.T, stand_in, dtype=float, order="C"), p)
         radii[n] = cover.max_diameter()
         mults[n] = cover.multiplicity()
 

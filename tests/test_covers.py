@@ -2,6 +2,7 @@
 constructions (balls, families, partitions of unity, shrinking, bricks)."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from coarsekit.covers import (
     partition_of_unity,
     shrink_to_irreducible,
 )
-from coarsekit.groups import ball_space, free_spec, zn_spec
+from coarsekit.groups import ball_space, free_spec, heisenberg_spec, zn_spec
 from coarsekit.metric import INF, FiniteMetricSpace, lp_distance
 from oracles import audit_irreducible, exact_lebesgue_number, masks_of
 
@@ -271,16 +272,44 @@ def test_shrink_to_irreducible_ball_cover():
     shrunk = shrink_to_irreducible(cover, n)
     assert shrunk.multiplicity() <= cover.multiplicity()
     assert shrunk.pointwise_lebesgue() >= n + 1
-    injection = shrunk.meta["injection"]
-    assert len(injection) == len(shrunk)
-    assert len(set(injection.values())) == len(injection)
-    for i, label in enumerate(shrunk.labels):
-        idx = space.index(injection[label])
+    private = shrunk.meta["private"]
+    assert len(private) == len(shrunk)
+    assert len(set(private.tolist())) == len(private)
+    for i, idx in enumerate(private):
         assert shrunk.masks[i][idx]
         # deep inside its own member, outside every other core
         margins = shrunk.complement_distances()[:, idx]
         assert margins[i] > n
         assert all(m <= n for j, m in enumerate(margins) if j != i)
+
+
+def test_shrinking_a_ball_cover_holds_no_float_points_by_points_copy():
+    # one float64 points x points array on 841 points takes 841^2 * 8 bytes
+    space = ball_space(zn_spec(2), 20)
+    tracemalloc.start()
+    try:
+        shrink_to_irreducible(ball_cover(space, 4), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(space) ** 2 * 8
+
+
+def test_ball_window_complement_distances_keep_the_window_type():
+    for space in (ball_space(zn_spec(2), 6), ball_space(heisenberg_spec(), 3)):
+        assert ball_cover(space, 2).complement_distances().dtype == space.d.dtype
+
+
+def test_a_distance_at_the_type_maximum_is_no_whole_space_mark():
+    space = FiniteMetricSpace([0, 1], np.array([[0, 127], [127, 0]], dtype=np.int8))
+    assert Cover(space, np.eye(2, dtype=bool)).pointwise_lebesgue() == 127
+
+
+def test_shrink_keeps_a_whole_space_member_whole_beyond_the_type_maximum():
+    cover = ball_cover(ball_space(zn_spec(1), 5), 400)
+    shrunk = shrink_to_irreducible(cover, 200)
+    assert len(shrunk) == 1 and shrunk.masks.all()
+    assert shrunk.pointwise_lebesgue() == INF
 
 
 def test_audit_irreducible_detects_redundancy():
@@ -302,8 +331,13 @@ def test_shrink_drops_duplicate_member():
 
 def test_shrink_rejects_thin_covers():
     cover = two_interval_cover()  # surrogate 2
-    with pytest.raises(NotCoveringAfterShrink):
+    with pytest.raises(NotCoveringAfterShrink) as err:
         shrink_to_irreducible(cover, 4)
+    # the cores are {0, 1} and {8, 9}: the first point left out is named
+    assert err.value.context == {"n": 4, "witness": "2"}
+    with pytest.raises(NotCoveringAfterShrink) as err:
+        shrink_to_irreducible(cover, 10)
+    assert err.value.context == {"n": 10, "witness": "0"}
 
 
 def test_brick_cover_interval_case():

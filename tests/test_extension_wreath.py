@@ -32,7 +32,7 @@ from coarsekit.groups import (
     wreath_spec,
     zn_spec,
 )
-from coarsekit.metric import point_label
+from coarsekit.metric import FiniteMetricSpace, point_label
 from oracles import masks_of
 
 
@@ -83,6 +83,30 @@ def plane_extension(radius, lam, kernel_lam=None):
     R = U.max_diameter()
     V = coordinate_interval_cover(split.kernel, 1, kernel_lam if kernel_lam else 6 * R)
     return extension_cover(split, U, V, lam, R)
+
+
+def as_uint8(space):
+    return FiniteMetricSpace(
+        space.points, space.d.astype(np.uint8), center=space.center, window_radius=space.window_radius
+    )
+
+
+def test_unsigned_windows_get_signed_complement_distances_and_the_same_extension_cover():
+    G = zn_spec(2)
+    window, quotient = ball_space(G, 20), ball_space(Z, 20)
+    # _anchors ranks by negated depth, which an unsigned type would wrap
+    assert (-interval_cover_z(as_uint8(quotient), 2).complement_distances() <= 0).all()
+    covers = []
+    for w, q in [(window, quotient), (as_uint8(window), as_uint8(quotient))]:
+        split = split_along(G, w, Z, q, lambda e: (e[0],))
+        U = interval_cover_z(split.quotient, 2)
+        R = U.max_diameter()
+        V = coordinate_interval_cover(split.kernel, 1, 6 * R)
+        covers.append(extension_cover(split, U, V, 2, R))
+    signed, unsigned = covers
+    assert np.array_equal(unsigned.masks, signed.masks)
+    assert unsigned.labels == signed.labels
+    assert unsigned.meta == signed.meta
 
 
 def test_cli_extension_cover_equals_the_hand_built_one(tmp_path, capsys):

@@ -284,8 +284,7 @@ def test_cover_levels_hold_one_column_per_member():
     assert peak < len(space) ** 2 * 8
     for n, cover in covers.items():
         assert family.levels[n].shape == (len(space), len(cover))
-        injection = cover.meta["injection"]
-        assert family.columns[n].tolist() == [space.index(injection[label]) for label in cover.labels]
+        assert family.columns[n].tolist() == cover.meta["private"].tolist()
 
 
 def test_coarse_embedding_on_the_line():

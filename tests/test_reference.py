@@ -139,14 +139,14 @@ def ref_cover_rows(cover, p):
     """Row z carries d(z, X minus U) at the private point of each member U."""
     space = cover.space
     pts = space.points
-    injection = cover.meta["injection"]
+    private = cover.meta["private"]
     rows = []
     for z in pts:
         row = [0.0] * len(pts)
-        for label, members in zip(cover.labels, cover.sets()):
+        for k, members in zip(private, cover.sets()):
             outside = [x for x in pts if x not in members]
             depth = min(dist(space, z, x) for x in outside) if outside else space.diameter() + 1
-            row[pts.index(injection[label])] = float(depth)
+            row[k] = float(depth)
         rows.append(ref_unit(row, p))
     return rows
 
@@ -1116,13 +1116,36 @@ def test_complement_distances_match_the_ix_gather(data, token):
     # members larger than half the space: all but one point
     rows += [np.arange(n) != i for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2))]
     expected = ref_complement_distances(cover_from_masks(space, rows))
+    whole = np.isinf(expected).all(axis=1)
     diameters = tuple(space.d[np.ix_(idx, idx)].max().item() for idx in map(np.flatnonzero, rows))
     # whole members in one block of rows, and one row per block
     for budget in (metric._BLOCK_BYTES, 1):
         with mock.patch.object(metric, "_BLOCK_BYTES", budget):
             cover = cover_from_masks(space, rows)
-            assert np.array_equal(cover.complement_distances(), expected)
+            comp = cover.complement_distances()
+            # a signed type holding twice the largest distance; whole-space
+            # rows read its maximum, every other row the reference
+            top = np.iinfo(comp.dtype).max
+            assert comp.dtype.kind == "i" and 2 * space.d.max() <= top
+            assert (comp[whole] == top).all()
+            assert np.array_equal(comp[~whole], expected[~whole])
             assert cover.diameters() == diameters
+
+
+@pytest.mark.parametrize("whole", [False, True])
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data(), token=st.sampled_from(AUDIT_TOKENS))
+def test_cores_shrink_by_the_reference_complement_distances(whole, data, token):
+    space = window(token)
+    n = len(space)
+    rows = [row for row in data.draw(member_masks(token)) if not row.all()] or [np.arange(n) == 0]
+    if whole:
+        rows.append(np.ones(n, dtype=bool))
+    cover = cover_from_masks(space, rows)
+    expected = ref_complement_distances(cover)
+    top = np.iinfo(cover.complement_distances().dtype).max
+    for t in (0, 1, top - 1, top, 10**6):
+        assert np.array_equal(cover.cores(t), cover.masks & (expected > t))
 
 
 # one row (or one pair, or one triple) per block, against the default budget
@@ -1171,7 +1194,7 @@ def planted(d, cells, value):
         (300, "metric"), (300, "triangle-wide"),
     ],
 )
-def test_validation_matches_the_float_promoted_loop(radius, case):
+def test_validation_matches_the_reference_loop(radius, case):
     points = list(range(-radius, radius + 1))
     d = np.abs(np.subtract.outer(points, points)).astype(np.int16)
     n = len(points)
@@ -1261,16 +1284,30 @@ def test_subset_oracle_matches_reference_on_deep_searches(build, size, lam):
 
 
 # the four covers of the certify-a benchmark (zn:2 r14, n = 2..5) and more
-@pytest.mark.parametrize(
+SHRINK_CASES = pytest.mark.parametrize(
     "token, radius, build, size, n",
     [("zn:2", 14, "ball", 2 * n, n) for n in (2, 3, 4, 5)]
     + [("zn:1", 12, "ball", 4, 1), ("zn:1", 12, "ball", 6, 3), ("zn:2", 14, "brick", 2, 0),
        ("heisenberg", 3, "ball", 2, 0), ("free:2", 3, "ball", 2, 1)],
 )
+
+
+@SHRINK_CASES
 def test_shrink_keeps_the_cores_of_the_restart_loop(token, radius, build, size, n):
     construct = {"ball": ball_cover, "brick": brick_cover_zl}[build]
     cover = construct(ball_space(group_from_token(token), radius), size)
     assert shrink_to_irreducible(cover, n).labels == ref_shrink_survivors(cover, n)
+
+
+@SHRINK_CASES
+def test_each_private_point_lies_in_its_own_core_alone(token, radius, build, size, n):
+    construct = {"ball": ball_cover, "brick": brick_cover_zl}[build]
+    shrunk = shrink_to_irreducible(construct(ball_space(group_from_token(token), radius), size), n)
+    cores = shrunk.masks & (ref_complement_distances(shrunk) > n)
+    private = shrunk.meta["private"]
+    assert private.dtype == np.intp and len(private) == len(shrunk)
+    for i, k in enumerate(private):
+        assert cores[:, k].tolist() == [j == i for j in range(len(shrunk))]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
