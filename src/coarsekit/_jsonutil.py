@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .metric import block_rows
+from .metric import blocks
 
 SCHEMA = "coarsekit/1"
 
@@ -180,10 +180,9 @@ def _row_texts(array, sep):
     )
     # no temporary of a block takes more than 8 bytes a value; keys index a
     # table of python strings, so they fit int32
-    step = block_rows(8 * rows.shape[1])
-    for start in range(0, len(rows), step):
+    for part in blocks(len(rows), 8 * rows.shape[1]):
         # v - lo is in [0, V), so it is exact read unsigned after a wrapping subtract
-        block = np.subtract(rows[start : start + step], rows.dtype.type(lo)).view(f"u{rows.itemsize}")
+        block = np.subtract(rows[part], rows.dtype.type(lo)).view(f"u{rows.itemsize}")
         # the gram (v_1, ..., v_k) is entry sum (v_t - lo) V^(k - t), and the
         # tail's entries follow the V^k grams
         keys = np.empty((len(block), whole + (tail > 0)), dtype=np.int32)

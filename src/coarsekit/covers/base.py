@@ -24,7 +24,7 @@ from ..errors import (
     PreconditionFailed,
     TooLarge,
 )
-from ..metric import INF, FiniteMetricSpace, _sum_dtype, point_label, row_blocks
+from ..metric import INF, FiniteMetricSpace, _sum_dtype, blocks, point_label, row_blocks
 
 
 class Cover:
@@ -318,34 +318,36 @@ def partition_of_unity(cover: Cover):
     complement distances read ``top``, the maximum of their integer type);
     the classical bound (2n+3)^2 / Lambda is returned alongside the
     measured value, and a measured value above it raises ``AuditFailed``.
+    The constant is measured one block of points at a time, so the pass
+    holds ``phi`` plus one block.
     """
     comp = cover.complement_distances()
-    n_points = comp.shape[1]
-    phi = np.zeros(comp.shape)
     whole = comp == np.iinfo(comp.dtype).max
-    for x in range(n_points):
-        col = comp[:, x]
-        if whole[:, x].any():
-            rows = np.flatnonzero(whole[:, x])
-            phi[rows, x] = 1.0 / rows.size
-            continue
-        total = col.sum()
-        if total <= 0:
-            raise DegenerateDenominator(
-                "no member has positive complement distance",
-                point=point_label(cover.space.points[x]),
-            )
-        phi[:, x] = col / total
+    phi = np.where(whole.any(axis=0), whole, comp).astype(float)
+    totals = phi.sum(axis=0)
+    empty = np.flatnonzero(totals <= 0)
+    if empty.size:
+        raise DegenerateDenominator(
+            "no member has positive complement distance",
+            point=point_label(cover.space.points[empty[0]]),
+        )
+    phi /= totals
     sums = phi.sum(axis=0)
     if np.abs(sums - 1.0).max() > 1e-9:
         raise AuditFailed("partition weights do not sum to 1", worst=float(np.abs(sums - 1.0).max()))
 
-    gram = phi.T @ phi
-    sq = np.maximum(np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram, 0.0)
-    d = cover.space.d.astype(float)
-    off = ~np.eye(n_points, dtype=bool)
-    ratios = np.sqrt(sq[off]) / d[off]
-    measured = float(ratios.max()) if ratios.size else 0.0
+    # |phi(x) - phi(y)|^2 = |phi(x)|^2 + |phi(y)|^2 - 2 phi(x).phi(y); the
+    # members that hold no point x of the block add exact zeros to the products
+    d, n_points = cover.space.d, phi.shape[1]
+    norms = np.einsum("ij,ij->j", phi, phi)
+    measured = 0.0
+    for part in blocks(n_points, n_points * phi.itemsize):
+        held = phi[cover.masks[:, part].any(axis=1)]
+        sq = norms[part, None] + norms - 2 * (held[:, part].T @ held)
+        ratios = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+        far = d[part] > 0
+        np.divide(ratios, d[part], out=ratios, where=far)
+        measured = max(measured, float(ratios.max(initial=0.0, where=far)))
 
     pou = PartitionOfUnity(cover.space, cover.labels, phi)
     mult = cover.multiplicity()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditFailed, BallTooLarge, PreconditionFailed
-from .metric import FiniteMetricSpace, block_rows, point_label, sampled_triples
+from .metric import FiniteMetricSpace, block_rows, blocks, point_label, sampled_triples
 
 DEFAULT_BALL_CAP = 5_000_000
 
@@ -261,10 +261,9 @@ def _heisenberg_table(x, side, depth):
     have fewer than 2^31 elements."""
     table = np.empty((2 * side + 1, 2 * side + 1, 2 * depth + 1), dtype=x.dtype)
     ab, c = np.arange(-side, side + 1, dtype=x.dtype), np.arange(-depth, depth + 1, dtype=x.dtype)
-    step = block_rows(_KERNEL_CELL_BYTES * table[0].size)
-    for start in range(0, len(table), step):
-        planes = table[start : start + step]
-        axes = (ab[start : start + step, None, None], ab[:, None], c)
+    for part in blocks(len(table), _KERNEL_CELL_BYTES * table[0].size):
+        planes = table[part]
+        axes = (ab[part, None, None], ab[:, None], c)
         planes[...] = _heisenberg_length(*(np.broadcast_to(axis, planes.shape).copy() for axis in axes))
     # x_i^{-1} x_j sits at (a_j - a_i + side, b_j - b_i + side, c_j - c_i - a_i (b_j - b_i) + depth),
     # whose flat position is P_j - a_i b_j + Q_i; no partial sum leaves (-table.size, table.size)
@@ -507,9 +506,8 @@ def within(spec: GroupSpec, radius: int):
         m = len(sources)
         rows = spec.distances(list(sources) + list(targets), cells=m * len(targets))
         hit = np.zeros(len(targets), dtype=bool)
-        step = block_rows(_KERNEL_CELL_BYTES * len(targets))
-        for start in range(0, m, step):
-            hit |= (rows(slice(start, min(m, start + step)), slice(m, None)) <= radius).any(axis=0)
+        for part in blocks(m, _KERNEL_CELL_BYTES * len(targets)):
+            hit |= (rows(part, slice(m, None)) <= radius).any(axis=0)
         return hit
 
     return near

@@ -23,9 +23,11 @@ _FULL_TRIANGLE_LIMIT = 500
 _SAMPLED_TRIPLES = 100_000
 
 # The one block budget of every blocked pass (window fill, membership,
-# gathers, audits, pair scans): no single temporary of one block takes more
-# than these bytes, so a pass holds its matrix plus one small block whatever
-# the space size, and the block's buffers are reused, not faulted in anew.
+# gathers, audits, pair scans, the partition Lipschitz scan): no single
+# temporary of one block takes more than these bytes, so a pass holds its
+# matrix plus one small block whatever the space size, and the block's
+# buffers are reused, not faulted in anew.  `blocks` cuts every fixed-step
+# pass by it.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -33,6 +35,14 @@ def block_rows(row_bytes):
     """How many rows of ``row_bytes`` bytes one block holds within
     ``_BLOCK_BYTES``; at least one."""
     return max(1, _BLOCK_BYTES // max(1, row_bytes))
+
+
+def blocks(count, row_bytes):
+    """Slices cutting range(count) into consecutive blocks of
+    ``block_rows(row_bytes)`` rows; the last may be shorter."""
+    step = block_rows(row_bytes)
+    for start in range(0, count, step):
+        yield slice(start, min(count, start + step))
 
 
 def _sum_dtype(d):
@@ -54,9 +64,8 @@ def sampled_triples(n, count):
     whatever their size; the stdlib generator keeps numpy.random
     unimported."""
     rng = random.Random(0)
-    step = block_rows(12)  # three 32-bit words a triple
-    for start in range(0, count, step):
-        m = min(step, count - start)
+    for part in blocks(count, 12):  # three 32-bit words a triple
+        m = part.stop - part.start
         yield np.frombuffer(rng.randbytes(12 * m), dtype="<u4").reshape(m, 3) % n
 
 
@@ -206,9 +215,8 @@ def row_blocks(d, rows, cols=None):
     rows fit ``_BLOCK_BYTES``.  Reductions over a block's rows run best on
     whole rows: a column gather leaves its result in column order."""
     width = d.shape[1] if cols is None else max(d.shape[1], len(cols))
-    step = block_rows(width * d.itemsize)
-    for start in range(0, len(rows), step):
-        block = d[rows[start : start + step]]
+    for part in blocks(len(rows), width * d.itemsize):
+        block = d[rows[part]]
         yield block if cols is None else block[:, cols]
 
 

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionFailed,
     SubsequenceUnavailable,
 )
-from .metric import INF, FiniteMetricSpace, block_rows, lp_distance, point_label
+from .metric import INF, FiniteMetricSpace, blocks, lp_distance, point_label
 
 CERT_TOL = 1e-9
 PAIR_CAP = 20_000_000
@@ -66,17 +66,16 @@ class PropertyAFamily:
             # a tent level's columns are every point in order, so its
             # distance rows are read as a view, not gathered
             cells = slice(None) if np.array_equal(columns, np.arange(len(d))) else columns
-            step = block_rows(rows.shape[1] * rows.itemsize)
-            for start in range(0, len(rows), step):
-                block = rows[start : start + step]
+            for part in blocks(len(rows), rows.shape[1] * rows.itemsize):
+                block = rows[part]
                 not_unit = np.abs(lp_distance(block, 0.0, self.p) - 1.0) > CERT_TOL
                 negative = ~(block >= 0).all(axis=1)
-                outside = (block != 0) & (d[start : start + step, cells] > radius)
+                outside = (block != 0) & (d[part, cells] > radius)
                 bad = not_unit | negative | outside.any(axis=1)
                 if not bad.any():
                     continue
                 k = int(np.argmax(bad))
-                z = point_label(self.space.points[start + k])
+                z = point_label(self.space.points[part.start + k])
                 if not_unit[k]:
                     raise AuditFailed("family vector is not unit", level=n, point=z)
                 if negative[k]:
@@ -93,9 +92,8 @@ class PropertyAFamily:
 def _normalize(rows, p):
     """Scale every row of rows to unit l_p norm, in place, one block of
     rows at a time."""
-    step = block_rows(rows.shape[1] * rows.itemsize)
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step]
+    for part in blocks(len(rows), rows.shape[1] * rows.itemsize):
+        block = rows[part]
         block *= (1.0 / lp_distance(block, 0.0, p))[:, None]
     return rows
 
@@ -203,14 +201,6 @@ def holder_conversion_gap(u, v, p):
     return lhs, rhs
 
 
-def _chunks(idx, rows):
-    """Consecutive runs of the index pairs idx, sized so that the rows
-    gathered for either side fit one block."""
-    step = block_rows(rows.shape[1] * rows.itemsize)
-    for start in range(0, len(idx), step):
-        yield idx[start : start + step]
-
-
 def _audit_pairs(space):
     """Every stride-th pair (i, j), i < j, of the row-major upper triangle,
     the stride chosen so about 400 pairs remain.  Pair k is found from
@@ -237,12 +227,12 @@ def _convert(family, to, power, lift, gap, message):
     pts = family.space.points
     pairs = _audit_pairs(family.space)
     for n, rows in family.levels.items():
-        for chunk in _chunks(pairs, rows):
-            lhs, rhs = gap(rows[chunk[:, 0]], rows[chunk[:, 1]])
+        for part in blocks(len(pairs), rows.shape[1] * rows.itemsize):
+            lhs, rhs = gap(rows[pairs[part, 0]], rows[pairs[part, 1]])
             bad = np.flatnonzero(lhs > rhs + CERT_TOL)
             if bad.size:
                 k = bad[0]
-                i, j = chunk[k]
+                i, j = pairs[part.start + k]
                 raise AuditFailed(
                     message,
                     level=n,
@@ -294,11 +284,10 @@ def _pairs_within(space, K):
     """Upper-triangle index pairs at distance <= K in row-major order,
     strided past PAIR_CAP.  A block of rows is compared from its first
     row's column on, so no temporary but the pairs outgrows one block."""
-    d, step = space.d, block_rows(len(space.d))  # one bool per cell
-    found = []
-    for start in range(0, len(d), step):
-        i, j = np.nonzero(d[start : start + step, start:] <= K)
-        found.append(np.column_stack((i, j))[j > i] + start)
+    d, found = space.d, []
+    for part in blocks(len(d), len(d)):  # one bool per cell
+        i, j = np.nonzero(d[part, part.start :] <= K)
+        found.append(np.column_stack((i, j))[j > i] + part.start)
     idx = np.concatenate(found)
     stride = max(1, -(-len(idx) // PAIR_CAP))
     return idx[::stride], stride
@@ -307,10 +296,9 @@ def _pairs_within(space, K):
 def _pair_distances(rows, idx, p):
     """||rows[i] - rows[j]||_p for every index pair (i, j) of idx, in order."""
     out = np.empty(len(idx))
-    start = 0
-    for chunk in _chunks(idx, rows):
-        out[start : start + len(chunk)] = lp_distance(rows[chunk[:, 0]], rows[chunk[:, 1]], p)
-        start += len(chunk)
+    # the rows gathered for either side of a run of pairs fit one block
+    for part in blocks(len(idx), rows.shape[1] * rows.itemsize):
+        out[part] = lp_distance(rows[idx[part, 0]], rows[idx[part, 1]], p)
     return out
 
 

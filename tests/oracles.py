@@ -5,9 +5,9 @@ pytest collects no test from this module; test files import it by name.
 
 import numpy as np
 
-from coarsekit.errors import NotIrreducible, PreconditionFailed
+from coarsekit.errors import DegenerateDenominator, NotIrreducible, PreconditionFailed
 from coarsekit.groups import WreathElement, ball_elements, free_spec
-from coarsekit.metric import INF
+from coarsekit.metric import INF, point_label
 
 
 def dist(space, x, y):
@@ -37,6 +37,35 @@ def exact_lebesgue_number(cover, cap=500_000):
             return lam
         lam += 1
     return INF
+
+
+def ref_partition_of_unity(cover):
+    """(phi, measured) by the dense formula: the weights one point at a
+    time, the Lipschitz constant off the whole points x points Gram matrix
+    of phi and a float copy of the distances."""
+    comp = cover.complement_distances()
+    n_points = comp.shape[1]
+    phi = np.zeros(comp.shape)
+    whole = comp == np.iinfo(comp.dtype).max
+    for x in range(n_points):
+        col = comp[:, x]
+        if whole[:, x].any():
+            rows = np.flatnonzero(whole[:, x])
+            phi[rows, x] = 1.0 / rows.size
+            continue
+        total = col.sum()
+        if total <= 0:
+            raise DegenerateDenominator(
+                "no member has positive complement distance",
+                point=point_label(cover.space.points[x]),
+            )
+        phi[:, x] = col / total
+    gram = phi.T @ phi
+    sq = np.maximum(np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram, 0.0)
+    d = cover.space.d.astype(float)
+    off = ~np.eye(n_points, dtype=bool)
+    ratios = np.sqrt(sq[off]) / d[off]
+    return phi, float(ratios.max()) if ratios.size else 0.0
 
 
 def audit_irreducible(cover):

@@ -265,6 +265,19 @@ def test_partition_of_unity_refuses_a_measured_value_above_its_bound():
     assert err.value.context == {"measured": measured, "bound": 19**2 / 10**6}  # multiplicity 9
 
 
+def test_partition_of_unity_holds_phi_and_one_block():
+    cover = ball_cover(ball_space(zn_spec(2), 20), 4)  # 841 points and members
+    cover.complement_distances()
+    tracemalloc.start()
+    try:
+        pou, _ = partition_of_unity(cover)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # phi, its integer weights and one block: no points x points float temporary
+    assert peak < 2 * pou.matrix.nbytes
+
+
 def test_shrink_to_irreducible_ball_cover():
     space = ball_space(zn_spec(1), 12)
     cover = ball_cover(space, 4)

@@ -9,7 +9,8 @@ import pytest
 
 from coarsekit.errors import PreconditionFailed
 from coarsekit.groups import ball_space, zn_spec
-from coarsekit.metric import INF, FiniteMetricSpace, lp_distance
+from coarsekit import metric
+from coarsekit.metric import INF, FiniteMetricSpace, blocks, lp_distance
 from oracles import dist
 
 
@@ -54,6 +55,18 @@ def test_integer_validation_allocates_no_float_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 2 * space.d.nbytes
+
+
+def test_blocks_cut_a_range_into_consecutive_slices(monkeypatch):
+    rows = metric.block_rows(8)
+    assert list(blocks(2 * rows + 1, 8)) == [slice(0, rows), slice(rows, 2 * rows), slice(2 * rows, 2 * rows + 1)]
+    # the budget is read at each call
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 12)
+    assert list(blocks(0, 4)) == []
+    assert list(blocks(6, 4)) == [slice(0, 3), slice(3, 6)]
+    assert list(blocks(7, 4)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    # a row wider than the budget is a block of its own
+    assert list(blocks(3, 100)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_lp_distance_examples():

@@ -27,10 +27,11 @@ and meta of the same points grouped one at a time into lists and
 deduplicated as frozensets.
 The dense passes keep their earlier forms as oracles: the int64
 `np.select` Heisenberg kernel, full rows for the half-triangle fill, the
-`np.ix_` gathers for complement distances and diameters, and the
+`np.ix_` gathers for complement distances and diameters, the
 whole-matrix symmetry test with the int64-widened triangle loop, which
-must name the same error and witness; a float matrix is refused before
-either runs.
+must name the same error and witness (a float matrix is refused before
+either runs), and the points x points Gram matrix of a partition of
+unity, whose weights the blocked scan must match bit for bit.
 """
 
 import contextlib
@@ -58,13 +59,14 @@ from coarsekit.covers import (
     extension_cover,
     extension_split,
     families_to_cover,
+    partition_of_unity,
     shrink_to_irreducible,
     split_along,
     wreath_cover,
 )
 from coarsekit.covers.base import _drop_nested
 from coarsekit.dimension import gromov_profile, independent_audit
-from coarsekit.errors import AuditFailed, PreconditionFailed, SubsequenceUnavailable, TooLarge
+from coarsekit.errors import AuditFailed, DegenerateDenominator, PreconditionFailed, SubsequenceUnavailable, TooLarge
 from coarsekit.groups import (
     ball_elements,
     ball_space,
@@ -89,7 +91,7 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
-from oracles import dist, masks_of
+from oracles import dist, masks_of, ref_partition_of_unity
 
 TOL = 1e-12
 RADII = {"zn:1": 12, "zn:2": 4, "free:2": 2, "heisenberg": 2}
@@ -161,7 +163,7 @@ def ref_distances(spec, points, radius):
 def ref_shrink_survivors(cover, n):
     """Labels of the cores kept by dropping the first core whose every
     point another kept core also covers, then starting over."""
-    cores = cover.masks & (cover.complement_distances() > n)
+    cores = cover.masks & (ref_complement_distances(cover) > n)
     kept = [i for i in range(len(cover)) if cores[i].any()]
     changed = True
     while changed:
@@ -330,7 +332,7 @@ def ref_cityblock(points, m=None):
 def ref_anchors(G, window, pi, U):
     """(i, strip, z) per U member with a nonempty preimage, z the deepest
     strip point by comparing (-depth, norm, key) tuples."""
-    quotient, comp_u = U.space, U.complement_distances()
+    quotient, comp_u = U.space, ref_complement_distances(U)
     unit = window._index.get(G.unit)
     for i in range(len(U)):
         strip = [w for w in window.points if U.masks[i, quotient.index(pi(w))]]
@@ -353,7 +355,7 @@ def ref_extension(G, window, pi, U, V, R):
     looking s^{-1} z^{-1} w up in the BFS table of the R-ball."""
     kernel = V.space
     small_ball = set(word_norm_table(G, R))
-    comp_v = V.complement_distances()
+    comp_v = ref_complement_distances(V)
     cores = [
         [s for k, s in enumerate(kernel.points) if V.masks[j, k] and comp_v[j, k] > 2 * R]
         for j in range(len(V))
@@ -1146,6 +1148,45 @@ def test_cores_shrink_by_the_reference_complement_distances(whole, data, token):
     top = np.iinfo(cover.complement_distances().dtype).max
     for t in (0, 1, top - 1, top, 10**6):
         assert np.array_equal(cover.cores(t), cover.masks & (expected > t))
+
+
+def assert_same_partition(cover):
+    """The dense formula's weights bit for bit and its Lipschitz constant to
+    1e-12 relative, or its ``DegenerateDenominator`` payload, under the
+    default budget and one row per block."""
+    try:
+        phi, measured = ref_partition_of_unity(cover)
+    except DegenerateDenominator as err:
+        phi, expected = None, (str(err), err.context)
+    for budget in (metric._BLOCK_BYTES, 1):
+        with mock.patch.object(metric, "_BLOCK_BYTES", budget):
+            if phi is None:
+                with pytest.raises(DegenerateDenominator) as raised:
+                    partition_of_unity(cover)
+                assert (str(raised.value), raised.value.context) == expected
+                continue
+            pou, got = partition_of_unity(cover)
+            assert pou.matrix.dtype == phi.dtype and pou.matrix.tobytes() == phi.tobytes()
+            assert got == pytest.approx(measured, rel=TOL, abs=0)
+
+
+@pytest.mark.parametrize(
+    "token, radius, build, size",
+    [("zn:1", 12, "ball", 4), ("zn:2", 14, "ball", 4), ("zn:2", 14, "brick", 2),
+     ("heisenberg", 3, "ball", 2), ("free:2", 3, "ball", 1),
+     ("zn:1", 5, "ball", 400)],  # every ball is the whole space
+)
+def test_partition_of_unity_matches_the_dense_formula(token, radius, build, size):
+    construct = {"ball": ball_cover, "brick": brick_cover_zl}[build]
+    assert_same_partition(construct(ball_space(group_from_token(token), radius), size))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(data=st.data(), token=st.sampled_from(AUDIT_TOKENS))
+def test_partition_of_unity_of_drawn_covers_matches_the_dense_formula(data, token):
+    # drawn members leave points uncovered (no member has positive
+    # complement distance there) unless a whole-space member is drawn
+    assert_same_partition(cover_from_masks(window(token), list(data.draw(member_masks(token)))))
 
 
 # one row (or one pair, or one triple) per block, against the default budget
