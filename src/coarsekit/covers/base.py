@@ -10,8 +10,6 @@ bounds it promises on these numbers through `assert_bounds`.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from ..errors import (
@@ -24,7 +22,7 @@ from ..errors import (
     PreconditionFailed,
     TooLarge,
 )
-from ..metric import INF, FiniteMetricSpace, _sum_dtype, blocks, point_label, row_blocks
+from ..metric import INF, FiniteMetricSpace, _sum_dtype, blocks, column_reduce, point_label, row_blocks
 
 
 class Cover:
@@ -74,9 +72,6 @@ class Cover:
             sub._diam = tuple(self._diam[i] for i in kept)
         return sub
 
-    def sets(self):
-        return [tuple(p for p, m in zip(self.space.points, row) if m) for row in self.masks]
-
     def covered_mask(self):
         return self.masks.any(axis=0)
 
@@ -110,8 +105,7 @@ class Cover:
                         mins.append(block.min(axis=1))
                     comp[i, inside] = np.concatenate(mins)
                 else:
-                    mins = (block.min(axis=0) for block in row_blocks(d, outside))
-                    comp[i, inside] = functools.reduce(np.minimum, mins)[inside]
+                    comp[i, inside] = column_reduce(np.minimum, d, outside)[inside]
             self._comp = comp
         return self._comp
 
@@ -144,8 +138,7 @@ class Cover:
             diam = []
             for idx in map(np.flatnonzero, self.masks):
                 # each column's largest entry over the member's rows, read at its columns
-                most = functools.reduce(np.maximum, (block.max(axis=0) for block in row_blocks(self.space.d, idx)))
-                diam.append(most[idx].max().item())
+                diam.append(column_reduce(np.maximum, self.space.d, idx)[idx].max().item())
             self._diam = tuple(diam)
         return self._diam
 
@@ -209,8 +202,9 @@ class Cover:
         }
 
     def to_json(self):
+        names = [point_label(p) for p in self.space.points]
         out = {
-            "sets": [[point_label(p) for p in members] for members in self.sets()],
+            "sets": [[names[i] for i in np.flatnonzero(row).tolist()] for row in self.masks],
             "labels": self.labels,
             "stats": self.stats(),
         }
@@ -259,42 +253,42 @@ def ball_cover(space: FiniteMetricSpace, lam) -> Cover:
 def families_to_cover(space: FiniteMetricSpace, families, r, lam) -> Cover:
     """Union of r-disjoint families, each member grown by lam.
 
-    The growth keeps members of one family pairwise disjoint exactly when
-    r > 2*lam, which caps the multiplicity at the family count; both that
-    and the Lebesgue guarantee are rechecked on the window, not assumed.
+    Each family is a boolean members x points matrix.  The growth keeps
+    members of one family pairwise disjoint exactly when r > 2*lam, which
+    caps the multiplicity at the family count; both that and the Lebesgue
+    guarantee are rechecked on the window, not assumed.
     """
     if not r > 2 * lam:
         raise PreconditionFailed("need r > 2*lam for disjointness to survive growth", r=r, lam=lam)
-    members = [[space.indices(list(s)) for s in family] for family in families]
-    for fi, family in enumerate(members):
-        for si, idx in enumerate(family):
-            if not len(idx):
-                raise PreconditionFailed("family member is empty", family=fi, member=si)
-    for fi, family in enumerate(members):
-        for a in range(len(family)):
-            for b in range(a + 1, len(family)):
-                gap = space.d[family[a]][:, family[b]].min().item()
-                if gap < r:
-                    raise NotDisjoint(
-                        "family members closer than r",
-                        family=fi,
-                        pair=(a, b),
-                        distance=gap,
-                    )
+    for fi, family in enumerate(families):
+        empty = np.flatnonzero(~family.any(axis=1))
+        if empty.size:
+            raise PreconditionFailed("family member is empty", family=fi, member=int(empty[0]))
+    # one row of distances per member: the first later member of its family
+    # holding a point closer than r breaks disjointness; the points within
+    # lam are the grown member
+    rows, labels, owner = [], [], []
     covered = np.zeros(len(space.points), dtype=bool)
-    for family in members:
-        for idx in family:
-            covered[idx] = True
+    for fi, family in enumerate(families):
+        for a, member in enumerate(family):
+            gaps = column_reduce(np.minimum, space.d, np.flatnonzero(member))
+            close = np.flatnonzero(family[a + 1 :, gaps < r].any(axis=1))
+            if close.size:
+                b = a + 1 + int(close[0])
+                raise NotDisjoint(
+                    "family members closer than r",
+                    family=fi,
+                    pair=(a, b),
+                    distance=gaps[family[b]].min().item(),
+                )
+            rows.append(gaps <= lam)
+            labels.append(f"F{fi}.{a}")
+            owner.append(fi)
+            covered |= member
     if not covered.all():
         missing = np.flatnonzero(~covered)[0]
         raise NotCovering("original families do not cover", witness=point_label(space.points[missing]))
 
-    rows, labels, owner = [], [], []
-    for fi, family in enumerate(members):
-        for si, idx in enumerate(family):
-            rows.append(space.d[:, idx].min(axis=1) <= lam)
-            labels.append(f"F{fi}.{si}")
-            owner.append(fi)
     masks = np.array(rows, dtype=bool).reshape(len(rows), len(space.points))
     cover = Cover(space, masks, labels, meta={"method": "families", "family": owner, "r": r, "lam": lam})
     assert_bounds(cover, multiplicity=len(families), lebesgue=lam)
@@ -484,17 +478,16 @@ def brick_cover_zl(space: FiniteMetricSpace, lam) -> Cover:
 
 
 def brick_families_zl(space: FiniteMetricSpace, lam):
-    """The lam-shrunk brick partitions: (2*lam+1)-disjoint families that
-    still jointly cover, ready for `families_to_cover`."""
+    """The lam-shrunk brick partitions, one boolean members x points matrix
+    a family: (2*lam+1)-disjoint families that still jointly cover, ready
+    for `families_to_cover`."""
     if lam < 1:
         raise PreconditionFailed("shrunk brick families need lam >= 1", lam=lam)
     base = brick_cover_zl(space, lam)
-    owners = base.meta["families"]
-    families = [[] for _ in range(max(owners) + 1)]
-    for owner, core in zip(owners, base.cores(lam)):
-        if core.any():
-            families[owner].append([space.points[k] for k in np.flatnonzero(core)])
-    return families
+    owners = np.array(base.meta["families"])
+    cores = base.cores(lam)
+    nonempty = cores.any(axis=1)
+    return [cores[nonempty & (owners == j)] for j in range(owners.max() + 1)]
 
 
 def interval_cover_z(space: FiniteMetricSpace, lam) -> Cover:

@@ -99,7 +99,7 @@ def split_along(
     """Cut a G-window along pi onto an H-window, auditing pi once."""
     pi_idx = _audit_projection(G, window, H, pi, quotient)
     unit = quotient._index.get(H.unit)
-    kernel = window.subspace([w for w, q in zip(window.points, pi_idx) if q == unit])
+    kernel = window.subspace(np.flatnonzero(pi_idx == unit))
     return ExtensionSplit(G, H, pi, window, quotient, kernel, pi_idx)
 
 

@@ -8,6 +8,7 @@ matrix of any other dtype is refused.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -107,14 +108,16 @@ class FiniteMetricSpace:
 
     # -- construction ------------------------------------------------------
 
-    def subspace(self, points):
-        """Restriction to a subset; the metric is inherited, so no re-check."""
-        idx = self.indices(points)
-        center = self.center if self.center in set(points) else None
+    def subspace(self, idx):
+        """Restriction to the points at window indices ``idx``; the metric is
+        inherited, so no re-check.  The window center stays when its index
+        is kept."""
+        idx = np.asarray(idx, dtype=np.intp)
+        center = self.center if (idx == self._index.get(self.center)).any() else None
         radius = self.window_radius if center is not None else None
         return FiniteMetricSpace(
             [self.points[i] for i in idx],
-            self.d[idx][:, idx],
+            self.d[np.ix_(idx, idx)],
             validate=False,
             center=center,
             window_radius=radius,
@@ -127,9 +130,6 @@ class FiniteMetricSpace:
 
     def index(self, point) -> int:
         return self._index[point]
-
-    def indices(self, points):
-        return np.array([self._index[p] for p in points], dtype=np.intp)
 
     def diameter(self):
         return self.d.max().item() if len(self.points) else 0
@@ -218,6 +218,12 @@ def row_blocks(d, rows, cols=None):
     for part in blocks(len(rows), width * d.itemsize):
         block = d[rows[part]]
         yield block if cols is None else block[:, cols]
+
+
+def column_reduce(ufunc, d, rows):
+    """ufunc.reduce(d[rows], axis=0), one block of whole rows at a time;
+    ``rows`` must be nonempty."""
+    return functools.reduce(ufunc, (ufunc.reduce(block, axis=0) for block in row_blocks(d, rows)))
 
 
 # -- l_p distances -----------------------------------------------------------

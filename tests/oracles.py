@@ -15,13 +15,23 @@ def dist(space, x, y):
     return space.d[space.index(x), space.index(y)].item()
 
 
+def indices(space, points):
+    """The window indices of ``points`` in ``space``, in their order."""
+    return np.array([space.index(p) for p in points], dtype=np.intp)
+
+
 def masks_of(space, sets):
     """The boolean sets x points matrix of a list of point lists, for
     covers written out by hand."""
     masks = np.zeros((len(sets), len(space)), dtype=bool)
     for row, members in zip(masks, sets):
-        row[space.indices(list(members))] = True
+        row[indices(space, members)] = True
     return masks
+
+
+def sets_of(cover):
+    """Each member of ``cover`` as a tuple of its points, in window order."""
+    return [tuple(cover.space.points[i] for i in np.flatnonzero(row)) for row in cover.masks]
 
 
 # -- covers ---------------------------------------------------------------------
@@ -66,6 +76,21 @@ def ref_partition_of_unity(cover):
     off = ~np.eye(n_points, dtype=bool)
     ratios = np.sqrt(sq[off]) / d[off]
     return phi, float(ratios.max()) if ratios.size else 0.0
+
+
+def ref_close_pair(space, families, r):
+    """(family, (a, b), distance) for the first pair of members a < b of one
+    family, in (family, a, b) order, whose least distance is below r, by
+    one gather per pair; None when every family is r-disjoint.  Families
+    are boolean members x points matrices with nonempty rows."""
+    for fi, family in enumerate(families):
+        members = [np.flatnonzero(row) for row in family]
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                gap = space.d[members[a]][:, members[b]].min().item()
+                if gap < r:
+                    return fi, (a, b), gap
+    return None
 
 
 def audit_irreducible(cover):

@@ -1,4 +1,4 @@
-"""Acceptance gate: thirteen criteria, one verdict line each.
+"""Acceptance gate: fourteen criteria, one verdict line each.
 
 Every test prints exactly one `criterion N: pass|FAIL` line; tolerances and
 time budgets are pinned in place, not imported from anywhere."""
@@ -342,3 +342,17 @@ def test_13_cli_reruns_are_byte_identical():
             failures.append(f"{name}: reruns differ")
         json.loads(out_a)
     verdict(13, failures, started, 120)
+
+
+def test_14_shrunk_brick_families_on_a_long_line():
+    # 4,001 points and 2,001 members: the families pass reads one row of
+    # distances per member, with no loop over pairs of members
+    space = ball_space(zn_spec(1), 2000)
+    started = time.perf_counter()
+    failures = []
+    cover = families_to_cover(space, brick_families_zl(space, 1), 3, 1)
+    if cover.multiplicity() != 2:
+        failures.append(f"multiplicity {cover.multiplicity()} != 2")
+    if cover.pointwise_lebesgue() < 1:
+        failures.append("depth below 1")
+    verdict(14, failures, started, 1.0)

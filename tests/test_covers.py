@@ -29,7 +29,7 @@ from coarsekit.covers import (
 )
 from coarsekit.groups import ball_space, free_spec, heisenberg_spec, zn_spec
 from coarsekit.metric import INF, FiniteMetricSpace, lp_distance
-from oracles import audit_irreducible, exact_lebesgue_number, masks_of
+from oracles import audit_irreducible, exact_lebesgue_number, masks_of, sets_of
 
 
 def z_segment(n):
@@ -148,7 +148,7 @@ def test_subfamily_inherits_the_rows_a_fresh_cover_measures():
     sub = cover.subfamily(kept)
     # measured before anything is asked of the subfamily
     assert sub._comp is not None and sub._diam is not None
-    sets = cover.sets()
+    sets = sets_of(cover)
     fresh = Cover(space, masks_of(space, [sets[i] for i in kept]), [cover.labels[i] for i in kept])
     assert np.array_equal(sub.masks, fresh.masks)
     assert sub.labels == fresh.labels
@@ -160,7 +160,7 @@ def test_shrink_keeps_the_measured_rows_of_its_survivors():
     space = ball_space(zn_spec(2), 5)
     cover = ball_cover(space, 4)
     shrunk = shrink_to_irreducible(cover, 2)
-    fresh = Cover(space, masks_of(space, [list(members) for members in shrunk.sets()]))
+    fresh = Cover(space, masks_of(space, sets_of(shrunk)))
     assert np.array_equal(shrunk.complement_distances(), fresh.complement_distances())
     assert np.array_equal(np.array(shrunk.diameters()), np.array(fresh.diameters()))
 
@@ -185,7 +185,7 @@ def test_families_to_cover_blocks():
     space = z_segment(12)
     even = [[0, 1], [4, 5], [8, 9]]
     odd = [[2, 3], [6, 7], [10, 11]]
-    cover = families_to_cover(space, [even, odd], 3, 1)
+    cover = families_to_cover(space, [masks_of(space, even), masks_of(space, odd)], 3, 1)
     assert cover.multiplicity() <= 2
     assert cover.pointwise_lebesgue() >= 1
 
@@ -194,7 +194,7 @@ def test_families_to_cover_identity_growth():
     # lam=0 leaves the sets alone, so the cover is the family itself
     space = z_segment(9)
     family = [[p] for p in space.points]
-    cover = families_to_cover(space, [family], 1, 0)
+    cover = families_to_cover(space, [masks_of(space, family)], 1, 0)
     assert len(cover) == 9
     assert cover.multiplicity() == 1
 
@@ -203,21 +203,22 @@ def test_families_to_cover_audits():
     space = z_segment(12)
     touching = [[0, 1], [3, 4], [8, 9]]  # gap 2 < r needed
     rest = [[2], [5, 6, 7], [10, 11]]
+    families = [masks_of(space, touching), masks_of(space, rest)]
     with pytest.raises(NotDisjoint) as err:
-        families_to_cover(space, [touching, rest], 3, 1)
+        families_to_cover(space, families, 3, 1)
     assert err.value.context["distance"] == 2
     with pytest.raises(PreconditionFailed):
-        families_to_cover(space, [touching, rest], 2, 1)  # r must exceed 2*lam
+        families_to_cover(space, families, 2, 1)  # r must exceed 2*lam
     sparse = [[0], [11]]
     with pytest.raises(NotCovering):
-        families_to_cover(space, [sparse], 3, 1)
+        families_to_cover(space, [masks_of(space, sparse)], 3, 1)
 
 
 def test_families_to_cover_refuses_an_empty_member():
     space = ball_space(zn_spec(1), 4)
     points = list(space.points)
     with pytest.raises(PreconditionFailed) as err:
-        families_to_cover(space, [[[(0,)], []], [points]], 3, 1)
+        families_to_cover(space, [masks_of(space, [[(0,)], []]), masks_of(space, [points])], 3, 1)
     assert err.value.context == {"family": 0, "member": 1}
 
 
@@ -376,7 +377,7 @@ def test_interval_cover_variants():
         assert cover.pointwise_lebesgue() >= lam
         assert cover.multiplicity() <= 2
     plane = ball_space(zn_spec(2), 4)
-    line = plane.subspace([p for p in plane.points if p[0] == 0])
+    line = plane.subspace([i for i, p in enumerate(plane.points) if p[0] == 0])
     axis_cover = coordinate_interval_cover(line, 1, 1)
     assert axis_cover.pointwise_lebesgue() >= 1
     assert axis_cover.multiplicity() <= 2
@@ -411,7 +412,7 @@ def test_surrogate_soundness_exhaustive_small_spaces():
             else:
                 top = int(surrogate) - 1
             for lam in range(0, min(top, space.diameter()) + 1):
-                assert cover.exact_lebesgue_at_least(lam), (n, lam, cover.sets())
+                assert cover.exact_lebesgue_at_least(lam), (n, lam, sets_of(cover))
 
 
 def test_surrogate_never_exceeds_exact_plus_one():

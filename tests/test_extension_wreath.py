@@ -33,7 +33,7 @@ from coarsekit.groups import (
     zn_spec,
 )
 from coarsekit.metric import FiniteMetricSpace, point_label
-from oracles import masks_of
+from oracles import masks_of, sets_of
 
 
 Z = zn_spec(1)
@@ -46,7 +46,7 @@ def test_extension_with_trivial_quotient_reproduces_kernel_cover():
     U = Cover(split.quotient, masks_of(split.quotient, [list(split.quotient.points)]), ["Q"])
     V = interval_cover_z(split.kernel, 2)
     result = extension_cover(split, U, V, 1, 0)
-    assert sorted(map(tuple, result.sets())) == sorted(map(tuple, V.sets()))
+    assert sorted(sets_of(result)) == sorted(sets_of(V))
     assert result.meta["conclusions"]["multiplicity"] == V.multiplicity()
 
 
@@ -58,7 +58,7 @@ def test_extension_with_trivial_kernel_reproduces_quotient_cover():
     V = Cover(split.kernel, masks_of(split.kernel, [[(0,)]]), ["K"])
     R = U.max_diameter()
     result = extension_cover(split, U, V, 2, R)
-    assert sorted(map(tuple, result.sets())) == sorted(map(tuple, U.sets()))
+    assert sorted(sets_of(result)) == sorted(sets_of(U))
     assert result.meta["conclusions"]["diameter_bound"] == 2 * R
 
 
@@ -67,7 +67,7 @@ def test_extension_cover_takes_covers_of_the_split_windows():
     U = interval_cover_z(split.quotient, 2)
     V = Cover(split.kernel, masks_of(split.kernel, [[(0,)]]), ["K"])
     R = U.max_diameter()
-    other_kernel = split.kernel.subspace(split.kernel.points)
+    other_kernel = split.kernel.subspace(range(len(split.kernel)))
     stranger = Cover(other_kernel, masks_of(other_kernel, [[(0,)]]), ["K"])
     for u, v in [(interval_cover_z(ball_space(Z, 12), 2), V), (U, stranger)]:
         with pytest.raises(PreconditionFailed) as err:
@@ -117,7 +117,7 @@ def test_cli_extension_cover_equals_the_hand_built_one(tmp_path, capsys):
     ])
     capsys.readouterr()
     assert code == 0
-    expected = [[point_label(p) for p in members] for members in plane_extension(20, 2).sets()]
+    expected = [[point_label(p) for p in members] for members in sets_of(plane_extension(20, 2))]
     assert json.loads(out.read_text())["sets"] == expected
 
 
@@ -211,7 +211,7 @@ def test_wreath_cover_bricks_every_lamp_coordinate(lam):
     assert stats["diameter_bound"] == 2 * (len(inside) - 1) + len(inside) * 2 * (side - 1) + 2 * R
     # each member holds one brick of the full inside lamp vector of z^{-1} w
     points = {point_label(p): p for p in split.window.points}
-    for members, (u_label, outside, j, bricks) in zip(cover.sets(), cover.meta["keys"]):
+    for members, (u_label, outside, j, bricks) in zip(sets_of(cover), cover.meta["keys"]):
         z_inv = G.inverse(points[cover.meta["z_points"][u_label]])
         for w in members:
             lamps = dict(G.multiply(z_inv, w).config)

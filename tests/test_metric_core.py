@@ -11,7 +11,7 @@ from coarsekit.errors import PreconditionFailed
 from coarsekit.groups import ball_space, zn_spec
 from coarsekit import metric
 from coarsekit.metric import INF, FiniteMetricSpace, blocks, lp_distance
-from oracles import dist
+from oracles import dist, indices
 
 
 def z_segment(n):
@@ -102,8 +102,8 @@ def test_subspace_inherits_metric_and_window():
     pts = [(i,) for i in range(-3, 4)]
     d = np.abs(np.subtract.outer(range(-3, 4), range(-3, 4)))
     space = FiniteMetricSpace(pts, d, center=(0,), window_radius=3)
-    sub = space.subspace([(-1,), (0,), (2,)])
+    sub = space.subspace(indices(space, [(-1,), (0,), (2,)]))
     assert dist(sub, (-1,), (2,)) == 3
     assert sub.boundary_margin() == 1  # (2,), one step inside the radius-3 window
-    no_center = space.subspace([(1,), (2,)])
+    no_center = space.subspace(indices(space, [(1,), (2,)]))
     assert no_center.boundary_margin() == INF

@@ -33,7 +33,7 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
-from oracles import dist, masks_of
+from oracles import dist, indices, masks_of
 
 
 def test_tent_values_on_the_line():
@@ -260,7 +260,7 @@ def test_tent_support_audit_names_the_first_offender_of_the_first_row():
     for owner, far in (((1, 0), [(-2, 1), (-3, 0)]), ((0, 2), [(0, -2)])):
         row = space.index(owner)
         broken[row] = 0.0
-        broken[row, space.indices(far)] = len(far) ** -0.5  # still unit and nonnegative
+        broken[row, indices(space, far)] = len(far) ** -0.5  # still unit and nonnegative
     with pytest.raises(AuditFailed) as err:
         PropertyAFamily(space, 2, {3: broken}, family.columns, family.support_radius)
     assert str(err.value) == "support leaves the declared ball"

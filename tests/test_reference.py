@@ -66,7 +66,15 @@ from coarsekit.covers import (
 )
 from coarsekit.covers.base import _drop_nested
 from coarsekit.dimension import gromov_profile, independent_audit
-from coarsekit.errors import AuditFailed, DegenerateDenominator, PreconditionFailed, SubsequenceUnavailable, TooLarge
+from coarsekit.errors import (
+    AuditFailed,
+    DegenerateDenominator,
+    NotCovering,
+    NotDisjoint,
+    PreconditionFailed,
+    SubsequenceUnavailable,
+    TooLarge,
+)
 from coarsekit.groups import (
     ball_elements,
     ball_space,
@@ -91,7 +99,7 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
-from oracles import dist, masks_of, ref_partition_of_unity
+from oracles import dist, indices, masks_of, ref_close_pair, ref_partition_of_unity, sets_of
 
 TOL = 1e-12
 RADII = {"zn:1": 12, "zn:2": 4, "free:2": 2, "heisenberg": 2}
@@ -145,7 +153,7 @@ def ref_cover_rows(cover, p):
     rows = []
     for z in pts:
         row = [0.0] * len(pts)
-        for k, members in zip(private, cover.sets()):
+        for k, members in zip(private, sets_of(cover)):
             outside = [x for x in pts if x not in members]
             depth = min(dist(space, z, x) for x in outside) if outside else space.diameter() + 1
             row[k] = float(depth)
@@ -1378,7 +1386,7 @@ def test_projection_audit_names_the_first_stretched_pair(monkeypatch, cells):
     def flip(e):
         return e if abs(e[0]) <= 2 else (-e[0],)
 
-    idx = quotient.indices([flip(w) for w in window.points])
+    idx = indices(quotient, [flip(w) for w in window.points])
     i, j = np.argwhere(quotient.d[np.ix_(idx, idx)] > window.d)[0]
     assert quotient.d.itemsize == 1
     monkeypatch.setattr(metric, "_BLOCK_BYTES", cells)
@@ -1423,7 +1431,7 @@ def test_extension_cover_matches_reference(monkeypatch, capsys, caller):
     for cover, (sets, z_points) in built:
         masks = np.zeros((len(sets), len(cover.space)), dtype=bool)
         for k, members in enumerate(sets):
-            masks[k, cover.space.indices(members)] = True
+            masks[k, indices(cover.space, members)] = True
         assert np.array_equal(cover.masks, masks)
         assert cover.meta["z_points"] == z_points
 
@@ -1488,7 +1496,7 @@ def test_lamplighter_keys_match_the_bfs_oracle(radius, lam):
     sets, keys, z_points = ref_wreath(G, split, U, R)
     masks = np.zeros((len(sets), len(cover.space)), dtype=bool)
     for k, members in enumerate(sets):
-        masks[k, cover.space.indices(members)] = True
+        masks[k, indices(cover.space, members)] = True
     assert np.array_equal(cover.masks, masks)
     assert cover.meta["z_points"] == z_points
     assert [(u, outside.config) for u, outside, _, _ in cover.meta["keys"]] == keys
@@ -1545,7 +1553,8 @@ def ref_families(space, families, r, lam):
     """Each member grown by lam, by a min over its points per window point."""
     sets, labels, owner = [], [], []
     for fi, family in enumerate(families):
-        for si, s in enumerate(family):
+        for si, row in enumerate(family):
+            s = [space.points[k] for k in np.flatnonzero(row)]
             sets.append([p for p in space.points if min(dist(space, p, q) for q in s) <= lam])
             labels.append(f"F{fi}.{si}")
             owner.append(fi)
@@ -1662,6 +1671,59 @@ def test_lattice_covers_match_the_point_list_groupings(rank, radius):
             assert (cover is None) == (expected is None)
             if cover is not None:
                 assert_same_cover(cover, expected)
+
+
+@st.composite
+def drawn_families(draw):
+    """(space, families, r, lam) on a segment of Z (plain integer points) or
+    a zn:2 window of radius <= 4.  Each family labels every point by one of
+    up to four members or by none, so its members are disjoint but may lie
+    close; drawn rows may then be added to them, so members overlap.  A
+    family whose every member is empty has no rows, and a last family of
+    one whole-space member may be appended, so that the families cover."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        space = FiniteMetricSpace(list(range(n)), np.abs(np.subtract.outer(range(n), range(n))))
+    else:
+        space = ball_space(zn_spec(2), draw(st.integers(0, 4)))
+    n = len(space)
+    families = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 4))
+        labels = draw(arrays(np.int8, n, elements=st.integers(-1, k - 1)))
+        family = labels == np.arange(k)[:, None]
+        if draw(st.booleans()):
+            family |= draw(arrays(np.bool_, family.shape))
+        families.append(family[family.any(axis=1)])
+    if draw(st.booleans()):
+        families.append(np.ones((1, n), dtype=bool))
+    lam = draw(st.integers(0, 2))
+    return space, families, 2 * lam + 1 + draw(st.integers(0, 2)), lam
+
+
+@settings(SETTINGS, max_examples=200)
+@given(drawn=drawn_families())
+def test_families_to_cover_matches_the_pairwise_reference(drawn):
+    # the first close pair in (family, a, b) order, as a loop over every
+    # pair of members finds it, at the default block budget and at one row
+    # per block
+    space, families, r, lam = drawn
+    close = ref_close_pair(space, families, r)
+    covered = np.any([family.any(axis=0) for family in families], axis=0)
+    for budget in (metric._BLOCK_BYTES, 1):
+        with mock.patch.object(metric, "_BLOCK_BYTES", budget):
+            if close is not None:
+                with pytest.raises(NotDisjoint) as err:
+                    families_to_cover(space, families, r, lam)
+                fi, pair, distance = close
+                assert repr(err.value.context) == repr({"family": fi, "pair": pair, "distance": distance})
+            elif not covered.all():
+                with pytest.raises(NotCovering) as err:
+                    families_to_cover(space, families, r, lam)
+                assert err.value.context == {"witness": point_label(space.points[np.argmin(covered)])}
+            else:
+                cover = families_to_cover(space, families, r, lam)
+                assert_same_cover(cover, ref_families(space, families, r, lam))
 
 
 @pytest.mark.parametrize(
