@@ -38,7 +38,8 @@ for row in profile.rows:
 
 print()
 print("== covering a lamplighter ball through quotient and kernel ==")
-cover, stats = wreath_cover(extension_split(lamplighter_spec(), 5), 1)
+cover = wreath_cover(extension_split(lamplighter_spec(), 5), 1)
+stats = cover.meta["conclusions"]
 print(f"  window {stats['window_points']} points, {len(cover)} cover members")
 print(f"  multiplicity {stats['multiplicity']} <= envelope {stats['envelope']}")
 print(f"  depth {stats['lebesgue_safe']} on {stats['safe_points']} safe points")

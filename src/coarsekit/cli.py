@@ -150,7 +150,8 @@ def _extension_cover(spec, args):
     from .covers import coordinate_interval_cover, extension_cover, extension_split
 
     split = extension_split(spec, args.radius, ball_cap=args.ball_cap)
-    U, R = split.quotient_cover(args.lam)
+    U = split.quotient_cover(args.lam)
+    R = U.max_diameter()
     V = coordinate_interval_cover(split.kernel, -1, 6 * R)
     return extension_cover(split, U, V, args.lam, R)
 
@@ -171,11 +172,9 @@ def cmd_cover(args):
     if method == "wreath":
         if spec.factors is None:
             raise PreconditionFailed("cannot split wreath token", token=args.group)
-        split = extension_split(spec, args.radius, ball_cap=args.ball_cap)
-        cover, stats = wreath_cover(split, args.lam)
+        cover = wreath_cover(extension_split(spec, args.radius, ball_cap=args.ball_cap), args.lam)
     elif method == "extension":
         cover = _extension_cover(spec, args)
-        stats = dict(cover.meta["conclusions"])
     else:
         if method != "ball" and spec.lattice_rank is None:
             raise PreconditionFailed("lattice methods need a declared lattice_rank", method=method, group=args.group)
@@ -189,7 +188,8 @@ def cmd_cover(args):
         else:  # families; argparse's choices admit no other method
             families = brick_families_zl(space, args.lam)
             cover = families_to_cover(space, families, 2 * args.lam + 1, args.lam)
-        stats = cover.stats()
+    # the composite covers report their audited conclusions
+    stats = cover.meta["conclusions"] if method in ("wreath", "extension") else cover.stats()
     result = {
         "schema": SCHEMA,
         "command": "cover",

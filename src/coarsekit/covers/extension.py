@@ -79,8 +79,8 @@ class ExtensionSplit:
     pi_idx: np.ndarray
 
     def quotient_cover(self, lam):
-        """U by the quotient's lattice rank (intervals at 1, bricks above),
-        with R = diam U."""
+        """U by the quotient's lattice rank (intervals at 1, bricks above);
+        callers read R = diam U off it with ``max_diameter``, which caches."""
         rank = self.quotient_spec.lattice_rank
         if rank == 1:
             U = interval_cover_z(self.quotient, lam)
@@ -90,7 +90,7 @@ class ExtensionSplit:
             raise PreconditionFailed(
                 "no quotient cover recipe for this base group", base=self.quotient_spec.name
             )
-        return U, U.max_diameter()
+        return U
 
 
 def split_along(
@@ -139,7 +139,8 @@ def _audit_conclusions(cover: Cover, multiplicity_bound, diameter_bound, lam, sa
     """Assert the composition's conclusions on the built cover and record
     them in ``cover.meta["conclusions"]``: multiplicity <= m(U) m(V) and
     member diameter <= D + 2R everywhere, Lebesgue >= lam on the safe
-    points."""
+    points.  That dict is the only place a composite cover's statistics
+    are returned; ``wreath_cover`` adds its envelope and scales to it."""
     measured = assert_bounds(
         cover, multiplicity=multiplicity_bound, diameter=diameter_bound, lebesgue=lam, points=safe
     )
@@ -192,7 +193,7 @@ def extension_cover(
     cores = [[kernel.points[k] for k in np.flatnonzero(core)] for core in V_cover.cores(2 * R)]
 
     n = len(window.points)
-    rows, labels, owners, z_points = [], [], [], {}
+    rows, labels, z_points = [], [], {}
     for i, strip, z in _anchors(split, U_cover):
         z_points[U_cover.labels[i]] = point_label(z)
         targets = [window.points[wi] for wi in strip]
@@ -205,7 +206,6 @@ def extension_cover(
                 row[strip[hit]] = True
                 rows.append(row)
                 labels.append(f"W({U_cover.labels[i]},{V_cover.labels[j]})")
-                owners.append((U_cover.labels[i], V_cover.labels[j]))
 
     guard = lam if safe_margin is None else safe_margin
     margins = window.margins()
@@ -217,7 +217,6 @@ def extension_cover(
         require_total=False,
         meta={
             "method": "extension",
-            "pairs": owners,
             "z_points": z_points,
             "safe_margin": guard,
             "R": R,

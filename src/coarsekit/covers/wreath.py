@@ -49,13 +49,15 @@ def wreath_cover(split: ExtensionSplit, lam):
     m(V), with m(V) = L+1 (1 for finite lamps); member diameter <= D + 2R
     with D = 2(|B_{6R}| - 1) + |B_{6R}| w, w the lamp spread (the lamp
     group's diameter, or k(side - 1) within a brick); Lebesgue >= lam at
-    every point; and the (n+1)(m+1)|B_{6R}(e)| envelope, reported in the
-    stats dict next to the measured triple.  Members nested in another
-    member of the same class are dropped.
+    every point; and the (n+1)(m+1)|B_{6R}(e)| envelope.  The measured
+    statistics, their bounds, the envelope, r = 6R, R, the quotient's set
+    count and the window's point count are in ``meta["conclusions"]``.
+    Members nested in another member of the same class are dropped.
     """
     G, window = split.spec, split.window
     N, lamp = G.factors
-    U, R = split.quotient_cover(lam)
+    U = split.quotient_cover(lam)
+    R = U.max_diameter()
     inside = ball_elements(N, 6 * R)
     slot = {p: s for s, p in enumerate(inside)}
     # lamp coordinates per position: none for finite lamps, k for Z^k
@@ -110,12 +112,5 @@ def wreath_cover(split: ExtensionSplit, lam):
     _audit_conclusions(cover, U.multiplicity() * (width + 1), D + 2 * R, lam, np.ones(n, dtype=bool))
     envelope = (N.asdim + 1) * (lamp.asdim + 1) * len(inside)
     assert_bounds(cover, multiplicity=envelope)
-    stats = dict(cover.meta["conclusions"])
-    stats.update(
-        envelope=envelope,
-        r=6 * R,
-        R=R,
-        quotient_sets=len(U),
-        window_points=n,
-    )
-    return cover, stats
+    cover.meta["conclusions"].update(envelope=envelope, r=6 * R, R=R, quotient_sets=len(U), window_points=n)
+    return cover

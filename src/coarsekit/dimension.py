@@ -21,7 +21,7 @@ from .covers.extension import extension_cover, extension_split
 from .covers.wreath import eval_polynomial, wreath_cover
 from .errors import AuditFailed, Infeasible, PreconditionFailed, TooLarge, WindowTooSmall
 from .groups import ball_space, group_from_token
-from .metric import INF, block_rows, point_label
+from .metric import INF, blocks, point_label
 
 ORACLE_MAX_POINTS = 9
 ORACLE_NODE_CAP = 10_000_000
@@ -46,7 +46,7 @@ def _mask_diam(d, mask, n):
 
 
 def oracle_min_multiplicity(space, lam, D):
-    """Exact minimum multiplicity over covers by diameter-<=D sets.
+    """A cover by diameter-<=D sets of exact minimum multiplicity.
 
     Feasibility means every subset of diameter <= lam sits inside one
     member, checked through the maximal such subsets.  Search is
@@ -124,7 +124,8 @@ def oracle_min_multiplicity(space, lam, D):
             witness = Cover(space, sets, meta={"method": "oracle", "lam": lam, "D": D})
             if not witness.exact_lebesgue_at_least(lam):
                 raise AuditFailed("oracle witness failed its own containment check")
-            return assert_bounds(witness, multiplicity=bound)["multiplicity"], witness
+            assert_bounds(witness, multiplicity=bound)
+            return witness
     raise Infeasible("deepening exhausted without a cover", upper=upper)
 
 
@@ -189,8 +190,12 @@ def _rotated_brick_cover(space, lam, D):
     return None
 
 
+def _singletons(space):
+    return Cover(space, np.eye(len(space), dtype=bool), meta={"method": "singletons"})
+
+
 def greedy_min_multiplicity(space, lam, D, *, ball=None):
-    """Best multiplicity over the construction catalog, with a valid witness.
+    """The valid witness of least multiplicity in the construction catalog.
 
     Every candidate is audited for diameter and exact containment before
     it may win, so the result can never undercut the oracle.  Candidates
@@ -204,11 +209,9 @@ def greedy_min_multiplicity(space, lam, D, *, ball=None):
         raise PreconditionFailed("ball must be the lam-ball cover of this space", lam=lam)
     candidates = []
     if space.diameter() <= D:
-        whole = Cover(space, np.ones((1, len(space)), dtype=bool), ["X"], meta={"method": "whole"})
-        return 1, whole
+        return Cover(space, np.ones((1, len(space)), dtype=bool), ["X"], meta={"method": "whole"})
     if lam == 0 and D >= 0:
-        single = Cover(space, np.eye(len(space), dtype=bool), meta={"method": "singletons"})
-        return 1, single
+        return _singletons(space)
 
     dim = _lattice_dim(space)
     if dim == 1:
@@ -231,8 +234,7 @@ def greedy_min_multiplicity(space, lam, D, *, ball=None):
 
     if not candidates:
         raise Infeasible("no catalog construction fits", lam=lam, D=D)
-    best = min(enumerate(candidates), key=lambda ic: (ic[1].multiplicity(), ic[0]))[1]
-    return best.multiplicity(), best
+    return min(enumerate(candidates), key=lambda ic: (ic[1].multiplicity(), ic[0]))[1]
 
 
 # -- profiles -----------------------------------------------------------------
@@ -243,7 +245,7 @@ def independent_audit(cover):
 
     A point outside a set lies in its complement, so only member rows can
     raise a depth above 0; each set reads just its own rows of ``d``, one
-    block (``metric._BLOCK_BYTES``) of whole rows at a time.
+    ``metric.blocks`` block of whole rows at a time.
     """
     d = cover.space.d
     masks = cover.masks
@@ -251,13 +253,12 @@ def independent_audit(cover):
     mult = int(masks.sum(axis=0).max())
     depth = np.zeros(n)
     diam = 0.0
-    step = block_rows(n * d.itemsize)
     # stands in for the member's own distances, so a row's min is over the rest
     top = np.iinfo(d.dtype).max
     for row in masks:
         inside = np.flatnonzero(row)
-        for start in range(0, len(inside), step):
-            chunk = inside[start : start + step]
+        for part in blocks(len(inside), n * d.itemsize):
+            chunk = inside[part]
             block = d[chunk]
             diam = max(diam, float(block.max(axis=0)[inside].max()))
             if len(inside) < n:
@@ -382,7 +383,7 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
             rows_at.append(mult)
 
         try:
-            _, g_cover = greedy_min_multiplicity(space, lam, D, ball=ball)
+            g_cover = greedy_min_multiplicity(space, lam, D, ball=ball)
         except Infeasible:
             g_cover = None
         if g_cover is not None:
@@ -392,11 +393,11 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
 
         if len(space) <= ORACLE_MAX_POINTS:
             try:
-                o_mult, o_cover = oracle_min_multiplicity(space, lam, D)
+                o_cover = oracle_min_multiplicity(space, lam, D)
             except Infeasible:
                 o_cover = None
             if o_cover is not None:
-                _reaudit(o_cover, diameter=D)
+                o_mult, _ = _reaudit(o_cover, diameter=D)
                 profile.add_row(lam, D, o_mult, "oracle", None, margin, "oracle")
                 if any(m < o_mult for m in rows_at):
                     raise AuditFailed(
@@ -404,11 +405,11 @@ def growth_curve(token, lam_schedule, diam_policy, ball_radius, *, ball_cap=None
                     )
 
         if spec.factors is not None:
-            w_cover, stats = wreath_cover(split, lam)
+            w_cover = wreath_cover(split, lam)
             mult, diam = _reaudit(w_cover)
             if diam <= D:
                 profile.add_row(
-                    lam, D, mult, "construction", stats["envelope"],
+                    lam, D, mult, "construction", w_cover.meta["conclusions"]["envelope"],
                     w_cover.meta["safe_margin"], "wreath",
                 )
 
@@ -455,25 +456,25 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
         V = Cover(kernel, np.ones((1, len(kernel)), dtype=bool), ["Z"], meta={"method": "whole_window"})
         for lam in sorted(lam_schedule):
             if lam == 0:
-                profile.add_row(0, 0, 1, "singletons", None, window.boundary_margin())
-                continue
-            U, R = split.quotient_cover(lam)
-            cover = None
-            try:
-                cover = extension_cover(split, U, V, lam, R, safe_margin=lam)
-            except WindowTooSmall as err:
-                if "requested_margin" not in err.context:
-                    raise
-                # the sets do not depend on the margin, so one step past the
-                # deepest miss makes every safe point a covered one
-                margin = int(err.context["margin"]) + 1
-            if cover is None:
-                # outside the handler, so the failed attempt's frames are freed
-                cover = extension_cover(split, U, V, lam, R, safe_margin=margin)
+                cover, method, margin = _singletons(window), "singletons", window.boundary_margin()
+            else:
+                U = split.quotient_cover(lam)
+                R = U.max_diameter()
+                cover = None
+                try:
+                    cover = extension_cover(split, U, V, lam, R, safe_margin=lam)
+                except WindowTooSmall as err:
+                    if "requested_margin" not in err.context:
+                        raise
+                    # the sets do not depend on the margin, so one step past the
+                    # deepest miss makes every safe point a covered one
+                    margin = int(err.context["margin"]) + 1
+                if cover is None:
+                    # outside the handler, so the failed attempt's frames are freed
+                    cover = extension_cover(split, U, V, lam, R, safe_margin=margin)
+                method, margin = "construction", cover.meta["safe_margin"]
             mult, diam = _reaudit(cover, multiplicity=cap)
-            profile.add_row(
-                lam, int(diam), mult, "construction", None, cover.meta["safe_margin"], "extension"
-            )
+            profile.add_row(lam, int(diam), mult, method, None, margin, cover.meta["method"])
         profile.assert_monotone()
         return profile
 
@@ -482,7 +483,7 @@ def gromov_profile(token, cap, lam_schedule, ball_radius, *, ball_cap=None) -> D
 
 def _lattice_gromov_cover(space, l, lam, cap):
     if lam == 0:
-        return Cover(space, np.eye(len(space), dtype=bool), meta={"method": "singletons"})
+        return _singletons(space)
     if l == 1:
         cover = _chain_cover(space, lam, 2 * lam - 1)
         if cover is None or not _cover_is_valid(cover, lam, 2 * lam - 1):

@@ -34,6 +34,33 @@ def sets_of(cover):
     return [tuple(cover.space.points[i] for i in np.flatnonzero(row)) for row in cover.masks]
 
 
+# -- function families ----------------------------------------------------------
+
+
+def ref_norm(u, p):
+    if p == INF:
+        return max((abs(x) for x in u), default=0.0)
+    return sum(abs(x) ** p for x in u) ** (1.0 / p)
+
+
+def ref_dist(u, v, p):
+    return ref_norm([a - b for a, b in zip(u, v)], p)
+
+
+def ref_pairs(space, K=None):
+    n = len(space.points)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if K is None or space.d[i, j] <= K
+    ]
+
+
+def ref_variation(space, rows, K, p):
+    return max((ref_dist(rows[i], rows[j], p) for i, j in ref_pairs(space, K)), default=0.0)
+
+
 # -- covers ---------------------------------------------------------------------
 
 

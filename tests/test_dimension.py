@@ -35,14 +35,12 @@ def z_segment_space(n):
 
 def test_oracle_examples_on_a_short_segment():
     space = z_segment_space(5)
-    mult, witness = oracle_min_multiplicity(space, 1, 2)
-    assert mult == 2
+    witness = oracle_min_multiplicity(space, 1, 2)
     assert witness.multiplicity() == 2
     assert witness.exact_lebesgue_at_least(1)
-    mult, witness = oracle_min_multiplicity(space, 1, 4)  # budget >= diameter
-    assert mult == 1
-    mult, witness = oracle_min_multiplicity(space, 0, 0)
-    assert mult == 1
+    assert oracle_min_multiplicity(space, 1, 4).multiplicity() == 1  # budget >= diameter
+    witness = oracle_min_multiplicity(space, 0, 0)
+    assert witness.multiplicity() == 1
     assert len(witness) == 5
 
 
@@ -55,20 +53,20 @@ def test_oracle_refuses_large_or_impossible_inputs():
 
 def test_greedy_trivial_cases():
     space = z_segment_space(1)
-    assert greedy_min_multiplicity(space, 1, 0)[0] == 1
+    assert greedy_min_multiplicity(space, 1, 0).multiplicity() == 1
     space = z_segment_space(5)
-    assert greedy_min_multiplicity(space, 2, 4)[0] == 1  # whole space fits
-    mult, cover = greedy_min_multiplicity(space, 0, 0)
-    assert mult == 1 and len(cover) == 5
+    assert greedy_min_multiplicity(space, 2, 4).multiplicity() == 1  # whole space fits
+    cover = greedy_min_multiplicity(space, 0, 0)
+    assert cover.multiplicity() == 1 and len(cover) == 5
 
 
 def test_greedy_chain_matches_oracle_on_segments():
     for n in (5, 7, 9):
         for lam, D in ((1, 2), (1, 3), (2, 5)):
             space = z_segment_space(n)
-            g_mult, g_cover = greedy_min_multiplicity(space, lam, D)
-            o_mult, _ = oracle_min_multiplicity(space, lam, D)
-            assert g_mult == o_mult, (n, lam, D)
+            g_cover = greedy_min_multiplicity(space, lam, D)
+            g_mult = g_cover.multiplicity()
+            assert g_mult == oracle_min_multiplicity(space, lam, D).multiplicity(), (n, lam, D)
             audit_mult, audit_lam, audit_diam = independent_audit(g_cover)
             assert audit_mult == g_mult
             assert audit_diam <= D
@@ -76,8 +74,8 @@ def test_greedy_chain_matches_oracle_on_segments():
 
 def test_greedy_plane_uses_three_colors():
     space = ball_space(zn_spec(2), 7)
-    mult, cover = greedy_min_multiplicity(space, 2, 12)
-    assert mult <= 3
+    cover = greedy_min_multiplicity(space, 2, 12)
+    assert cover.multiplicity() <= 3
     _, _, diam = independent_audit(cover)
     assert diam <= 12
     assert cover.exact_lebesgue_at_least(2)
@@ -246,6 +244,21 @@ def test_gromov_profile_heisenberg_extension():
     assert by_lam[0]["multiplicity"] == 1
     assert by_lam[1]["multiplicity"] <= 6
     assert by_lam[1]["method"] == "construction"
+
+
+def test_gromov_extension_audits_its_singletons_row(monkeypatch):
+    audit, audited = dimension.independent_audit, []
+
+    def spy(cover):
+        audited.append(cover.meta.get("method"))
+        return audit(cover)
+
+    monkeypatch.setattr(dimension, "independent_audit", spy)
+    profile = gromov_profile("heisenberg", 6, [0, 1], 5)
+    assert audited == ["singletons", "extension"]
+    row = profile.rows[0]
+    assert (row["lambda"], row["diam_budget"], row["multiplicity"]) == (0, 0, 1)
+    assert row["method"] == row["witness"] == "singletons"
 
 
 # every profile runs its monotonicity audit, gromov's extension rows included

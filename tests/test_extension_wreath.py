@@ -161,7 +161,7 @@ def test_extension_audits_the_projection():
 
 
 def test_wreath_cover_lamplighter():
-    cover, stats = wreath_cover(extension_split(wreath_spec(Z, cyclic_spec(2)), 5), 1)
+    stats = wreath_cover(extension_split(wreath_spec(Z, cyclic_spec(2)), 5), 1).meta["conclusions"]
     assert stats["envelope"] == 2 * 1 * len(ball_elements(Z, 6))
     assert stats["multiplicity"] <= stats["envelope"]
     assert stats["lebesgue_safe"] >= 1
@@ -169,7 +169,7 @@ def test_wreath_cover_lamplighter():
 
 
 def test_wreath_cover_integer_lamps():
-    cover, stats = wreath_cover(extension_split(wreath_spec(Z, Z), 3), 1)
+    stats = wreath_cover(extension_split(wreath_spec(Z, Z), 3), 1).meta["conclusions"]
     assert stats["envelope"] == 4 * len(ball_elements(Z, 6))
     assert stats["multiplicity"] <= stats["multiplicity_bound"]
     assert stats["lebesgue_safe"] >= 1
@@ -187,7 +187,8 @@ WREATH_GRID = [("lamplighter", r, (0, 1, 2, 3)) for r in range(4, 9)] + [
 def test_wreath_cover_keys_the_whole_window(token, radius, lams):
     split = extension_split(group_from_token(token), radius)
     for lam in lams:
-        cover, stats = wreath_cover(split, lam)
+        cover = wreath_cover(split, lam)
+        stats = cover.meta["conclusions"]
         assert cover.covered_mask().all()
         assert stats["uncovered_boundary_points"] == 0
         assert stats["safe_points"] == stats["window_points"] == len(split.window)
@@ -201,7 +202,8 @@ def test_wreath_cover_keys_the_whole_window(token, radius, lams):
 def test_wreath_cover_bricks_every_lamp_coordinate(lam):
     G = group_from_token("wreath:zn:1:zn:2")
     split = extension_split(G, 3)
-    cover, stats = wreath_cover(split, lam)
+    cover = wreath_cover(split, lam)
+    stats = cover.meta["conclusions"]
     R = stats["R"]
     inside = ball_elements(Z, 6 * R)
     width = 2 * len(inside)

@@ -33,7 +33,7 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
-from oracles import dist, indices, masks_of
+from oracles import dist, indices, masks_of, ref_variation
 
 
 def test_tent_values_on_the_line():
@@ -323,7 +323,19 @@ def test_coarse_embedding_runs_out_of_levels():
     family = a_infinity_family(space, [3, 5], p=2)
     with pytest.raises(SubsequenceUnavailable) as err:
         coarse_embedding(family, (0,), 4)
-    assert err.value.context["threshold"] <= 0.25
+    # the reference selection: each slot takes the first remaining level
+    # under its threshold, and the first slot with none names the payload
+    order, cursor, slot = sorted(family.levels), 0, 1
+    while True:
+        powers = [ref_variation(space, family.levels[n], slot, 2) ** 2 for n in order[cursor:]]
+        hit = next((i for i, v in enumerate(powers) if v < 2.0 ** -slot), None)
+        if hit is None:
+            break
+        cursor, slot = cursor + hit + 1, slot + 1
+    context = err.value.context
+    assert context["threshold"] == 2.0 ** -slot <= 0.25
+    assert context["slot"] == slot
+    assert context["best"] == pytest.approx(min(powers, default=INF), rel=1e-12)
 
 
 def test_coarse_embedding_rejects_bad_inputs():

@@ -99,7 +99,18 @@ from coarsekit.property_a import (
     power_conversion_gap,
     variation_report,
 )
-from oracles import dist, indices, masks_of, ref_close_pair, ref_partition_of_unity, sets_of
+from oracles import (
+    dist,
+    indices,
+    masks_of,
+    ref_close_pair,
+    ref_dist,
+    ref_norm,
+    ref_pairs,
+    ref_partition_of_unity,
+    ref_variation,
+    sets_of,
+)
 
 TOL = 1e-12
 RADII = {"zn:1": 12, "zn:2": 4, "free:2": 2, "heisenberg": 2}
@@ -119,16 +130,6 @@ def shrunk_cover(token, n):
 
 
 # -- the reference -------------------------------------------------------------
-
-
-def ref_norm(u, p):
-    if p == INF:
-        return max((abs(x) for x in u), default=0.0)
-    return sum(abs(x) ** p for x in u) ** (1.0 / p)
-
-
-def ref_dist(u, v, p):
-    return ref_norm([a - b for a, b in zip(u, v)], p)
 
 
 def ref_unit(u, p):
@@ -379,20 +380,6 @@ def ref_extension(G, window, pi, U, V, R):
             if members:
                 sets.append(members)
     return sets, z_points
-
-
-def ref_pairs(space, K=None):
-    n = len(space.points)
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if K is None or space.d[i, j] <= K
-    ]
-
-
-def ref_variation(space, rows, K, p):
-    return max((ref_dist(rows[i], rows[j], p) for i, j in ref_pairs(space, K)), default=0.0)
 
 
 def ref_embedding(space, rows, radius, base, budget, p, safe_margin):
@@ -1047,7 +1034,7 @@ def cover_from_masks(space, rows):
     return Cover(space, np.array(rows), require_total=False)
 
 
-def test_independent_audit_matches_reference():
+def test_independent_audit_matches_reference(monkeypatch):
     seen = set()
 
     @settings(SETTINGS, max_examples=80)
@@ -1067,6 +1054,10 @@ def test_independent_audit_matches_reference():
             if hit
         )
 
+    # at the default block size, then one row per block, so every member
+    # of more than one point takes the multi-block path
+    check()
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 1)
     check()
     assert seen == {"uncovered", "whole space", "singleton", "duplicate"}
 
@@ -1440,7 +1431,8 @@ def test_extension_cover_matches_reference(monkeypatch, capsys, caller):
 @pytest.mark.parametrize("spec, bfs_runs", [(heisenberg_spec(), 0), (zn_spec(2), 0)])
 def test_extension_membership_lists_a_ball_only_without_a_declared_metric(monkeypatch, spec, bfs_runs):
     split = extension_split(spec, 5)
-    U, R = split.quotient_cover(1)
+    U = split.quotient_cover(1)
+    R = U.max_diameter()
     V = Cover(split.kernel, masks_of(split.kernel, [list(split.kernel.points)]), ["K"])
     tables = []
 
@@ -1491,8 +1483,9 @@ def ref_wreath(G, split, U, R):
 @pytest.mark.parametrize("radius", [4, 5, 6])
 def test_lamplighter_keys_match_the_bfs_oracle(radius, lam):
     G, split = lamplighter_spec(), lamplighter_split(radius)
-    cover, _ = wreath_cover(split, lam)
-    U, R = split.quotient_cover(lam)
+    cover = wreath_cover(split, lam)
+    U = split.quotient_cover(lam)
+    R = U.max_diameter()
     sets, keys, z_points = ref_wreath(G, split, U, R)
     masks = np.zeros((len(sets), len(cover.space)), dtype=bool)
     for k, members in enumerate(sets):
@@ -1597,7 +1590,8 @@ def ref_wreath_groupings(split, lam):
     every family, then each class deduplicated on its own."""
     G, window = split.spec, split.window
     N, lamp = G.factors
-    U, R = split.quotient_cover(lam)
+    U = split.quotient_cover(lam)
+    R = U.max_diameter()
     slot = {p: s for s, p in enumerate(ball_elements(N, 6 * R))}
     k = 0 if lamp.asdim == 0 else lamp.lattice_rank
     width = k * len(slot)
@@ -1731,6 +1725,6 @@ def test_families_to_cover_matches_the_pairwise_reference(drawn):
 )
 def test_wreath_members_match_the_point_list_groupings(token, radius, lam):
     split = extension_split(group_from_token(token), radius)
-    cover, _ = wreath_cover(split, lam)
+    cover = wreath_cover(split, lam)
     assert_same_cover(cover, ref_wreath_groupings(split, lam))
 
